@@ -12,6 +12,7 @@ cycle yields arbitrarily long strings, and the primitive root of its
 letter sequence is a band.
 """
 
+from functools import cached_property
 from typing import NamedTuple
 
 import networkx as nx
@@ -111,6 +112,24 @@ class StringAutomaton:
 
     def successors(self, s):
         return self.edges[s]
+
+    @cached_property
+    def predecessors(self):
+        """State -> states with an edge into it."""
+        rev = {s: [] for s in self.states}
+        for s in self.states:
+            for t in self.edges[s]:
+                rev[t].append(s)
+        return rev
+
+    @cached_property
+    def states_at(self):
+        """Vertex -> states whose last letter starts or ends there."""
+        at = {}
+        for s in self.states:
+            for v in set(letter_ends(self.quiver, s.letter)):
+                at.setdefault(v, []).append(s)
+        return at
 
     def completions(self, s):
         """Direct letters that would complete a generator occurrence,
@@ -340,8 +359,13 @@ def band_census(p):
     Complete whenever distinct bands pairwise share at most one vertex
     (always the case on DOZE-free presentations, the only place the
     census is consulted); each simple automaton cycle's letter sequence
-    has a band as its primitive root.
+    has a band as its primitive root.  Computed once per presentation;
+    every call returns a fresh list.
     """
+    return list(p.cached("band_census", lambda: tuple(_band_census(p))))
+
+
+def _band_census(p):
     aut = automaton(p)
     g = aut.graph()
     found = set()

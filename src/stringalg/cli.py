@@ -1,8 +1,10 @@
 """Command line interface.
 
 Reads an algebra file, runs one analysis, and reports as text or JSON
-(schema version 1).  Exit codes: 0 success, 1 parse or semantic error,
-2 precondition violation.  Output is byte-identical across runs.
+(schema version 1).  Exit codes: 0 success; 1 unreadable file, parse or
+semantic error; 2 precondition violation or invalid argument (such as a
+negative length); 3 analysis failure (corrupted presentation or an
+exhausted search budget).  Output is byte-identical across runs.
 """
 
 import argparse
@@ -14,9 +16,11 @@ from .automaton import band_census, enumerate_bands, enumerate_strings
 from .decomp import check_structure, decompose, support_cover_check
 from .doze import classify, find_doze, find_doze_bruteforce
 from .errors import (
+    CorruptPresentationError,
     DozedStringAnomaly,
     ParseError,
     PreconditionError,
+    SearchBudgetExceeded,
     SemanticError,
 )
 from .presentation import validate_special_biserial, validate_string_algebra
@@ -253,6 +257,13 @@ COMMANDS = {
 }
 
 
+def _non_negative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON schema")
@@ -277,21 +288,21 @@ def _build_parser():
     add("classify")
     add("doze")
     s = add("bands")
-    s.add_argument("--max-len", type=int, default=None, dest="max_len")
+    s.add_argument("--max-len", type=_non_negative, default=None, dest="max_len")
     s = add("strings")
-    s.add_argument("--max-len", type=int, required=True, dest="max_len")
+    s.add_argument("--max-len", type=_non_negative, required=True, dest="max_len")
     add("decompose")
     s = add("check-structure")
-    s.add_argument("--cover-len", type=int, default=8, dest="cover_len")
+    s.add_argument("--cover-len", type=_non_negative, default=8, dest="cover_len")
     s = add("module")
     s.add_argument("--string", required=True)
     s.add_argument("--dims", action="store_true")
     s = add("dozed")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_non_negative, required=True)
     s = add("scan")
-    s.add_argument("--max-len", type=int, required=True, dest="max_len")
+    s.add_argument("--max-len", type=_non_negative, required=True, dest="max_len")
     s = add("oracle-doze")
-    s.add_argument("--max-len", type=int, required=True, dest="max_len")
+    s.add_argument("--max-len", type=_non_negative, required=True, dest="max_len")
     return parser
 
 
@@ -301,12 +312,21 @@ def main(argv=None):
     try:
         name, p = parse_file(args.file)
         data, text = COMMANDS[args.command](p, args)
+    except OSError as e:
+        print(f"error: cannot read {args.file}: {e.strerror or e}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError:
+        print(f"error: cannot read {args.file}: not UTF-8 text", file=sys.stderr)
+        return 1
     except (ParseError, SemanticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (PreconditionError, DozedStringAnomaly) as e:
         print(f"precondition violated: {e}", file=sys.stderr)
         return 2
+    except (CorruptPresentationError, SearchBudgetExceeded) as e:
+        print(f"analysis failed: {e}", file=sys.stderr)
+        return 3
     if args.json:
         payload = {"schema": 1, "algebra": name, "command": args.command}
         payload.update(data)

@@ -34,9 +34,6 @@ class Subcategory:
     anchor: str = None
     band: object = field(default=None, compare=False)
 
-    def contains_walk(self, quiver, w):
-        return set(walk_vertices(quiver, w)) <= self.objects and walk_arrows(w) <= self.arrows
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -147,12 +144,7 @@ def d_category(p, w, label="D"):
         objects.update(walk_vertices(q, w))
         arrows.update(walk_arrows(w))
     else:
-        x = w.base
-        touch = set()
-        for s in aut.states:
-            sv, tv = letter_ends(q, s.letter)
-            if x in (sv, tv):
-                touch.add(s)
+        touch = aut.states_at.get(w.base, ())
         fwd = set(touch)
         stack = list(touch)
         while stack:
@@ -161,10 +153,7 @@ def d_category(p, w, label="D"):
                 if t not in fwd:
                     fwd.add(t)
                     stack.append(t)
-        rev = {s: [] for s in aut.states}
-        for s in aut.states:
-            for t in aut.successors(s):
-                rev[t].append(s)
+        rev = aut.predecessors
         bwd = set(touch)
         stack = list(touch)
         while stack:
@@ -215,17 +204,13 @@ def _straddle_support(p, side_parts):
     """
     aut = automaton(p)
     q = p.quiver
-    n = len(side_parts)
-
-    def stepmask(s):
-        a = q.arrow[s.arrow]
-        m = 0
-        for i, part in enumerate(side_parts):
-            if s.arrow in part.arrows and a.source in part.objects and a.target in part.objects:
-                m |= 1 << i
-        return m
-
-    masks = {s: stepmask(s) for s in aut.states}
+    arrow_mask = {}
+    for i, part in enumerate(side_parts):
+        for name in part.arrows:
+            a = q.arrow[name]
+            if a.source in part.objects and a.target in part.objects:
+                arrow_mask[name] = arrow_mask.get(name, 0) | 1 << i
+    masks = {s: arrow_mask.get(s.arrow, 0) for s in aut.states}
 
     def add(store, s, m):
         have = store[s]
@@ -248,10 +233,7 @@ def _straddle_support(p, side_parts):
             m2 = m & masks[t]
             if add(fwd, t, m2):
                 work.append((t, m2))
-    rev = {s: [] for s in aut.states}
-    for s in aut.states:
-        for t in aut.successors(s):
-            rev[t].append(s)
+    rev = aut.predecessors
     bwd = {s: [] for s in aut.states}
     work = []
     for s in aut.states:
@@ -264,12 +246,9 @@ def _straddle_support(p, side_parts):
             if add(bwd, t, m2):
                 work.append((t, m2))
 
-    objects = set()
+    in_some_part = set().union(*(part.objects for part in side_parts))
+    objects = {v for v in q.vertices if v not in in_some_part}
     arrows = set()
-    part_vertices = [part.objects for part in side_parts]
-    for v in q.vertices:
-        if not any(v in obj for obj in part_vertices):
-            objects.add(v)
     for s in aut.states:
         if any(m1 & m2 == 0 for m1 in fwd[s] for m2 in bwd[s]):
             sv, tv = letter_ends(q, s.letter)
@@ -355,15 +334,17 @@ class StructureReport:
         }
 
 
-def _restrict(p, part):
-    q = p.quiver
-    sub = Quiver(
-        sorted(part.objects),
-        [(a.name, a.source, a.target) for a in q.arrows if a.name in part.arrows],
-    )
+def _restrict(part, part_arrows, zeros_from):
+    """Full subpresentation on a part: its arrows, in quiver order, and
+    the zero generators all of whose arrows lie in the part.
+
+    zeros_from maps an arrow to the zero generators starting with it.
+    """
+    sub = Quiver(sorted(part.objects), [(a.name, a.source, a.target) for a in part_arrows])
     rels = [
         ZeroRelation(sub.path(g))
-        for g in p.zero_paths
+        for a in part_arrows
+        for g in zeros_from.get(a.name, ())
         if all(n in part.arrows for n in g)
     ]
     return Presentation(sub, rels)
@@ -382,33 +363,44 @@ def check_structure(p, decomposition=None):
         work = p if p.is_monomial else quotient_by_J(p)
     q = work.quiver
     details = []
+    order = {a.name: i for i, a in enumerate(q.arrows)}
+
+    def incident(part, side):
+        """Arrows starting (side "out") or ending ("in") at an object of
+        the part, in quiver order."""
+        found = [
+            a
+            for v in part.objects
+            if q.has_vertex(v)
+            for a in (q.out_arrows(v) if side == "out" else q.in_arrows(v))
+        ]
+        return sorted(found, key=lambda a: order[a.name])
+
+    out_of = {part: incident(part, "out") for part in dec.side_parts}
 
     full = True
     for part in dec.side_parts:
-        for a in q.arrows:
-            if a.source in part.objects and a.target in part.objects and a.name not in part.arrows:
+        for a in out_of[part]:
+            if a.target in part.objects and a.name not in part.arrows:
                 full = False
                 details.append(f"full: arrow {a.name} between {part.label}-objects is missing")
 
     no_entry = True
     for part in dec.a_parts:
-        for a in q.arrows:
-            if a.target in part.objects and a.source not in part.objects:
+        for a in incident(part, "in"):
+            if a.source not in part.objects:
                 no_entry = False
                 details.append(f"no_entry: arrow {a.name} enters {part.label}")
     for part in dec.b_parts:
-        for a in q.arrows:
-            if a.source in part.objects and a.target not in part.objects:
+        for a in out_of[part]:
+            if a.target not in part.objects:
                 no_entry = False
                 details.append(f"no_entry: arrow {a.name} leaves {part.label}")
 
     convex = True
     for part in dec.side_parts:
         outside = set()
-        stack = []
-        for a in q.arrows:
-            if a.source in part.objects and a.target not in part.objects:
-                stack.append(a.target)
+        stack = [a.target for a in out_of[part] if a.target not in part.objects]
         while stack:
             v = stack.pop()
             if v in outside:
@@ -422,8 +414,12 @@ def check_structure(p, decomposition=None):
                     stack.append(a.target)
 
     unique_cycle = True
+    arrows_of = {
+        part: sorted((q.arrow[n] for n in part.arrows if n in q.arrow), key=lambda a: order[a.name])
+        for part in dec.side_parts
+    }
     for part in dec.side_parts:
-        part_arrows = [a for a in q.arrows if a.name in part.arrows]
+        part_arrows = arrows_of[part]
         comp = {v: v for v in part.objects}
 
         def find(v):
@@ -453,8 +449,11 @@ def check_structure(p, decomposition=None):
             details.append("middle_finite: the middle part contains a band")
 
     sides_clean = True
+    zeros_from = {}
+    for g in work.zero_paths:
+        zeros_from.setdefault(g[0], []).append(g)
     for part in dec.side_parts:
-        if has_double_zero(_restrict(work, part)):
+        if has_double_zero(_restrict(part, arrows_of[part], zeros_from)):
             sides_clean = False
             details.append(f"sides_double_zero_free: {part.label} contains a double-zero")
 
@@ -498,7 +497,18 @@ def support_cover_check(p, max_len, decomposition=None):
     else:
         dec = decomposition
         work = p if p.is_monomial else quotient_by_J(p)
+    q = work.quiver
+    parts_at = {}
+    for part in dec.parts:
+        for v in part.objects:
+            parts_at.setdefault(v, []).append(part)
     for w in enumerate_strings(work, max_len):
-        if not any(part.contains_walk(work.quiver, w) for part in dec.parts):
+        vertices = set(walk_vertices(q, w))
+        arrows = walk_arrows(w)
+        # a part holding w holds its base vertex
+        if not any(
+            vertices <= part.objects and arrows <= part.arrows
+            for part in parts_at.get(w.base, ())
+        ):
             return False
     return True

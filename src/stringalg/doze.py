@@ -187,8 +187,12 @@ def find_double_zeros(p, max_len, node_budget=None):
             raise CorruptPresentationError("generators are not minimal")
         seed = [direct(a) for a in g]
         arr = q.arrow[g[-1]]
-
-        def extend(letters, vertex, tail_inv, tail, depth):
+        # Depth-first with an explicit stack (walks can be far longer than
+        # the recursion limit); children are pushed in reverse so they are
+        # visited in candidate order.
+        stack = [(seed, arr.target, False, list(g[1:]), 0)]
+        while stack:
+            letters, vertex, tail_inv, tail, depth = stack.pop()
             spend()
             last = letters[-1]
             total = len(letters)
@@ -200,15 +204,14 @@ def find_double_zeros(p, max_len, node_budget=None):
                     if hit is not None and depth >= len(hit) - 1:
                         full = letters + [direct(a.name)]
                         mid_letters = full[l : len(full) - len(hit)]
-                        middle = Walk(
-                            q.arrow[g[-1]].target, tuple(mid_letters)
-                        )
+                        middle = Walk(arr.target, tuple(mid_letters))
                         results.append(make_double_zero(p, g, middle, hit))
             if total + 2 > max_len:
-                return
+                continue
             cands = [direct(a.name) for a in q.out_arrows(vertex)]
             cands += [inverse(a.name) for a in q.in_arrows(vertex)]
             cands.sort(key=lambda m: m.key())
+            children = []
             for m in cands:
                 if m.arrow == last.arrow and m.inverse != last.inverse:
                     continue
@@ -220,9 +223,8 @@ def find_double_zeros(p, max_len, node_budget=None):
                 else:
                     run = [m.arrow]
                 nv = letter_ends(q, m)[1]
-                extend(letters + [m], nv, m.inverse, run, depth + 1)
-
-        extend(seed, arr.target, False, list(g[1:]), 0)
+                children.append((letters + [m], nv, m.inverse, run, depth + 1))
+            stack.extend(reversed(children))
     results.sort(key=lambda dz: dz.whole.key())
     return results
 
@@ -314,7 +316,7 @@ def find_doze(p):
         if s0 is None:
             continue
         dist1, par1 = aut.bfs([s0])
-        for q in sorted((s for s in cyc if s in dist1), key=lambda s: (dist1[s], s)):
+        for q in sorted((s for s in dist1 if s in cyc), key=lambda s: (dist1[s], s)):
             dist2, par2 = aut.bfs([q])
             target = None
             for f in sorted(dist2, key=lambda s: (dist2[s], s)):
@@ -401,8 +403,13 @@ def classify(p):
 
     Special biserial inputs are analyzed on their J-quotient, where being
     laura is equivalent; the note records this.  The verdict NotLaura
-    always carries a witness, and conversely.
+    always carries a witness, and conversely.  Computed once per
+    presentation; the report is immutable.
     """
+    return p.cached("classify", lambda: _classify(p))
+
+
+def _classify(p):
     notes = []
     if validate_string_algebra(p).is_valid:
         work = p

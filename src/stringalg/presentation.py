@@ -136,16 +136,44 @@ def _contains_subpath(path, sub):
     return any(path[i : i + m] == sub for i in range(n - m + 1))
 
 
+def window_index(paths):
+    """Paths grouped by length, for subpath tests by window lookup."""
+    index = {}
+    for path in paths:
+        index.setdefault(len(path), set()).add(tuple(path))
+    return index
+
+
+def has_window(seq, index):
+    """True iff some path of the index is a contiguous subpath of the
+    tuple seq.
+
+    Costs one set lookup per window length in the index and start
+    position, independent of the number of indexed paths.
+    """
+    n = len(seq)
+    return any(
+        seq[i : i + m] in group
+        for m, group in index.items()
+        if m <= n
+        for i in range(n - m + 1)
+    )
+
+
 def minimalize(paths):
     """Drop every path that contains another one as a contiguous subpath.
 
     Idempotent; the result is an antichain under contiguous containment.
+    Paths are taken shortest first, so every path a candidate can contain
+    has already been decided and, if kept, indexed.
     """
     unique = sorted(set(tuple(p) for p in paths), key=lambda p: (len(p), p))
     kept = []
+    index = {}
     for p in unique:
-        if not any(_contains_subpath(p, q) for q in kept):
+        if not has_window(p, index):
             kept.append(p)
+            index.setdefault(len(p), set()).add(p)
     return kept
 
 
@@ -237,10 +265,11 @@ class Presentation:
         # since newly added zeros can degrade further commutativities.
         while True:
             mins = minimalize(zero_paths)
+            index = window_index(mins)
             keep = []
             changed = False
             for l, r in comm_pairs:
-                if any(_contains_subpath(l, g) or _contains_subpath(r, g) for g in mins):
+                if has_window(l, index) or has_window(r, index):
                     zero_paths.extend([l, r])
                     changed = True
                 else:
@@ -248,10 +277,11 @@ class Presentation:
             comm_pairs = keep
             if not changed:
                 break
-        self._zero_paths = tuple(sorted(minimalize(zero_paths), key=lambda p: (len(p), p)))
+        # minimalize returns its paths sorted by (length, arrows)
+        self._zero_paths = tuple(mins)
         self._comm_pairs = tuple(sorted(tuple(sorted([l, r])) for l, r in comm_pairs))
-        _assert_finite_dimensional(quiver, self.monomial_generators())
         self._cache = {}
+        _assert_finite_dimensional(quiver, self.monomial_generators())
 
     @classmethod
     def build(cls, vertices, arrows, zeros=(), comms=()):
@@ -286,6 +316,11 @@ class Presentation:
     def monomial_generators(self):
         """Zero generators plus both sides of every commutativity relation,
         minimalized: the generators of the J-quotient's ideal."""
+        return self.cached("monomial_generators", self._monomial_generators)
+
+    def _monomial_generators(self):
+        if not self._comm_pairs:
+            return self._zero_paths
         gens = list(self._zero_paths)
         for l, r in self._comm_pairs:
             gens.extend([l, r])
@@ -294,6 +329,10 @@ class Presentation:
     def max_generator_length(self):
         gens = self.monomial_generators()
         return max((len(g) for g in gens), default=0)
+
+    def zero_index(self):
+        """The zero generators as a `window_index`."""
+        return self.cached("zero_index", lambda: window_index(self._zero_paths))
 
     def opposite(self):
         """Presentation over the opposite quiver (paths reversed)."""
@@ -331,12 +370,14 @@ def path_in_ideal(p, path):
     must pass to the J-quotient first.
     """
     arrows = path.arrows if isinstance(path, OrientedPath) else tuple(path)
-    for l, r in p.comm_pairs:
-        if _contains_subpath(arrows, l) or _contains_subpath(arrows, r):
-            raise PreconditionError(
-                "membership depends on a commutativity relation; quotient by J first"
-            )
-    return any(_contains_subpath(arrows, g) for g in p.zero_paths)
+    sides = p.cached(
+        "comm_side_index", lambda: window_index(s for pair in p.comm_pairs for s in pair)
+    )
+    if has_window(arrows, sides):
+        raise PreconditionError(
+            "membership depends on a commutativity relation; quotient by J first"
+        )
+    return has_window(arrows, p.zero_index())
 
 
 @dataclass(frozen=True)
@@ -360,7 +401,7 @@ class ValidationReport:
 
 
 def _two_path_is_zero(p, first, second):
-    return (first, second) in set(p.zero_paths)
+    return (first, second) in p.zero_index().get(2, ())
 
 
 def _axiom_violations(p):

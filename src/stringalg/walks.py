@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import PreconditionError, SemanticError
-from .presentation import _contains_subpath
+from .presentation import has_window
 
 
 class Letter(NamedTuple):
@@ -146,11 +146,10 @@ def is_string(p, w):
         raise PreconditionError("is_string needs a monomial presentation")
     if not is_reduced(w):
         return False
-    for inv, letters in maximal_runs(w):
-        oriented = run_oriented_arrows(inv, letters)
-        if any(_contains_subpath(oriented, g) for g in p.zero_paths):
-            return False
-    return True
+    index = p.zero_index()
+    return not any(
+        has_window(run_oriented_arrows(inv, letters), index) for inv, letters in maximal_runs(w)
+    )
 
 
 def canonical_string(quiver, w):
@@ -245,13 +244,14 @@ def band_boundary(p, c):
 
     entering: target on the band; exiting: source on the band.
     """
-    on_vertices = set(walk_vertices(p.quiver, c.walk))
+    q = p.quiver
+    on_vertices = set(walk_vertices(q, c.walk))
     on_arrows = walk_arrows(c.walk)
     entering = frozenset(
-        a.name for a in p.quiver.arrows if a.name not in on_arrows and a.target in on_vertices
+        a.name for v in on_vertices for a in q.in_arrows(v) if a.name not in on_arrows
     )
     exiting = frozenset(
-        a.name for a in p.quiver.arrows if a.name not in on_arrows and a.source in on_vertices
+        a.name for v in on_vertices for a in q.out_arrows(v) if a.name not in on_arrows
     )
     return BandBoundary(entering, exiting)
 

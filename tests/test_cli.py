@@ -1,7 +1,10 @@
 import json
 
+import pytest
 
+from stringalg import cli
 from stringalg.cli import main
+from stringalg.errors import SearchBudgetExceeded
 
 SKEW6 = "fixtures/skew6.alg"
 THIRTEEN = "fixtures/thirteen.alg"
@@ -155,6 +158,77 @@ def test_semantic_error_exit_code(tmp_path, capsys):
     bad.write_text("algebra x\nvertex 1 2\narrow a : 1 -> 2\narrow b : 2 -> 1\n")
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 1
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_file_exit_code(tmp_path, capsys, kind):
+    path = tmp_path / "algebra.alg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"algebra x\nvertex \xff\n")
+    code, out, err = run(capsys, "classify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in err
+
+
+# The known anchor-choice defect of `decompose` (special biserial corpus,
+# seed 20260809, instance 99): the side part of one band differs between
+# its eligible anchors.
+ANCHOR_DEFECT = """algebra sb99
+vertex v0 v1 v2 v3 v4 v5 v6
+arrow a0 : v0 -> v6
+arrow a1 : v0 -> v6
+arrow a2 : v4 -> v0
+arrow a3 : v2 -> v4
+arrow a4 : v1 -> v3
+arrow a5 : v2 -> v0
+zero a2 a0
+zero a5 a1
+comm a3 a2 a1 = a5 a0
+"""
+
+
+def test_corrupt_presentation_exit_code(tmp_path, capsys):
+    path = tmp_path / "sb99.alg"
+    path.write_text(ANCHOR_DEFECT)
+    code, out, err = run(capsys, "decompose", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "analysis failed: side part depends on the anchor choice\n"
+
+
+def test_search_budget_exit_code(monkeypatch, capsys):
+    def exhausted(p, max_len, node_budget=None):
+        raise SearchBudgetExceeded("double-zero enumeration budget exhausted")
+
+    monkeypatch.setattr(cli, "find_doze_bruteforce", exhausted)
+    code, out, err = run(capsys, "oracle-doze", SKEW6, "--max-len", "10")
+    assert code == 3
+    assert out == ""
+    assert "budget exhausted" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dozed", SKEW6, "--n", "-1"),
+        ("strings", SKEW6, "--max-len", "-1"),
+        ("bands", THIRTEEN, "--max-len", "-3"),
+        ("scan", SKEW6, "--max-len", "-1"),
+        ("oracle-doze", SKEW6, "--max-len", "-1"),
+        ("check-structure", THIRTEEN, "--cover-len", "-2"),
+    ],
+)
+def test_negative_length_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "must be >= 0" in captured.err
 
 
 def test_decompose_not_laura_exit_code(capsys):

@@ -17,6 +17,7 @@ from stringalg.doze import (
 from stringalg.errors import (
     CorruptPresentationError,
     PreconditionError,
+    SearchBudgetExceeded,
 )
 from stringalg.fixtures import linear_a3
 from stringalg.presentation import Presentation
@@ -255,3 +256,10 @@ def test_not_laura_iff_evidence(skew6, thirteen, commsquare):
     for p in (skew6, thirteen, commsquare):
         report = classify(p)
         assert (report.verdict == NOT_LAURA) == (report.evidence is not None)
+
+
+def test_double_zero_search_deeper_than_the_recursion_limit(skew6):
+    # skew6's bands give walks of every length, so the first branch of the
+    # depth-first search runs to length 1500 before the budget is spent.
+    with pytest.raises(SearchBudgetExceeded):
+        find_double_zeros(skew6, 1500, node_budget=2000)

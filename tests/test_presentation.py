@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stringalg import fixtures
+from stringalg.corpus import special_biserial_corpus
 from stringalg.errors import (
     InfiniteDimensionalError,
     PreconditionError,
@@ -10,6 +14,7 @@ from stringalg.presentation import (
     Presentation,
     Quiver,
     ZeroRelation,
+    _contains_subpath,
     minimalize,
     path_in_ideal,
     quotient_by_J,
@@ -219,3 +224,73 @@ def test_quotient_output_is_string_algebra_on_random_special_biserial():
         assert validate_string_algebra(j).is_valid
         for left, right in p.comm_pairs:
             assert path_in_ideal(j, left) and path_in_ideal(j, right)
+
+
+# --- indexed subpath tests against pairwise scans --------------------------
+
+
+def scan_minimalize(paths):
+    """Reference: compare each candidate with every path kept so far."""
+    unique = sorted(set(tuple(p) for p in paths), key=lambda p: (len(p), p))
+    kept = []
+    for p in unique:
+        if not any(_contains_subpath(p, q) for q in kept):
+            kept.append(p)
+    return kept
+
+
+def scan_path_in_ideal(p, arrows):
+    """Reference: test every commutativity side, then every generator."""
+    for l, r in p.comm_pairs:
+        if _contains_subpath(arrows, l) or _contains_subpath(arrows, r):
+            raise PreconditionError("membership depends on a commutativity relation")
+    return any(_contains_subpath(arrows, g) for g in p.zero_paths)
+
+
+# A three-letter alphabet makes containments common.  The empty path is a
+# subpath of every path, so it must drop every other path, as in the
+# reference.
+short_paths = st.lists(st.sampled_from("abc"), max_size=7).map(tuple)
+
+
+@given(st.lists(short_paths, max_size=16))
+@settings(max_examples=200)
+def test_minimalize_matches_pairwise_reference(paths):
+    assert minimalize(paths) == scan_minimalize(paths)
+
+
+MEMBERSHIP_CASES = [
+    fixtures.skew6(),
+    fixtures.thirteen(),
+    fixtures.nine(),
+    fixtures.commutative_square(),
+] + special_biserial_corpus(20260809, 12)
+
+
+@st.composite
+def oriented_paths(draw):
+    """A presentation and an oriented path in its quiver, of length 1-8."""
+    p = draw(st.sampled_from(MEMBERSHIP_CASES))
+    q = p.quiver
+    at = draw(st.sampled_from([v for v in q.vertices if q.out_arrows(v)]))
+    names = []
+    for _ in range(draw(st.integers(1, 8))):
+        if not q.out_arrows(at):
+            break
+        a = draw(st.sampled_from(q.out_arrows(at)))
+        names.append(a.name)
+        at = a.target
+    return p, tuple(names)
+
+
+@given(oriented_paths())
+@settings(max_examples=200)
+def test_path_in_ideal_matches_generator_scan(case):
+    p, arrows = case
+    try:
+        expected = scan_path_in_ideal(p, arrows)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            path_in_ideal(p, arrows)
+        return
+    assert path_in_ideal(p, arrows) == expected

@@ -1,10 +1,14 @@
 """Randomized and property-based checks over the seeded corpus."""
 
+import importlib
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringalg import textio
 from stringalg.automaton import automaton, band_census, enumerate_strings
 from stringalg.decomp import check_structure, decompose, support_cover_check
 from stringalg.doze import (
@@ -14,7 +18,13 @@ from stringalg.doze import (
     find_doze,
     has_double_zero,
 )
+from stringalg.errors import PreconditionError
 from stringalg.presentation import Presentation, minimalize
+
+# the package re-exports a function named `automaton`, so fetch the modules
+automaton_module = importlib.import_module("stringalg.automaton")
+doze_module = importlib.import_module("stringalg.doze")
+presentation_module = importlib.import_module("stringalg.presentation")
 from stringalg.walks import (
     Walk,
     band_boundary,
@@ -246,3 +256,110 @@ def test_decompose_is_relabeling_equivariant(thirteen):
     expected = {frozenset(vmap[v] for v in part.objects) for part in a.parts}
     got = {frozenset(part.objects) for part in b.parts}
     assert expected == got
+
+
+# --- cached analysis ------------------------------------------------------------
+
+
+def test_cached_analysis_matches_a_fresh_parse(corpus500, skew6, thirteen, nine, commsquare):
+    for i, p in enumerate([skew6, thirteen, nine, commsquare] + list(corpus500[:40])):
+        fresh = textio.parse(textio.serialize(f"copy{i}", p))[1]
+        try:
+            report = classify(p)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                classify(fresh)
+            continue
+        assert classify(p) is report
+        assert classify(fresh) == report
+        work, fresh_work = report.analyzed, classify(fresh).analyzed
+        census = band_census(work)
+        assert census == band_census(fresh_work)
+        census.append(None)
+        assert band_census(work) == census[:-1], "callers must not share the cached list"
+
+
+# --- disjoint unions -----------------------------------------------------------
+
+
+def disjoint_copies(p, k):
+    """k copies of p with every vertex and arrow v renamed to v_i (copy i),
+    and the map from new names back to (copy, old name)."""
+    q = p.quiver
+    back = {}
+
+    def rename(name, i):
+        back[f"{name}_{i}"] = (i, name)
+        return f"{name}_{i}"
+
+    vertices, arrows, zeros = [], [], []
+    for i in range(k):
+        vertices += [rename(v, i) for v in q.vertices]
+        arrows += [(rename(a.name, i), f"{a.source}_{i}", f"{a.target}_{i}") for a in q.arrows]
+        zeros += [[f"{n}_{i}" for n in g] for g in p.zero_paths]
+    return Presentation.build(vertices, arrows, zeros=zeros), back
+
+
+def _mapped(part, back):
+    """The part as (copy, old objects, old arrows); it must lie in one copy."""
+    (copy,) = {back[n][0] for n in part.objects | part.arrows}
+
+    def old(names):
+        return frozenset(back[n][1] for n in names)
+
+    return copy, old(part.objects), old(part.arrows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_disjoint_union_of_thirteen_decomposes_copywise(thirteen, k):
+    one = decompose(thirteen)
+    p, back = disjoint_copies(thirteen, k)
+    assert classify(p).verdict == classify(thirteen).verdict
+    dec = decompose(p)
+    for got, want in ((dec.a_parts, one.a_parts), (dec.b_parts, one.b_parts)):
+        assert Counter(_mapped(part, back) for part in got) == Counter(
+            (i, part.objects, part.arrows) for i in range(k) for part in want
+        )
+    assert {back[v] for v in dec.middle.objects} == {
+        (i, v) for i in range(k) for v in one.middle.objects
+    }
+    assert {back[a] for a in dec.middle.arrows} == {
+        (i, a) for i in range(k) for a in one.middle.arrows
+    }
+    assert check_structure(p, dec).all_pass
+    assert support_cover_check(p, 8, dec)
+
+
+def test_analysis_pass_derives_each_fact_once(thirteen, monkeypatch):
+    """classify -> decompose -> check_structure -> support_cover_check on
+    four copies of thirteen: one classification and one band census per
+    presentation, and each (monomial) presentation minimalizes its zero
+    generators once, when it is constructed."""
+    seen = {"minimalize": [], "classify": [], "census": [], "built": []}
+
+    def record(key, real):
+        def wrapper(first, *rest):
+            seen[key].append(first)
+            return real(first, *rest)
+
+        return wrapper
+
+    for module, name, key in (
+        (presentation_module, "minimalize", "minimalize"),
+        (doze_module, "_classify", "classify"),
+        (automaton_module, "_band_census", "census"),
+    ):
+        monkeypatch.setattr(module, name, record(key, getattr(module, name)))
+    monkeypatch.setattr(Presentation, "__init__", record("built", Presentation.__init__))
+
+    p, _ = disjoint_copies(thirteen, 4)
+    assert classify(p).verdict == STRICT_LAURA_OR_TILTED
+    dec = decompose(p)
+    assert check_structure(p, dec).all_pass
+    assert support_cover_check(p, 8, dec)
+    for key in ("classify", "census"):
+        assert seen[key], key
+        assert len({id(x) for x in seen[key]}) == len(seen[key]), key
+    # the input plus one restriction per side part (16 of them)
+    assert len(seen["built"]) == 17
+    assert len(seen["minimalize"]) <= len(seen["built"])
