@@ -207,27 +207,30 @@ def random_special_biserial(rng, max_vertices=8, max_arrows=12, attempts=400):
     return None
 
 
-def string_corpus(seed, size, **kwargs):
-    """Deterministic list of valid string presentations."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < size:
-        p = random_string_presentation(rng, **kwargs)
-        if p is not None:
-            out.append(p)
-    return out
+def _draw(make, seed, size, kwargs):
+    """Up to `size` presentations from make(rng, **kwargs), in draw order.
 
-
-def special_biserial_corpus(seed, size, **kwargs):
-    """Deterministic list of special biserial presentations with a
-    commutativity relation."""
+    A draw that returns None is a miss; after 50 misses the list is
+    returned short, so a generator that cannot succeed never hangs.
+    """
     rng = random.Random(seed)
     out = []
     misses = 0
     while len(out) < size and misses < 50:
-        p = random_special_biserial(rng, **kwargs)
+        p = make(rng, **kwargs)
         if p is None:
             misses += 1
             continue
         out.append(p)
     return out
+
+
+def string_corpus(seed, size, **kwargs):
+    """Deterministic list of valid string presentations."""
+    return _draw(random_string_presentation, seed, size, kwargs)
+
+
+def special_biserial_corpus(seed, size, **kwargs):
+    """Deterministic list of special biserial presentations with a
+    commutativity relation."""
+    return _draw(random_special_biserial, seed, size, kwargs)

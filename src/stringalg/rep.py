@@ -5,8 +5,14 @@ socle series, projective covers and injective envelopes, the syzygy-based
 pd >= 2 / id >= 2 tests, the pumped module family of a DOZE witness, and
 the scan for modules with both homological dimensions at least two.
 
-All matrices are 0/1 integer matrices or exact rational solves; nothing
-here depends on a characteristic.
+Two routes compute the homology of a string module.  The general route
+builds the representation and works with 0/1 integer matrices and exact
+rational solves; nothing there depends on a characteristic.  Over a
+string algebra, the combinatorial route (`string_cover`, `string_syzygy`,
+`string_pd_at_least_2`, `string_id_at_least_2`) reads the projective
+cover and the first syzygy off the string in time linear in its length,
+with no linear algebra; it is just as exact, and `conjecture_scan` uses it
+whenever it applies.  The general route is its test oracle.
 """
 
 from dataclasses import dataclass
@@ -14,8 +20,8 @@ from dataclasses import dataclass
 from . import exactla as la
 from .automaton import strings_of_length
 from .errors import CorruptPresentationError, DozedStringAnomaly, PreconditionError
-from .presentation import _contains_subpath
-from .walks import Walk, is_string, walk_vertices
+from .presentation import has_window, validate_string_algebra
+from .walks import Walk, direct, inverse, is_string, walk_vertices
 
 
 class Representation:
@@ -145,6 +151,7 @@ def string_module(p, w):
 def _paths_from(p, x):
     """Ideal-avoiding oriented paths starting at x, sorted."""
     q = p.quiver
+    index = p.zero_index()
     out = []
     stack = [((), x)]
     while stack:
@@ -152,7 +159,7 @@ def _paths_from(p, x):
         out.append((path, v))
         for a in q.out_arrows(v):
             new = path + (a.name,)
-            if not any(_contains_subpath(new, g) for g in p.zero_paths):
+            if not has_window(new, index):
                 stack.append((new, a.target))
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
@@ -160,6 +167,7 @@ def _paths_from(p, x):
 def _paths_into(p, x):
     """Ideal-avoiding oriented paths ending at x, sorted."""
     q = p.quiver
+    index = p.zero_index()
     out = []
     stack = [((), x)]
     while stack:
@@ -167,7 +175,7 @@ def _paths_into(p, x):
         out.append((path, v))
         for a in q.in_arrows(v):
             new = (a.name,) + path
-            if not any(_contains_subpath(new, g) for g in p.zero_paths):
+            if not has_window(new, index):
                 stack.append((new, a.source))
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
@@ -612,6 +620,157 @@ def dozed_module(p, witness, n):
     return string_module(p, w)
 
 
+# --- string modules over a string algebra, read off the string ----------------
+#
+# Over a monomial string algebra the projective cover of M(w) is one P(x)
+# per peak of w, and the first syzygy is a direct sum of string modules
+# with a single top each: one per valley and one per end of w
+# (Butler-Ringel, Comm. Algebra 15, 1987; Huisgen-Zimmermann, Manuscripta
+# Math. 70, 1991).  A summand with top t is projective iff its dimension
+# is dim P(t).  The exact route above stays the reference for all of it.
+#
+# Reading w left to right, a direct letter descends and an inverse letter
+# ascends: passage i is a peak when no letter next to it points into it,
+# and a valley when both letters next to it do.
+
+
+def _is_string_algebra(p):
+    return p.cached("is_string_algebra", lambda: validate_string_algebra(p).is_valid)
+
+
+def _require_string_algebra(p, what):
+    if not _is_string_algebra(p):
+        raise PreconditionError(f"{what} needs a string algebra presentation")
+
+
+def _continuation(p, head, at, first=None):
+    """The maximal path u from vertex `at` with head.u outside the ideal;
+    head is a nonzero path ending at `at` and u starts with `first` when
+    given.  Unique continuation leaves at most one arrow per step, and only
+    the last max_generator_length() arrows can complete a generator."""
+    q = p.quiver
+    index = p.zero_index()
+    keep = p.cached("max_generator_length", p.max_generator_length) - 1
+    tail = tuple(head[-keep:]) if keep > 0 else ()
+    choices = (q.arrow[first],) if first is not None else q.out_arrows(at)
+    u = []
+    while True:
+        for a in choices:
+            window = tail + (a.name,)
+            if not has_window(window, index):
+                break
+        else:
+            return tuple(u)
+        u.append(a.name)
+        tail = window[-keep:] if keep > 0 else ()
+        choices = q.out_arrows(a.target)
+
+
+def _projective_dim(p, x):
+    """dim P(x): the trivial path plus, per out-arrow c of x, the maximal
+    nonzero path starting with c."""
+    return p.cached(
+        ("projective_dim", x),
+        lambda: 1 + sum(len(_continuation(p, (), x, a.name)) for a in p.quiver.out_arrows(x)),
+    )
+
+
+def _is_peak(letters, i):
+    return (i == 0 or letters[i - 1].inverse) and (i == len(letters) or not letters[i].inverse)
+
+
+def _descent_from_left(letters, j):
+    """The direct run ending at passage j, as an oriented path."""
+    i = j
+    while i > 0 and not letters[i - 1].inverse:
+        i -= 1
+    return tuple(l.arrow for l in letters[i:j])
+
+
+def _descent_from_right(letters, j):
+    """The inverse run starting at passage j, as an oriented path."""
+    i = j
+    while i < len(letters) and letters[i].inverse:
+        i += 1
+    return tuple(l.arrow for l in reversed(letters[j:i]))
+
+
+def _syzygy_summands(p, w):
+    """(top, C_L, C_R) per direct summand M(C_L^-1 C_R) of the first
+    syzygy of M(w), with C_L and C_R paths from top."""
+    q = p.quiver
+    letters = w.letters
+    n = len(letters)
+    verts = walk_vertices(q, w)
+    # an end gives the continuation of the descent reaching it or, at a
+    # peak, the branch of P(x) along each out-arrow w does not use there
+    ends = []
+    for j in sorted({0, n}):
+        if _is_peak(letters, j):
+            used = {letters[k].arrow for k in (j - 1, j) if 0 <= k < n}
+            ends += [((), verts[j], a.name) for a in q.out_arrows(verts[j]) if a.name not in used]
+        elif j == 0:
+            ends.append((_descent_from_right(letters, 0), verts[0], None))
+        else:
+            ends.append((_descent_from_left(letters, n), verts[n], None))
+    for head, at, first in ends:
+        u = _continuation(p, head, at, first)
+        if u:
+            yield q.arrow[u[0]].target, (), u[1:]
+    for j in range(1, n):
+        if not letters[j - 1].inverse and letters[j].inverse:
+            v = verts[j]
+            left = _continuation(p, _descent_from_left(letters, j), v)
+            right = _continuation(p, _descent_from_right(letters, j), v)
+            yield v, left, right
+
+
+def string_cover(p, w):
+    """The tops of the projective cover of the string module M(w), one
+    vertex per peak of w, read off the string (w must be a string)."""
+    _require_string_algebra(p, "string_cover")
+    verts = walk_vertices(p.quiver, w)
+    return tuple(v for i, v in enumerate(verts) if _is_peak(w.letters, i))
+
+
+def string_syzygy(p, w):
+    """The first syzygy of M(w) as the strings of its direct summands, each
+    with a single top.
+
+    A valley v_j of w with descents D_L, D_R into it gives M(C_L^-1 C_R),
+    where C_X is the maximal path with D_X.C_X nonzero.  An end of w gives
+    M(u[1:]) based at target(u[0]), where u is the maximal nonzero
+    continuation of the descent reaching that end, or, at a peak end, the
+    maximal nonzero path along an out-arrow w does not use there.
+    """
+    _require_string_algebra(p, "string_syzygy")
+    q = p.quiver
+    out = []
+    for top, left, right in _syzygy_summands(p, w):
+        base = q.arrow[left[-1]].target if left else top
+        body = tuple(inverse(a) for a in reversed(left)) + tuple(direct(a) for a in right)
+        out.append(Walk(base, body))
+    return tuple(out)
+
+
+def string_pd_at_least_2(p, w):
+    """pd M(w) >= 2, without linear algebra: some syzygy summand is not
+    projective.  A projective M(w) has no syzygy summands at all."""
+    _require_string_algebra(p, "string_pd_at_least_2")
+    return any(
+        1 + len(left) + len(right) != _projective_dim(p, top)
+        for top, left, right in _syzygy_summands(p, w)
+    )
+
+
+def string_id_at_least_2(p, w):
+    """id M(w) >= 2 as pd >= 2 over the opposite algebra: D M(w) is the
+    string module of w with every letter's direction flipped."""
+    _require_string_algebra(p, "string_id_at_least_2")
+    pop = p.cached("opposite", p.opposite)
+    return string_pd_at_least_2(pop, Walk(w.base, tuple(l.inverted() for l in w.letters)))
+
+
 @dataclass(frozen=True)
 class ScanResult:
     count_both_ge2: int
@@ -622,15 +781,23 @@ def conjecture_scan(p, max_len, min_len=0):
     """Canonical strings of bounded length whose modules have projective
     and injective dimension both at least two.
 
-    The injective side runs through the opposite-algebra dual, which is
-    the same verdict without a linear solve.
+    Over a string algebra both tests are read off the string
+    (`string_pd_at_least_2`, `string_id_at_least_2`), which is exact and
+    builds no matrix.  Other monomial presentations take the exact
+    linear-algebra route: `string_module`, `pd_at_least_2` and, for the
+    injective side, `id_at_least_2_dual` through the opposite algebra.
     """
     if not p.is_monomial:
         raise PreconditionError("conjecture_scan needs a monomial presentation")
+    combinatorial = _is_string_algebra(p)
     witnesses = []
     for w in strings_of_length(p, range(min_len, max_len + 1)):
-        M = string_module(p, w)
-        if pd_at_least_2(p, M) and id_at_least_2_dual(p, M):
+        if combinatorial:
+            both = string_pd_at_least_2(p, w) and string_id_at_least_2(p, w)
+        else:
+            M = string_module(p, w)
+            both = pd_at_least_2(p, M) and id_at_least_2_dual(p, M)
+        if both:
             witnesses.append(w)
     witnesses.sort(key=Walk.key)
     return ScanResult(len(witnesses), tuple(witnesses))

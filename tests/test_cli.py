@@ -252,6 +252,31 @@ def test_outputs_are_byte_identical_across_runs(capsys):
     assert third == fourth
 
 
+@pytest.mark.parametrize("path,max_len", [(SKEW6, 12), (SQUARE, 8)])
+def test_scan_json_matches_the_exact_route(capsys, path, max_len):
+    from stringalg import textio
+    from stringalg.presentation import quotient_by_J
+    from stringalg.walks import serialize_walk
+    from tests.test_rep import exact_scan
+
+    name, p = textio.parse_file(path)
+    result = exact_scan(quotient_by_J(p), max_len)
+    witnesses = [serialize_walk(w) for w in result.witnesses]
+    payload = {
+        "schema": 1,
+        "algebra": name,
+        "command": "scan",
+        "max_len": max_len,
+        "count_both_ge2": result.count_both_ge2,
+        "witnesses": witnesses,
+    }
+    lines = [json.dumps({"witness": w}, sort_keys=True) for w in witnesses]
+    lines.append(json.dumps(payload, sort_keys=True))
+    code, out, _ = run(capsys, "scan", path, "--max-len", str(max_len), "--json")
+    assert code == 0
+    assert out == "".join(line + "\n" for line in lines)
+
+
 def test_seed_flag_is_accepted(capsys):
     code, out, _ = run(capsys, "classify", THIRTEEN, "--seed", "7")
     assert code == 0

@@ -249,6 +249,32 @@ def test_classify_verdict_is_relabeling_invariant(corpus500, skew6, thirteen):
         assert classify(relabeled).verdict == classify(p).verdict
 
 
+def test_classify_verdict_is_invariant_under_opposite(
+    corpus500, skew6, thirteen, nine, commsquare
+):
+    # D = Hom(-, k) is a duality mod A -> mod A^op, and being laura is
+    # self-dual, so the verdict must not change
+    for p in list(corpus500) + [skew6, thirteen, commsquare]:
+        assert classify(p.opposite()).verdict == classify(p).verdict
+    for p in (nine, nine.opposite()):
+        with pytest.raises(PreconditionError):
+            classify(p)
+
+
+def test_string_corpus_gives_up_after_fifty_misses(monkeypatch):
+    corpus_module = importlib.import_module("stringalg.corpus")
+    calls = []
+
+    def never(rng, **kwargs):
+        calls.append(1)
+        assert len(calls) <= 1000, "string_corpus does not give up"
+        return None
+
+    monkeypatch.setattr(corpus_module, "random_string_presentation", never)
+    assert corpus_module.string_corpus(1, 5) == []
+    assert len(calls) == 50
+
+
 def test_decompose_is_relabeling_equivariant(thirteen):
     relabeled, vmap, _ = relabel(thirteen, seed=11)
     a = decompose(thirteen)

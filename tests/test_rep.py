@@ -1,11 +1,17 @@
+import random
+from collections import Counter
+
 import pytest
 
 from stringalg import exactla as la
 from stringalg import rep
+from stringalg.automaton import strings_of_length
+from stringalg.corpus import random_monomial_presentation, special_biserial_corpus
 from stringalg.doze import find_doze
 from stringalg.errors import DozedStringAnomaly, PreconditionError
 from stringalg.fixtures import linear_a3
-from stringalg.walks import inverse_walk, parse_walk, trivial_walk
+from stringalg.presentation import quotient_by_J, validate_string_algebra
+from stringalg.walks import Walk, inverse_walk, parse_walk, trivial_walk, walk_vertices
 
 
 def walk(p, text):
@@ -292,6 +298,111 @@ def test_scan_window_parameters(thirteen):
     result = rep.conjecture_scan(thirteen, 6, min_len=5)
     for w in result.witnesses:
         assert 5 <= len(w.letters) <= 6
+
+
+# --- the combinatorial route, with the exact route as its oracle --------------
+
+
+def exact_scan(p, max_len, min_len=0):
+    """conjecture_scan computed through the exact linear-algebra route."""
+    witnesses = []
+    for w in strings_of_length(p, range(min_len, max_len + 1)):
+        M = rep.string_module(p, w)
+        if rep.pd_at_least_2(p, M) and rep.id_at_least_2_dual(p, M):
+            witnesses.append(w)
+    witnesses.sort(key=Walk.key)
+    return rep.ScanResult(len(witnesses), tuple(witnesses))
+
+
+def _nonzero(dims):
+    return {v: d for v, d in dims.items() if d}
+
+
+def assert_routes_agree(p, lengths):
+    """Cover, syzygy dimension vector and both verdicts of every string
+    with length in `lengths` agree with the exact route; returns the
+    number of strings compared.
+
+    The exact pd verdict is `pd_at_least_2`'s own test applied to the
+    cover and kernel computed here once, which halves the oracle's cost.
+    """
+    q = p.quiver
+    count = 0
+    for w in strings_of_length(p, lengths):
+        M = rep.string_module(p, w)
+        P, cover = rep.projective_cover(p, M)
+        K, _ = rep.kernel(cover)
+        tops = Counter()
+        for x in rep.string_cover(p, w):
+            tops.update(rep.projective(p, x).dims)
+        assert _nonzero(tops) == _nonzero(P.dims), w
+        syzygy = Counter()
+        for s in rep.string_syzygy(p, w):
+            syzygy.update(walk_vertices(q, s))
+        assert dict(syzygy) == _nonzero(K.dims), w
+        pd = P.total_dim != M.total_dim and not rep.is_projective_module(p, K)
+        assert rep.string_pd_at_least_2(p, w) == pd, w
+        assert rep.string_id_at_least_2(p, w) == rep.id_at_least_2_dual(p, M), w
+        count += 1
+    return count
+
+
+def test_string_route_on_simple_and_projective(skew6):
+    x4 = trivial_walk(skew6.quiver, "x4")
+    assert rep.string_cover(skew6, x4) == ("x4",)
+    assert rep.string_syzygy(skew6, x4) == (trivial_walk(skew6.quiver, "x5"),)
+    # P(x2) is the string module of its two maximal paths
+    w = walk(skew6, "x5: gamma1^-1 beta1^-1 beta2 gamma2")
+    assert rep.string_cover(skew6, w) == ("x2",)
+    assert rep.string_syzygy(skew6, w) == ()
+    assert not rep.string_pd_at_least_2(skew6, w)
+    # cutting P(x2) short at both ends leaves S(x5) twice
+    w = walk(skew6, "x4: beta1^-1 beta2")
+    x5 = trivial_walk(skew6.quiver, "x5")
+    assert rep.string_syzygy(skew6, w) == (x5, x5)
+    assert rep.string_pd_at_least_2(skew6, x4) and rep.string_id_at_least_2(skew6, x4)
+
+
+def test_string_route_matches_exact_route_on_fixtures(skew6, thirteen):
+    compared = sum(assert_routes_agree(p, range(9)) for p in (skew6, thirteen, linear_a3()))
+    assert compared == 163
+
+
+def test_string_route_matches_exact_route_in_pumped_window(thirteen):
+    assert assert_routes_agree(thirteen, [37]) == 12
+
+
+def test_string_route_matches_exact_route_on_corpus(corpus500):
+    assert sum(assert_routes_agree(p, range(5)) for p in corpus500[:20]) == 532
+
+
+def test_string_route_matches_exact_route_on_j_quotients():
+    quotients = [quotient_by_J(p) for p in special_biserial_corpus(20260809, 6)]
+    assert sum(assert_routes_agree(p, range(5)) for p in quotients) == 334
+
+
+def test_string_route_needs_a_string_algebra(nine):
+    w = trivial_walk(nine.quiver, "x5")
+    for f in (
+        rep.string_cover,
+        rep.string_syzygy,
+        rep.string_pd_at_least_2,
+        rep.string_id_at_least_2,
+    ):
+        with pytest.raises(PreconditionError):
+            f(nine, w)
+
+
+def test_scan_of_non_string_monomial_presentation_takes_exact_route():
+    rng = random.Random(7)
+    results = []
+    while len(results) < 3:
+        p = random_monomial_presentation(rng, max_vertices=4, max_arrows=5)
+        if p is None or validate_string_algebra(p).is_valid:
+            continue
+        results.append(rep.conjecture_scan(p, 3))
+        assert results[-1] == exact_scan(p, 3)
+    assert any(r.count_both_ge2 for r in results)
 
 
 # --- sparse serialization -----------------------------------------------------------
