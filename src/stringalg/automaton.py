@@ -9,16 +9,17 @@ automaton accepts is a string and conversely.
 
 Cycles in the state graph are exactly the source of bands: pumping any
 cycle yields arbitrarily long strings, and the primitive root of its
-letter sequence is a band.
+letter sequence is a band.  Cycle questions (which states lie on one,
+whether one exists, every simple one) go to the shared traversals in
+`graph`, with `successors` as the edge relation.
 """
 
 from functools import cached_property
 from typing import NamedTuple
 
-import networkx as nx
-
 from ._ac import AhoCorasick
-from .errors import CorruptPresentationError, PreconditionError
+from .errors import CorruptPresentationError, PreconditionError, SearchBudgetExceeded
+from .graph import cycle_entry, is_cyclic, reach, sccs, simple_cycles
 from .walks import (
     CyclicWalk,
     Letter,
@@ -49,33 +50,21 @@ class StringAutomaton:
     def __init__(self, p):
         if not p.is_monomial:
             raise PreconditionError("the string automaton needs a monomial presentation")
-        self.p = p
         self.quiver = p.quiver
         gens = p.zero_paths
         self.acf = AhoCorasick(gens)
         self.acr = AhoCorasick([tuple(reversed(g)) for g in gens])
         self.edges = {}
-        todo = []
-        for a in self.quiver.arrows:
-            for s in (self._init(direct(a.name)), self._init(inverse(a.name))):
-                if s is not None and s not in self.edges:
-                    self.edges[s] = None
-                    todo.append(s)
-        while todo:
-            s = todo.pop()
-            succ = []
-            for letter in self._candidate_letters(s):
-                t = self.step(s, letter)
-                if t is None:
-                    continue
-                succ.append(t)
-                if t not in self.edges:
-                    self.edges[t] = None
-                    todo.append(t)
-            self.edges[s] = tuple(succ)
+
+        def succ(s):
+            # reach asks once per state, so this records every edge once
+            steps = (self.step(s, letter) for letter in self._candidate_letters(s))
+            self.edges[s] = tuple(sorted(t for t in steps if t is not None))
+            return self.edges[s]
+
+        letters = [f(a.name) for a in self.quiver.arrows for f in (direct, inverse)]
+        reach([self._init(letter) for letter in letters], succ)
         self.states = tuple(sorted(self.edges))
-        for s in self.states:
-            self.edges[s] = tuple(sorted(self.edges[s]))
 
     def _init(self, letter):
         ac = self.acr if letter.inverse else self.acf
@@ -183,49 +172,14 @@ class StringAutomaton:
                 return None
         return s
 
-    def has_cycle(self):
-        done = set()
-        active = set()
-        for root in self.states:
-            if root in done:
-                continue
-            stack = [(root, iter(self.edges[root]))]
-            active.add(root)
-            while stack:
-                s, it = stack[-1]
-                child = next(it, None)
-                if child is None:
-                    active.discard(s)
-                    done.add(s)
-                    stack.pop()
-                    continue
-                if child in active:
-                    return True
-                if child not in done:
-                    active.add(child)
-                    stack.append((child, iter(self.edges[child])))
-        return False
-
     def cycle_states(self):
         """States lying on some nontrivial cycle."""
-        g = self.graph()
-        out = set()
-        for scc in nx.strongly_connected_components(g):
-            if len(scc) > 1:
-                out |= scc
-            else:
-                (s,) = scc
-                if g.has_edge(s, s):
-                    out.add(s)
-        return out
-
-    def graph(self):
-        g = nx.DiGraph()
-        g.add_nodes_from(self.states)
-        for s in self.states:
-            for t in self.edges[s]:
-                g.add_edge(s, t)
-        return g
+        return {
+            s
+            for comp in sccs(self.states, self.successors)
+            if is_cyclic(comp, self.successors)
+            for s in comp
+        }
 
     def bfs(self, sources):
         """Deterministic BFS; returns (dist, parent) maps."""
@@ -288,7 +242,8 @@ def pumping_bound(p):
 
 def exists_band(p):
     """True iff the string automaton contains a reachable nontrivial cycle."""
-    return automaton(p).has_cycle()
+    aut = automaton(p)
+    return cycle_entry(aut.states, aut.successors) is not None
 
 
 def _walks_up_to(p, max_len):
@@ -354,24 +309,27 @@ _CENSUS_CAP = 200_000
 
 
 def band_census(p):
-    """All bands, via the simple cycles of the string automaton.
+    """The primitive roots of the simple cycles of the string automaton,
+    as canonical bands.
 
-    Complete whenever distinct bands pairwise share at most one vertex
-    (always the case on DOZE-free presentations, the only place the
-    census is consulted); each simple automaton cycle's letter sequence
-    has a band as its primitive root.  Computed once per presentation;
-    every call returns a fresh list.
+    Each simple automaton cycle's letter sequence has a band as its
+    primitive root.  The list holds every band whenever distinct bands
+    pairwise share at most one vertex, which is always the case on
+    DOZE-free presentations.  On others (the `bands` command takes any
+    input) a band whose automaton cycle repeats a state can be missing.
+    Enumerating more than `_CENSUS_CAP` cycles raises
+    SearchBudgetExceeded.  Computed once per presentation; every call
+    returns a fresh list.
     """
     return list(p.cached("band_census", lambda: tuple(_band_census(p))))
 
 
 def _band_census(p):
     aut = automaton(p)
-    g = aut.graph()
     found = set()
-    for n, cycle in enumerate(nx.simple_cycles(g)):
+    for n, cycle in enumerate(simple_cycles(aut.states, aut.successors)):
         if n >= _CENSUS_CAP:
-            raise CorruptPresentationError("band census exceeded the cycle cap")
+            raise SearchBudgetExceeded("band census exceeded the cycle cap")
         letters = [s.letter for s in cycle[1:]] + [cycle[0].letter]
         base = aut.state_vertex(cycle[0])
         root = _primitive_root(letters)

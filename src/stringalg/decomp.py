@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .automaton import automaton, band_census, enumerate_strings
 from .doze import STRICT_LAURA_OR_TILTED, classify, has_double_zero
 from .errors import CorruptPresentationError, PreconditionError
+from .graph import reach, topological_order
 from .presentation import Presentation, Quiver, ZeroRelation, quotient_by_J
 from .walks import (
     direct,
@@ -80,43 +81,21 @@ def _product_nodes(aut, pat):
             pr = fail[pr - 1]
         return pr + 1 if pat[pr] == letter else 0
 
-    inits = []
-    for a in sorted(aut.quiver.arrow):
-        for letter in (direct(a), inverse(a)):
-            s = aut.initial_state(letter)
-            inits.append((s, advance(0, letter)))
+    inits = {
+        (aut.initial_state(letter), advance(0, letter))
+        for a in aut.quiver.arrow
+        for letter in (direct(a), inverse(a))
+    }
     edges = {}
-    todo = list(dict.fromkeys(inits))
-    for n in todo:
-        edges[n] = None
-    while todo:
-        n = todo.pop()
+
+    def succ(n):
+        # reach asks once per node, so this records every edge once
         s, pr = n
-        succ = []
-        for t in aut.successors(s):
-            m = (t, advance(pr, t.letter))
-            succ.append(m)
-            if m not in edges:
-                edges[m] = None
-                todo.append(m)
-        edges[n] = tuple(succ)
-    return set(dict.fromkeys(inits)), edges, K
+        edges[n] = tuple((t, advance(pr, t.letter)) for t in aut.successors(s))
+        return edges[n]
 
-
-def _co_reachable(edges, goals):
-    rev = {n: [] for n in edges}
-    for n, succ in edges.items():
-        for m in succ:
-            rev[m].append(n)
-    seen = set(goals)
-    stack = list(goals)
-    while stack:
-        n = stack.pop()
-        for prev in rev[n]:
-            if prev not in seen:
-                seen.add(prev)
-                stack.append(prev)
-    return seen
+    reach(inits, succ)
+    return inits, edges, K
 
 
 def d_category(p, w, label="D"):
@@ -135,9 +114,11 @@ def d_category(p, w, label="D"):
     if w.letters:
         pat = list(w.letters)
         inits, edges, K = _product_nodes(aut, pat)
-        good = _co_reachable(edges, [n for n in edges if n[1] == K])
-        marked = good & set(edges)
-        for s, _pr in marked:
+        rev = {n: [] for n in edges}
+        for n, succ in edges.items():
+            for m in succ:
+                rev[m].append(n)
+        for s, _pr in reach([n for n in edges if n[1] == K], rev.__getitem__):
             sv, tv = letter_ends(q, s.letter)
             objects.update((sv, tv))
             arrows.add(s.arrow)
@@ -145,23 +126,8 @@ def d_category(p, w, label="D"):
         arrows.update(walk_arrows(w))
     else:
         touch = aut.states_at.get(w.base, ())
-        fwd = set(touch)
-        stack = list(touch)
-        while stack:
-            s = stack.pop()
-            for t in aut.successors(s):
-                if t not in fwd:
-                    fwd.add(t)
-                    stack.append(t)
-        rev = aut.predecessors
-        bwd = set(touch)
-        stack = list(touch)
-        while stack:
-            s = stack.pop()
-            for t in rev[s]:
-                if t not in bwd:
-                    bwd.add(t)
-                    stack.append(t)
+        fwd = reach(touch, aut.successors)
+        bwd = reach(touch, aut.predecessors.__getitem__)
         for s in fwd | bwd:
             sv, tv = letter_ends(q, s.letter)
             objects.update((sv, tv))
@@ -172,19 +138,17 @@ def d_category(p, w, label="D"):
 def choose_anchor(p, band, side="out"):
     """Least band vertex whose out-arrows (dually in-arrows) all lie on
     the band; always exists for finite-dimensional inputs."""
-    q = p.quiver
-    on_vertices = sorted(set(walk_vertices(q, band.walk)))
-    on_arrows = walk_arrows(band.walk)
-    for v in on_vertices:
-        incident = q.out_arrows(v) if side == "out" else q.in_arrows(v)
-        if all(a.name in on_arrows for a in incident):
-            return v
-    raise CorruptPresentationError(
-        f"band {band} has no {side}-anchor; presentation is corrupted"
-    )
+    anchors = _eligible_anchors(p, band, side)
+    if not anchors:
+        raise CorruptPresentationError(
+            f"band {band} has no {side}-anchor; presentation is corrupted"
+        )
+    return anchors[0]
 
 
 def _eligible_anchors(p, band, side):
+    """Band vertices, sorted, whose out-arrows (dually in-arrows) all lie
+    on the band."""
     q = p.quiver
     on_arrows = walk_arrows(band.walk)
     out = []
@@ -220,31 +184,21 @@ def _straddle_support(p, side_parts):
         store[s] = [e for e in have if not (m & e == m)] + [m]
         return True
 
-    fwd = {s: [] for s in aut.states}
-    work = []
-    for a in sorted(q.arrow):
-        for letter in (direct(a), inverse(a)):
-            s = aut.initial_state(letter)
-            if add(fwd, s, masks[s]):
-                work.append((s, masks[s]))
-    while work:
-        s, m = work.pop()
-        for t in aut.successors(s):
-            m2 = m & masks[t]
-            if add(fwd, t, m2):
-                work.append((t, m2))
-    rev = aut.predecessors
-    bwd = {s: [] for s in aut.states}
-    work = []
-    for s in aut.states:
-        if add(bwd, s, masks[s]):
-            work.append((s, masks[s]))
-    while work:
-        s, m = work.pop()
-        for t in rev[s]:
-            m2 = m & masks[t]
-            if add(bwd, t, m2):
-                work.append((t, m2))
+    def minimal_masks(starts, succ):
+        """Per state, the antichain of minimal masks of the walks that
+        follow succ from a start state to it."""
+        store = {s: [] for s in aut.states}
+        work = [(s, masks[s]) for s in starts if add(store, s, masks[s])]
+        while work:
+            s, m = work.pop()
+            for t in succ(s):
+                if add(store, t, m & masks[t]):
+                    work.append((t, m & masks[t]))
+        return store
+
+    starts = [aut.initial_state(f(a)) for a in sorted(q.arrow) for f in (direct, inverse)]
+    fwd = minimal_masks(starts, aut.successors)
+    bwd = minimal_masks(aut.states, aut.predecessors.__getitem__)
 
     in_some_part = set().union(*(part.objects for part in side_parts))
     objects = {v for v in q.vertices if v not in in_some_part}
@@ -350,17 +304,20 @@ def _restrict(part, part_arrows, zeros_from):
     return Presentation(sub, rels)
 
 
+def _with_decomposition(p, decomposition):
+    """(decomposition, monomial presentation it is checked against)."""
+    if decomposition is None:
+        dec = decompose(p)
+        return dec, dec.analyzed
+    return decomposition, p if p.is_monomial else quotient_by_J(p)
+
+
 def check_structure(p, decomposition=None):
     """The six structural checks on a decomposition.
 
     With an explicit decomposition the checks run against p itself, which
     lets tests aim a valid decomposition at a corrupted presentation."""
-    if decomposition is None:
-        dec = decompose(p)
-        work = dec.analyzed
-    else:
-        dec = decomposition
-        work = p if p.is_monomial else quotient_by_J(p)
+    dec, work = _with_decomposition(p, decomposition)
     q = work.quiver
     details = []
     order = {a.name: i for i, a in enumerate(q.arrows)}
@@ -399,19 +356,15 @@ def check_structure(p, decomposition=None):
 
     convex = True
     for part in dec.side_parts:
-        outside = set()
-        stack = [a.target for a in out_of[part] if a.target not in part.objects]
-        while stack:
-            v = stack.pop()
-            if v in outside:
-                continue
-            outside.add(v)
-            for a in q.out_arrows(v):
-                if a.target in part.objects:
-                    convex = False
-                    details.append(f"convex: {part.label} is re-entered through {a.name}")
-                elif a.target not in outside:
-                    stack.append(a.target)
+        leave = [a.target for a in out_of[part] if a.target not in part.objects]
+        outside = reach(
+            leave,
+            lambda v: [a.target for a in q.out_arrows(v) if a.target not in part.objects],
+        )
+        for a in q.arrows:
+            if a.source in outside and a.target in part.objects:
+                convex = False
+                details.append(f"convex: {part.label} is re-entered through {a.name}")
 
     unique_cycle = True
     arrows_of = {
@@ -435,7 +388,10 @@ def check_structure(p, decomposition=None):
         if cyclomatic != 1:
             unique_cycle = False
             details.append(f"unique_cycle: {part.label} has cyclomatic number {cyclomatic}")
-        if _has_directed_cycle(part_arrows, part.objects):
+        succ = {v: [] for v in part.objects}
+        for a in part_arrows:
+            succ[a.source].append(a.target)
+        if topological_order(sorted(part.objects), succ.__getitem__) is None:
             unique_cycle = False
             details.append(f"unique_cycle: {part.label} contains an oriented cycle")
 
@@ -462,41 +418,9 @@ def check_structure(p, decomposition=None):
     )
 
 
-def _has_directed_cycle(arrows, vertices):
-    succ = {v: [] for v in vertices}
-    for a in arrows:
-        succ[a.source].append(a.target)
-    done = set()
-    active = set()
-    for root in sorted(vertices):
-        if root in done:
-            continue
-        stack = [(root, iter(succ[root]))]
-        active.add(root)
-        while stack:
-            v, it = stack[-1]
-            child = next(it, None)
-            if child is None:
-                active.discard(v)
-                done.add(v)
-                stack.pop()
-                continue
-            if child in active:
-                return True
-            if child not in done:
-                active.add(child)
-                stack.append((child, iter(succ[child])))
-    return False
-
-
 def support_cover_check(p, max_len, decomposition=None):
     """Every string of bounded length is supported inside a single part."""
-    if decomposition is None:
-        dec = decompose(p)
-        work = dec.analyzed
-    else:
-        dec = decomposition
-        work = p if p.is_monomial else quotient_by_J(p)
+    dec, work = _with_decomposition(p, decomposition)
     q = work.quiver
     parts_at = {}
     for part in dec.parts:

@@ -22,6 +22,7 @@ from .errors import (
     PreconditionError,
     SearchBudgetExceeded,
 )
+from .graph import reach, topological_order
 from .presentation import (
     _contains_subpath,
     quotient_by_J,
@@ -247,15 +248,10 @@ def has_double_zero(p):
         s0 = aut.state_after_direct_path(g[1:])
         if s0 is None:
             continue
-        dist, _ = aut.bfs([s0])
-        reach = set(dist)
-        from_cyc = set()
-        seeds = sorted(reach & cyc)
-        if seeds:
-            d2, _ = aut.bfs(seeds)
-            from_cyc = set(d2)
-        longest = _dag_longest_from(aut, s0, reach - from_cyc)
-        for f in reach:
+        after = reach([s0], aut.successors)
+        from_cyc = reach(after & cyc, aut.successors)
+        longest = _dag_longest_from(aut, s0, after - from_cyc)
+        for f in after:
             limit = None if f in from_cyc else longest.get(f, -1)
             for gen_idx, _x in aut.completions(f):
                 m = len(gens[gen_idx])
@@ -268,27 +264,11 @@ def _dag_longest_from(aut, s0, dag):
     """Longest path lengths from s0 within an acyclic state set."""
     if s0 not in dag:
         return {}
-    order = []
-    seen = set()
-    stack = [(s0, iter([t for t in aut.successors(s0) if t in dag]))]
-    seen.add(s0)
-    while stack:
-        s, it = stack[-1]
-        child = next(it, None)
-        if child is None:
-            order.append(s)
-            stack.pop()
-            continue
-        if child not in seen:
-            seen.add(child)
-            stack.append((child, iter([t for t in aut.successors(child) if t in dag])))
-    order.reverse()
+    succ = lambda s: [t for t in aut.successors(s) if t in dag]
     longest = {s0: 0}
-    for s in order:
-        if s not in longest:
-            continue
-        for t in aut.successors(s):
-            if t in dag and longest[s] + 1 > longest.get(t, -1):
+    for s in topological_order([s0], succ):
+        for t in succ(s):
+            if longest[s] + 1 > longest.get(t, -1):
                 longest[t] = longest[s] + 1
     return longest
 

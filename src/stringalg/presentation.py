@@ -17,6 +17,7 @@ from .errors import (
     PreconditionError,
     SemanticError,
 )
+from .graph import cycle_entry
 
 
 class Arrow(NamedTuple):
@@ -180,50 +181,27 @@ def minimalize(paths):
 def _assert_finite_dimensional(quiver, gens):
     """Reject oriented cycles avoiding the monomial ideal.
 
-    Walks the (vertex, matcher-progress) graph of ideal-avoiding oriented
-    paths; revisiting a state on the current search path means such paths
-    are unbounded, i.e. the algebra is infinite dimensional.
+    Searches the (vertex, matcher-progress) graph of ideal-avoiding
+    oriented paths; a cycle there means such paths are unbounded, i.e.
+    the algebra is infinite dimensional.
     """
     ac = AhoCorasick(gens) if gens else None
-    done = set()
-    active = set()
-    for x in quiver.vertices:
-        root = (x, 0)
-        if root in done:
-            continue
-        stack = [(root, None)]
-        while stack:
-            state, children = stack[-1]
-            if children is None:
-                if state in done:
-                    stack.pop()
-                    continue
-                active.add(state)
-                nxt = []
-                v, node = state
-                for a in quiver.out_arrows(v):
-                    if ac is None:
-                        child = (a.target, 0)
-                    else:
-                        node2 = ac.step(node, a.name)
-                        if ac.hit(node2) is not None:
-                            continue
-                        child = (a.target, node2)
-                    nxt.append(child)
-                children = iter(nxt)
-                stack[-1] = (state, children)
-            child = next(children, None)
-            if child is None:
-                active.discard(state)
-                done.add(state)
-                stack.pop()
-                continue
-            if child in active:
-                raise InfiniteDimensionalError(
-                    f"ideal-avoiding oriented cycle through vertex {child[0]!r}"
-                )
-            if child not in done:
-                stack.append((child, None))
+
+    def succ(state):
+        v, node = state
+        for a in quiver.out_arrows(v):
+            if ac is None:
+                yield (a.target, 0)
+            else:
+                node2 = ac.step(node, a.name)
+                if ac.hit(node2) is None:
+                    yield (a.target, node2)
+
+    entry = cycle_entry([(x, 0) for x in quiver.vertices], succ)
+    if entry is not None:
+        raise InfiniteDimensionalError(
+            f"ideal-avoiding oriented cycle through vertex {entry[0]!r}"
+        )
 
 
 class Presentation:

@@ -148,8 +148,9 @@ def string_module(p, w):
     return Representation(p, dims, maps)
 
 
-def _paths_from(p, x):
-    """Ideal-avoiding oriented paths starting at x, sorted."""
+def _ideal_avoiding_paths(p, x, forward):
+    """Ideal-avoiding oriented paths starting (forward) or ending at x,
+    each with its far end vertex, sorted by length then arrow names."""
     q = p.quiver
     index = p.zero_index()
     out = []
@@ -157,31 +158,15 @@ def _paths_from(p, x):
     while stack:
         path, v = stack.pop()
         out.append((path, v))
-        for a in q.out_arrows(v):
-            new = path + (a.name,)
+        for a in q.out_arrows(v) if forward else q.in_arrows(v):
+            new = path + (a.name,) if forward else (a.name,) + path
             if not has_window(new, index):
-                stack.append((new, a.target))
-    return sorted(out, key=lambda t: (len(t[0]), t[0]))
-
-
-def _paths_into(p, x):
-    """Ideal-avoiding oriented paths ending at x, sorted."""
-    q = p.quiver
-    index = p.zero_index()
-    out = []
-    stack = [((), x)]
-    while stack:
-        path, v = stack.pop()
-        out.append((path, v))
-        for a in q.in_arrows(v):
-            new = (a.name,) + path
-            if not has_window(new, index):
-                stack.append((new, a.source))
+                stack.append((new, a.target if forward else a.source))
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
 
 def _projective_data(p, x):
-    paths = _paths_from(p, x)
+    paths = _ideal_avoiding_paths(p, x, forward=True)
     basis = {}
     index = {}
     for path, v in paths:
@@ -200,7 +185,7 @@ def _projective_data(p, x):
 
 
 def _injective_data(p, x):
-    paths = _paths_into(p, x)
+    paths = _ideal_avoiding_paths(p, x, forward=False)
     basis = {}
     index = {}
     for path, v in paths:
@@ -305,8 +290,8 @@ def _quotient_representation(M, vectors):
     return quot, ModuleMap(M, quot, proj_blocks)
 
 
-def radical(M):
-    """(rad M, inclusion): the sum of all arrow images."""
+def _radical_basis(M):
+    """Per vertex, a column basis of the sum of all arrow images."""
     q = M.p.quiver
     vectors = {}
     for v in q.vertices:
@@ -318,23 +303,17 @@ def radical(M):
                 if any(col):
                     cols.append(col)
         vectors[v] = la.column_space_basis(cols)
-    return _sub_representation(M, vectors)
+    return vectors
+
+
+def radical(M):
+    """(rad M, inclusion): the sum of all arrow images."""
+    return _sub_representation(M, _radical_basis(M))
 
 
 def top(M):
     """(top M, projection): M modulo its radical."""
-    q = M.p.quiver
-    vectors = {}
-    for v in q.vertices:
-        cols = []
-        for a in q.in_arrows(v):
-            mat = M.maps[a.name]
-            for j in range(M.dims[a.source]):
-                col = [mat[i][j] for i in range(M.dims[v])]
-                if any(col):
-                    cols.append(col)
-        vectors[v] = la.column_space_basis(cols)
-    return _quotient_representation(M, vectors)
+    return _quotient_representation(M, _radical_basis(M))
 
 
 def socle(M):

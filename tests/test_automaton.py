@@ -1,3 +1,10 @@
+import gc
+import importlib
+import weakref
+
+import pytest
+
+from stringalg import fixtures, rep
 from stringalg.automaton import (
     automaton,
     band_census,
@@ -7,6 +14,7 @@ from stringalg.automaton import (
     pumping_bound,
     strings_of_length,
 )
+from stringalg.errors import SearchBudgetExceeded
 from stringalg.fixtures import linear_a3
 from stringalg.presentation import Presentation
 from stringalg.walks import (
@@ -141,3 +149,29 @@ def test_census_bands_are_bands(corpus500):
     for p in corpus500[:60]:
         for b in band_census(p):
             assert is_band(p, b)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [automaton, lambda p: rep.conjecture_scan(p, 9)],
+    ids=["automaton", "conjecture_scan"],
+)
+def test_presentation_is_freed_without_the_cycle_collector(use):
+    """The cached automaton holds no reference back to its presentation,
+    so dropping the presentation frees it by reference counting alone."""
+    gc.disable()
+    try:
+        p = fixtures.thirteen()
+        ref = weakref.ref(p)
+        use(p)
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_band_census_cap_is_a_search_budget(monkeypatch):
+    # thirteen's automaton has more than two simple cycles
+    monkeypatch.setattr(importlib.import_module("stringalg.automaton"), "_CENSUS_CAP", 2)
+    with pytest.raises(SearchBudgetExceeded, match="band census exceeded the cycle cap"):
+        band_census(fixtures.thirteen())

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -209,6 +210,14 @@ def test_search_budget_exit_code(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert "budget exhausted" in err
+
+
+def test_band_census_cap_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(importlib.import_module("stringalg.automaton"), "_CENSUS_CAP", 2)
+    code, out, err = run(capsys, "bands", THIRTEEN)
+    assert code == 3
+    assert out == ""
+    assert err == "analysis failed: band census exceeded the cycle cap\n"
 
 
 @pytest.mark.parametrize(

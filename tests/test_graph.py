@@ -1,0 +1,165 @@
+"""The shared traversals in `graph` against a brute-force oracle.
+
+The oracle lists every simple path from every node; reachability, strong
+connectivity and the simple cycles (closed simple paths, normalised by
+rotation) are read off that list.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stringalg
+from stringalg.automaton import _primitive_root, automaton, band_census
+from stringalg.doze import find_doze
+from stringalg.graph import (
+    cycle_entry,
+    reach,
+    sccs,
+    simple_cycles,
+    topological_order,
+)
+from stringalg.walks import Walk, canonical_band, make_cyclic
+
+SRC = Path(stringalg.__file__).resolve().parents[1]
+
+
+def simple_paths(nodes, succ):
+    """Every simple path (a node tuple) starting at one of nodes."""
+    out = []
+    stack = [(v,) for v in nodes]
+    while stack:
+        path = stack.pop()
+        out.append(path)
+        for w in succ(path[-1]):
+            if w not in path:
+                stack.append(path + (w,))
+    return out
+
+
+def rotated(cycle):
+    i = cycle.index(min(cycle))
+    return tuple(cycle[i:] + cycle[:i])
+
+
+def oracle_cycles(nodes, succ):
+    """Sorted simple cycles in the part reachable from nodes."""
+    reachable = {path[-1] for path in simple_paths(nodes, succ)}
+    found = {
+        rotated(path)
+        for path in simple_paths(reachable, succ)
+        if path[0] in succ(path[-1])
+    }
+    return sorted(found)
+
+
+@st.composite
+def digraphs(draw):
+    """(n, successor lists, start nodes) with at most 7 nodes, loops and
+    parallel-free edges."""
+    n = draw(st.integers(1, 7))
+    node = st.integers(0, n - 1)
+    edges = draw(st.sets(st.tuples(node, node), max_size=3 * n))
+    adj = {v: sorted(w for u, w in edges if u == v) for v in range(n)}
+    starts = draw(st.lists(node, min_size=1, max_size=n, unique=True))
+    return n, adj, starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_traversals_match_the_brute_force_oracle(graph):
+    n, adj, starts = graph
+    succ = adj.__getitem__
+    paths = simple_paths(starts, succ)
+    reachable = {path[-1] for path in paths}
+    assert reach(starts, succ) == reachable
+
+    reaches = {v: {path[-1] for path in simple_paths([v], succ)} for v in reachable}
+    comps = sccs(starts, succ)
+    assert sorted(v for comp in comps for v in comp) == sorted(reachable)
+    listed = {}
+    for i, comp in enumerate(comps):
+        for v in comp:
+            assert {u for u in reachable if v in reaches[u] and u in reaches[v]} == set(comp)
+            listed[v] = i
+    # a component comes after every component it reaches
+    for u in reachable:
+        for v in reaches[u]:
+            assert listed[v] <= listed[u]
+
+    cycles = oracle_cycles(starts, succ)
+    found = [rotated(c) for c in simple_cycles(starts, succ)]
+    assert sorted(found) == cycles
+    for c in found:
+        assert all(c[(i + 1) % len(c)] in adj[c[i]] for i in range(len(c)))
+
+    order = topological_order(starts, succ)
+    entry = cycle_entry(starts, succ)
+    if cycles:
+        assert order is None
+        assert any(entry in c for c in cycles)
+    else:
+        assert entry is None
+        assert sorted(order) == sorted(reachable)
+        position = {v: i for i, v in enumerate(order)}
+        assert all(position[u] < position[w] for u in reachable for w in adj[u])
+
+
+def test_deep_chain_needs_no_recursion():
+    n = 20_000
+    succ = lambda v: [v + 1] if v + 1 < n else [0]
+    assert len(reach([0], succ)) == n
+    assert [len(c) for c in sccs([0], succ)] == [n]
+    assert [len(c) for c in simple_cycles([0], succ)] == [n]
+    assert topological_order([0], succ) is None
+    assert topological_order([0], lambda v: [v + 1] if v + 1 < n else []) == list(range(n))
+
+
+def test_band_census_is_the_primitive_roots_of_the_oracle_cycles(corpus500):
+    """On DOZE instances whose automaton has a strongly connected component
+    with more edges than states, where bands need not be disjoint."""
+    checked = 0
+    for p in corpus500:
+        aut = automaton(p)
+        edges_in = lambda comp: sum(t in comp for s in comp for t in aut.successors(s))
+        if not any(edges_in(set(c)) > len(c) for c in sccs(aut.states, aut.successors)):
+            continue
+        if find_doze(p) is None:
+            continue
+        expected = set()
+        for cycle in oracle_cycles(aut.states, aut.successors):
+            letters = [s.letter for s in cycle[1:]] + [cycle[0].letter]
+            root = _primitive_root(letters)
+            walk = Walk(aut.state_vertex(cycle[0]), tuple(root))
+            expected.add(canonical_band(p.quiver, make_cyclic(p.quiver, walk)))
+        assert band_census(p) == sorted(expected, key=lambda c: c.walk.key())
+        checked += 1
+        if checked == 10:
+            break
+    assert checked == 10
+
+
+def test_cli_import_leaves_networkx_out():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, stringalg.cli; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
+
+
+def test_no_source_file_imports_networkx():
+    for path in sorted((SRC / "stringalg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "networkx" for n in names), path.name
