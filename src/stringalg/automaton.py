@@ -25,14 +25,12 @@ from .walks import (
     Letter,
     Walk,
     canonical_band,
-    canonical_string,
     direct,
     inverse,
     is_band,
     letter_ends,
     make_cyclic,
     trivial_walk,
-    walk_end,
 )
 
 
@@ -84,7 +82,7 @@ class StringAutomaton:
         v = self.state_vertex(s)
         letters = [direct(a.name) for a in self.quiver.out_arrows(v)]
         letters += [inverse(a.name) for a in self.quiver.in_arrows(v)]
-        return sorted(letters, key=Letter.key)
+        return sorted(letters)
 
     def step(self, s, letter):
         """Extend by one letter; None when the extension is not a string."""
@@ -101,6 +99,11 @@ class StringAutomaton:
 
     def successors(self, s):
         return self.edges[s]
+
+    @cached_property
+    def letter_of(self):
+        """State -> its last letter."""
+        return {s: s.letter for s in self.states}
 
     @cached_property
     def predecessors(self):
@@ -223,7 +226,7 @@ class StringAutomaton:
                 if q not in dist:
                     continue
                 cand = [s.letter] + self.path_letters(parent, q)
-            key = (len(cand), [l.key() for l in cand])
+            key = (len(cand), cand)
             if best is None or key < best[0]:
                 best = (key, cand)
         return best[1] if best else None
@@ -246,60 +249,107 @@ def exists_band(p):
     return cycle_entry(aut.states, aut.successors) is not None
 
 
-def _walks_up_to(p, max_len):
-    """Every nonempty string of length <= max_len, one per derivation."""
-    if max_len < 1:
-        return []
+# Strings visited per enumeration, both orientations counted.  It bounds
+# the time and memory of `strings`, `scan` and the support cover where the
+# number of strings grows exponentially with their length.
+_WALK_CAP = 200_000
+
+
+def _walk_tree(p, wanted):
+    """The nonempty strings of length in `wanted`, each reached once as a
+    node of the automaton's walk tree, as (base, letters) pairs.
+
+    One iterative depth-first walk down to the largest wanted length,
+    following the automaton's edges.  Siblings come in letter order, so
+    the strings of each length come out in `Walk.key` order.  `letters` is
+    one shared list, valid only until the next item; nothing else is
+    built per node.  Visiting more than `_WALK_CAP` nodes raises
+    SearchBudgetExceeded.
+    """
+    top = max(wanted, default=0)
+    if top < 1:
+        return
     aut = automaton(p)
     q = p.quiver
-    out = []
-    stack = []
-    for a in sorted(q.arrow):
-        for letter in (direct(a), inverse(a)):
-            s = aut.initial_state(letter)
-            base = letter_ends(q, letter)[0]
-            stack.append((Walk(base, (letter,)), s))
+    letter_of = aut.letter_of
+    edges = aut.edges
+    roots = [aut.initial_state(f(a)) for a in sorted(q.arrow) for f in (direct, inverse)]
+    stack = [(s, 1) for s in reversed(roots)]
+    letters = []
+    nodes = 0
     while stack:
-        w, s = stack.pop()
-        out.append(w)
-        if len(w.letters) >= max_len:
-            continue
-        for t in aut.successors(s):
-            stack.append((Walk(w.base, w.letters + (t.letter,)), t))
-    return out
+        s, depth = stack.pop()
+        del letters[depth - 1 :]
+        if depth == 1:
+            base = letter_ends(q, letter_of[s])[0]
+        while True:
+            nodes += 1
+            if nodes > _WALK_CAP:
+                raise SearchBudgetExceeded("string enumeration exceeded the walk cap")
+            letters.append(letter_of[s])
+            if depth in wanted:
+                yield base, letters
+            nxt = edges[s]
+            if depth == top or not nxt:
+                break
+            # follow the first child here, the others after its subtree
+            depth += 1
+            if len(nxt) > 1:
+                stack.extend([(t, depth) for t in reversed(nxt[1:])])
+            s = nxt[0]
 
 
-def enumerate_strings(p, max_len):
-    """Canonically ordered strings of length <= max_len, one per {w, w^-1}."""
-    q = p.quiver
-    found = {trivial_walk(q, v) for v in q.vertices}
-    for w in _walks_up_to(p, max_len):
-        found.add(canonical_string(q, w))
-    return sorted(found, key=Walk.key)
+def _below_inverse(letters):
+    """letters < the letters of the inverse walk.  They are never equal
+    for a nonempty reduced walk, so this picks `canonical_string`."""
+    for a, b in zip(letters, reversed(letters)):
+        b = b.inverted()
+        if a != b:
+            return a < b
+    return False
 
 
 def strings_of_length(p, lengths):
-    """Canonical strings whose length lies in the given set."""
+    """Canonical strings whose length lies in the given set, ordered by
+    `Walk.key`: the trivial walks when 0 is wanted, then one string per
+    {w, w^-1} at each wanted length.
+
+    Visits every string up to the largest wanted length once, in both
+    orientations (see `_walk_tree`), and builds a `Walk` only for the
+    strings it returns.  Raises SearchBudgetExceeded after `_WALK_CAP`
+    visits.
+    """
     wanted = set(lengths)
     q = p.quiver
-    out = set()
+    by_length = {n: [] for n in sorted(wanted)}
     if 0 in wanted:
-        out |= {trivial_walk(q, v) for v in q.vertices}
-    top = max(wanted, default=0)
-    for w in _walks_up_to(p, top):
-        if len(w.letters) in wanted:
-            out.add(canonical_string(q, w))
-    return sorted(out, key=Walk.key)
+        by_length[0] = [trivial_walk(q, v) for v in sorted(q.vertices)]
+    for base, letters in _walk_tree(p, wanted):
+        if _below_inverse(letters):
+            by_length[len(letters)].append(Walk(base, tuple(letters)))
+    return [w for ws in by_length.values() for w in ws]
+
+
+def enumerate_strings(p, max_len):
+    """Canonically ordered strings of length <= max_len, one per {w, w^-1};
+    the trivial walks alone when max_len <= 0.  Same traversal and budget
+    as `strings_of_length`."""
+    return strings_of_length(p, range(max(max_len, 0) + 1))
 
 
 def enumerate_bands(p, max_len):
-    """Bands of length <= max_len, one per rotation/inversion class."""
+    """Bands of length <= max_len, one per rotation/inversion class.
+
+    Takes the closed walks of the `_walk_tree` traversal up to max_len,
+    builds a walk only for those, and keeps the primitive ones whose
+    powers are strings.  Same budget as `strings_of_length`.
+    """
     q = p.quiver
     found = set()
-    for w in _walks_up_to(p, max_len):
-        if w.base != walk_end(q, w):
+    for base, letters in _walk_tree(p, range(1, max_len + 1)):
+        if letter_ends(q, letters[-1])[1] != base:
             continue
-        c = CyclicWalk(w)
+        c = CyclicWalk(Walk(base, tuple(letters)))
         if is_band(p, c):
             found.add(canonical_band(q, c))
     return sorted(found, key=lambda c: c.walk.key())

@@ -211,7 +211,7 @@ def find_double_zeros(p, max_len, node_budget=None):
                 continue
             cands = [direct(a.name) for a in q.out_arrows(vertex)]
             cands += [inverse(a.name) for a in q.in_arrows(vertex)]
-            cands.sort(key=lambda m: m.key())
+            cands.sort()
             children = []
             for m in cands:
                 if m.arrow == last.arrow and m.inverse != last.inverse:

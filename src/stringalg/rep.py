@@ -622,36 +622,94 @@ def _require_string_algebra(p, what):
         raise PreconditionError(f"{what} needs a string algebra presentation")
 
 
-def _continuation(p, head, at, first=None):
-    """The maximal path u from vertex `at` with head.u outside the ideal;
-    head is a nonzero path ending at `at` and u starts with `first` when
-    given.  Unique continuation leaves at most one arrow per step, and only
-    the last max_generator_length() arrows can complete a generator."""
-    q = p.quiver
-    index = p.zero_index()
-    keep = p.cached("max_generator_length", p.max_generator_length) - 1
-    tail = tuple(head[-keep:]) if keep > 0 else ()
-    choices = (q.arrow[first],) if first is not None else q.out_arrows(at)
-    u = []
-    while True:
-        for a in choices:
-            window = tail + (a.name,)
-            if not has_window(window, index):
-                break
-        else:
-            return tuple(u)
-        u.append(a.name)
-        tail = window[-keep:] if keep > 0 else ()
-        choices = q.out_arrows(a.target)
+class _StringHomology:
+    """The presentation's lookups the combinatorial route needs, fetched
+    once: the quiver, the zero-generator index and how many trailing
+    arrows can still complete a generator.  Holds no reference to the
+    presentation, which caches it."""
+
+    def __init__(self, p):
+        self.quiver = p.quiver
+        self.index = p.zero_index()
+        self.keep = p.max_generator_length() - 1
+        self.dims = {}
+
+    def continuation(self, head, at, first=None):
+        """The maximal path u from vertex `at` with head.u outside the ideal;
+        head is a nonzero path ending at `at` and u starts with `first` when
+        given.  Unique continuation leaves at most one arrow per step, and
+        only the last max_generator_length() arrows can complete a
+        generator."""
+        q, index, keep = self.quiver, self.index, self.keep
+        tail = tuple(head[-keep:]) if keep > 0 else ()
+        choices = (q.arrow[first],) if first is not None else q.out_arrows(at)
+        u = []
+        while True:
+            for a in choices:
+                window = tail + (a.name,)
+                if not has_window(window, index):
+                    break
+            else:
+                return tuple(u)
+            u.append(a.name)
+            tail = window[-keep:] if keep > 0 else ()
+            choices = q.out_arrows(a.target)
+
+    def projective_dim(self, x):
+        """dim P(x): the trivial path plus, per out-arrow c of x, the maximal
+        nonzero path starting with c."""
+        if x not in self.dims:
+            self.dims[x] = 1 + sum(
+                len(self.continuation((), x, a.name)) for a in self.quiver.out_arrows(x)
+            )
+        return self.dims[x]
+
+    def syzygy_summands(self, w):
+        """(top, C_L, C_R) per direct summand M(C_L^-1 C_R) of the first
+        syzygy of M(w), with C_L and C_R paths from top."""
+        q = self.quiver
+        letters = w.letters
+        n = len(letters)
+        verts = walk_vertices(q, w)
+        # an end gives the continuation of the descent reaching it or, at a
+        # peak, the branch of P(x) along each out-arrow w does not use there
+        ends = []
+        for j in sorted({0, n}):
+            if _is_peak(letters, j):
+                used = {letters[k].arrow for k in (j - 1, j) if 0 <= k < n}
+                ends += [((), verts[j], a.name) for a in q.out_arrows(verts[j]) if a.name not in used]
+            elif j == 0:
+                ends.append((_descent_from_right(letters, 0), verts[0], None))
+            else:
+                ends.append((_descent_from_left(letters, n), verts[n], None))
+        for head, at, first in ends:
+            u = self.continuation(head, at, first)
+            if u:
+                yield q.arrow[u[0]].target, (), u[1:]
+        for j in range(1, n):
+            if not letters[j - 1].inverse and letters[j].inverse:
+                v = verts[j]
+                left = self.continuation(_descent_from_left(letters, j), v)
+                right = self.continuation(_descent_from_right(letters, j), v)
+                yield v, left, right
+
+    def pd_at_least_2(self, w):
+        """Some syzygy summand of M(w) is not projective.  A projective
+        M(w) has no syzygy summands at all."""
+        return any(
+            1 + len(left) + len(right) != self.projective_dim(top)
+            for top, left, right in self.syzygy_summands(w)
+        )
 
 
-def _projective_dim(p, x):
-    """dim P(x): the trivial path plus, per out-arrow c of x, the maximal
-    nonzero path starting with c."""
-    return p.cached(
-        ("projective_dim", x),
-        lambda: 1 + sum(len(_continuation(p, (), x, a.name)) for a in p.quiver.out_arrows(x)),
-    )
+def _string_homology(p):
+    return p.cached("string_homology", lambda: _StringHomology(p))
+
+
+def _opposite_string(w):
+    """The string of D M(w) over the opposite algebra: every letter's
+    direction flipped."""
+    return Walk(w.base, tuple(l.inverted() for l in w.letters))
 
 
 def _is_peak(letters, i):
@@ -672,36 +730,6 @@ def _descent_from_right(letters, j):
     while i < len(letters) and letters[i].inverse:
         i += 1
     return tuple(l.arrow for l in reversed(letters[j:i]))
-
-
-def _syzygy_summands(p, w):
-    """(top, C_L, C_R) per direct summand M(C_L^-1 C_R) of the first
-    syzygy of M(w), with C_L and C_R paths from top."""
-    q = p.quiver
-    letters = w.letters
-    n = len(letters)
-    verts = walk_vertices(q, w)
-    # an end gives the continuation of the descent reaching it or, at a
-    # peak, the branch of P(x) along each out-arrow w does not use there
-    ends = []
-    for j in sorted({0, n}):
-        if _is_peak(letters, j):
-            used = {letters[k].arrow for k in (j - 1, j) if 0 <= k < n}
-            ends += [((), verts[j], a.name) for a in q.out_arrows(verts[j]) if a.name not in used]
-        elif j == 0:
-            ends.append((_descent_from_right(letters, 0), verts[0], None))
-        else:
-            ends.append((_descent_from_left(letters, n), verts[n], None))
-    for head, at, first in ends:
-        u = _continuation(p, head, at, first)
-        if u:
-            yield q.arrow[u[0]].target, (), u[1:]
-    for j in range(1, n):
-        if not letters[j - 1].inverse and letters[j].inverse:
-            v = verts[j]
-            left = _continuation(p, _descent_from_left(letters, j), v)
-            right = _continuation(p, _descent_from_right(letters, j), v)
-            yield v, left, right
 
 
 def string_cover(p, w):
@@ -725,7 +753,7 @@ def string_syzygy(p, w):
     _require_string_algebra(p, "string_syzygy")
     q = p.quiver
     out = []
-    for top, left, right in _syzygy_summands(p, w):
+    for top, left, right in _string_homology(p).syzygy_summands(w):
         base = q.arrow[left[-1]].target if left else top
         body = tuple(inverse(a) for a in reversed(left)) + tuple(direct(a) for a in right)
         out.append(Walk(base, body))
@@ -736,10 +764,7 @@ def string_pd_at_least_2(p, w):
     """pd M(w) >= 2, without linear algebra: some syzygy summand is not
     projective.  A projective M(w) has no syzygy summands at all."""
     _require_string_algebra(p, "string_pd_at_least_2")
-    return any(
-        1 + len(left) + len(right) != _projective_dim(p, top)
-        for top, left, right in _syzygy_summands(p, w)
-    )
+    return _string_homology(p).pd_at_least_2(w)
 
 
 def string_id_at_least_2(p, w):
@@ -747,7 +772,7 @@ def string_id_at_least_2(p, w):
     string module of w with every letter's direction flipped."""
     _require_string_algebra(p, "string_id_at_least_2")
     pop = p.cached("opposite", p.opposite)
-    return string_pd_at_least_2(pop, Walk(w.base, tuple(l.inverted() for l in w.letters)))
+    return string_pd_at_least_2(pop, _opposite_string(w))
 
 
 @dataclass(frozen=True)
@@ -768,18 +793,22 @@ def conjecture_scan(p, max_len, min_len=0):
     """
     if not p.is_monomial:
         raise PreconditionError("conjecture_scan needs a monomial presentation")
-    combinatorial = _is_string_algebra(p)
-    witnesses = []
-    for w in strings_of_length(p, range(min_len, max_len + 1)):
-        if combinatorial:
-            both = string_pd_at_least_2(p, w) and string_id_at_least_2(p, w)
-        else:
+    if _is_string_algebra(p):
+        # checked once here; the opposite of a string algebra is one too
+        pd = _string_homology(p).pd_at_least_2
+        pd_op = _string_homology(p.cached("opposite", p.opposite)).pd_at_least_2
+
+        def both(w):
+            return pd(w) and pd_op(_opposite_string(w))
+    else:
+
+        def both(w):
             M = string_module(p, w)
-            both = pd_at_least_2(p, M) and id_at_least_2_dual(p, M)
-        if both:
-            witnesses.append(w)
-    witnesses.sort(key=Walk.key)
-    return ScanResult(len(witnesses), tuple(witnesses))
+            return pd_at_least_2(p, M) and id_at_least_2_dual(p, M)
+
+    # strings_of_length lists the strings in Walk.key order
+    witnesses = tuple(w for w in strings_of_length(p, range(min_len, max_len + 1)) if both(w))
+    return ScanResult(len(witnesses), witnesses)
 
 
 def rep_to_sparse(M):

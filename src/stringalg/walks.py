@@ -21,9 +21,6 @@ class Letter(NamedTuple):
     def inverted(self):
         return Letter(self.arrow, not self.inverse)
 
-    def key(self):
-        return (self.arrow, self.inverse)
-
     def __str__(self):
         return f"{self.arrow}^-1" if self.inverse else self.arrow
 
@@ -55,7 +52,7 @@ class Walk:
         return not self.letters
 
     def key(self):
-        return (len(self.letters), tuple(l.key() for l in self.letters), self.base)
+        return (len(self.letters), self.letters, self.base)
 
 
 def make_walk(quiver, base, letters):

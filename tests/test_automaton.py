@@ -18,13 +18,20 @@ from stringalg.errors import SearchBudgetExceeded
 from stringalg.fixtures import linear_a3
 from stringalg.presentation import Presentation
 from stringalg.walks import (
+    CyclicWalk,
     Walk,
+    canonical_band,
+    canonical_string,
     direct,
     inverse,
+    is_band,
     is_string,
     serialize_band,
     serialize_walk,
+    walk_end,
 )
+
+automaton_module = importlib.import_module("stringalg.automaton")
 
 
 def all_walks_up_to(p, max_len):
@@ -44,17 +51,17 @@ def all_walks_up_to(p, max_len):
     return out
 
 
+def degree_at_most_3(p):
+    return all(len(p.quiver.out_arrows(v)) + len(p.quiver.in_arrows(v)) <= 3 for v in p.quiver.vertices)
+
+
 def test_automaton_accepts_exactly_the_strings(skew6, thirteen, nine, commsquare, corpus500):
     from stringalg.presentation import quotient_by_J
 
     # Corpus quivers with a vertex of degree 4 have up to 175k walks of
     # length <= 8; the slice keeps those of degree <= 3 (about 20 of the
     # first 30 instances, 70k walks).
-    corpus_slice = [
-        p
-        for p in corpus500[:30]
-        if all(len(p.quiver.out_arrows(v)) + len(p.quiver.in_arrows(v)) <= 3 for v in p.quiver.vertices)
-    ]
+    corpus_slice = [p for p in corpus500[:30] if degree_at_most_3(p)]
     for p in [skew6, thirteen, nine, quotient_by_J(commsquare)] + corpus_slice:
         aut = automaton(p)
         for w in all_walks_up_to(p, 8):
@@ -81,8 +88,6 @@ def test_enumerate_strings_skew6_length_two(skew6):
 
 
 def test_enumerate_strings_matches_naive_filter(skew6):
-    from stringalg.walks import canonical_string
-
     naive = set()
     for w in all_walks_up_to(skew6, 5):
         if is_string(skew6, w):
@@ -93,6 +98,94 @@ def test_enumerate_strings_matches_naive_filter(skew6):
 def test_strings_of_length_window(thirteen):
     for w in strings_of_length(thirteen, range(3, 5)):
         assert 3 <= len(w.letters) <= 4
+
+
+# --- the walk-tree enumerator against the naive filter of all walks ----------
+
+NAIVE_MAX = 7
+
+
+@pytest.fixture(scope="module")
+def differential_instances(skew6, thirteen, nine, commsquare, corpus500):
+    """Fixtures, the degree <= 3 instances among the first 30 of
+    corpus500, and the J-quotients of six special biserial algebras, each
+    with its strings up to NAIVE_MAX found by filtering every walk."""
+    from stringalg.corpus import special_biserial_corpus
+    from stringalg.presentation import quotient_by_J
+
+    instances = [skew6, thirteen, nine, quotient_by_J(commsquare)]
+    instances += [p for p in corpus500[:30] if degree_at_most_3(p)]
+    instances += [quotient_by_J(p) for p in special_biserial_corpus(20260809, 6)]
+    return [(p, [w for w in all_walks_up_to(p, NAIVE_MAX) if is_string(p, w)]) for p in instances]
+
+
+def naive_strings(p, strings, lengths):
+    wanted = set(lengths)
+    found = {canonical_string(p.quiver, w) for w in strings if len(w) in wanted}
+    return sorted(found, key=Walk.key)
+
+
+def naive_bands(p, strings, max_len):
+    found = set()
+    for w in strings:
+        if 0 < len(w) <= max_len and walk_end(p.quiver, w) == w.base:
+            c = CyclicWalk(w)
+            if is_band(p, c):
+                found.add(canonical_band(p.quiver, c))
+    return sorted(found, key=lambda c: c.walk.key())
+
+
+@pytest.mark.parametrize("lengths", [{0}, {1}, {3, 5}, range(5, 8)], ids=str)
+def test_strings_of_length_matches_naive_filter(differential_instances, lengths):
+    for p, strings in differential_instances:
+        assert strings_of_length(p, lengths) == naive_strings(p, strings, lengths)
+
+
+def test_enumerate_strings_matches_naive_filter_in_order(differential_instances):
+    for p, strings in differential_instances:
+        trivial = naive_strings(p, strings, {0})
+        assert enumerate_strings(p, -1) == trivial
+        for n in range(NAIVE_MAX + 1):
+            assert enumerate_strings(p, n) == naive_strings(p, strings, range(n + 1))
+
+
+def test_enumerate_bands_matches_naive_filter(differential_instances):
+    for p, strings in differential_instances:
+        for n in (1, 4, NAIVE_MAX):
+            assert enumerate_bands(p, n) == naive_bands(p, strings, n)
+
+
+def test_window_builds_a_walk_only_per_result(monkeypatch, thirteen):
+    """Listing the strings of one long length builds no walk for the
+    shorter strings the traversal passes through."""
+    built = []
+
+    class CountingWalk(Walk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(automaton_module, "Walk", CountingWalk)
+    got = strings_of_length(thirteen, [46])
+    assert len(built) <= 2 * len(got)
+    assert len(got) == 12
+
+
+def test_walk_cap_counts_every_visited_string(monkeypatch, skew6):
+    # every nonempty string of length <= 6 in either orientation is one visit
+    visits = sum(1 for w in all_walks_up_to(skew6, 6) if w.letters and is_string(skew6, w))
+    runs = (
+        lambda: enumerate_strings(skew6, 6),
+        lambda: strings_of_length(skew6, [6]),
+        lambda: enumerate_bands(skew6, 6),
+    )
+    monkeypatch.setattr(automaton_module, "_WALK_CAP", visits)
+    for run in runs:
+        run()
+    monkeypatch.setattr(automaton_module, "_WALK_CAP", visits - 1)
+    for run in runs:
+        with pytest.raises(SearchBudgetExceeded, match="string enumeration exceeded the walk cap"):
+            run()
 
 
 def test_enumerate_bands_thirteen(thirteen):
@@ -144,8 +237,6 @@ def test_pumping_bound_exceeds_state_count(skew6, thirteen):
 
 
 def test_census_bands_are_bands(corpus500):
-    from stringalg.walks import is_band
-
     for p in corpus500[:60]:
         for b in band_census(p):
             assert is_band(p, b)
@@ -172,6 +263,6 @@ def test_presentation_is_freed_without_the_cycle_collector(use):
 
 def test_band_census_cap_is_a_search_budget(monkeypatch):
     # thirteen's automaton has more than two simple cycles
-    monkeypatch.setattr(importlib.import_module("stringalg.automaton"), "_CENSUS_CAP", 2)
+    monkeypatch.setattr(automaton_module, "_CENSUS_CAP", 2)
     with pytest.raises(SearchBudgetExceeded, match="band census exceeded the cycle cap"):
         band_census(fixtures.thirteen())

@@ -223,6 +223,22 @@ def test_band_census_cap_exit_code(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("strings", SKEW6, "--max-len", "6"),
+        ("scan", SKEW6, "--max-len", "6"),
+        ("bands", SKEW6, "--max-len", "6"),
+    ],
+)
+def test_walk_cap_exit_code(monkeypatch, capsys, argv):
+    monkeypatch.setattr(importlib.import_module("stringalg.automaton"), "_WALK_CAP", 10)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "analysis failed: string enumeration exceeded the walk cap\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("dozed", SKEW6, "--n", "-1"),
         ("strings", SKEW6, "--max-len", "-1"),
         ("bands", THIRTEEN, "--max-len", "-3"),
