@@ -5,15 +5,19 @@ Reads an algebra file, runs one analysis, and reports as text or JSON
 semantic error; 2 precondition violation or invalid argument (such as a
 negative length); 3 analysis failure (corrupted presentation or an
 exhausted search budget).  Output is byte-identical across runs.
+
+A process loads only the layers its command runs, since start-up is most
+of a command's wall time.  Every command loads the package core
+(presentation, walks, automaton, doze) and the file reader; `module`,
+`dozed` and `scan` also load `rep` (with `exactla` and `fractions`),
+`decompose` and `check-structure` load `decomp`, and `--json` loads
+`json`.  Those imports therefore sit inside the functions that use them.
 """
 
 import argparse
-import json
 import sys
 
-from . import rep
 from .automaton import band_census, enumerate_bands, enumerate_strings
-from .decomp import check_structure, decompose, support_cover_check
 from .doze import classify, find_doze, find_doze_bruteforce
 from .errors import (
     CorruptPresentationError,
@@ -23,7 +27,7 @@ from .errors import (
     SearchBudgetExceeded,
     SemanticError,
 )
-from .presentation import validate_special_biserial, validate_string_algebra
+from .presentation import monomial_form, validate_special_biserial, validate_string_algebra
 from .textio import parse_file
 from .walks import parse_walk, serialize_band, serialize_walk
 
@@ -115,13 +119,9 @@ def cmd_classify(p, args):
 
 
 def _monomial_form(p):
-    from .presentation import quotient_by_J
-
-    if p.is_monomial:
-        return p
-    if not validate_special_biserial(p).is_valid:
+    if not p.is_monomial and not validate_special_biserial(p).is_valid:
         raise PreconditionError("needs a string or special biserial presentation")
-    return quotient_by_J(p)
+    return monomial_form(p)
 
 
 def cmd_doze(p, args):
@@ -158,6 +158,8 @@ def cmd_strings(p, args):
 
 
 def cmd_decompose(p, args):
+    from .decomp import decompose
+
     dec = decompose(p)
     data = {
         "a_parts": [_part_json(part) for part in dec.a_parts],
@@ -176,6 +178,8 @@ def cmd_decompose(p, args):
 
 
 def cmd_check_structure(p, args):
+    from .decomp import check_structure, decompose, support_cover_check
+
     dec = decompose(p)
     report = check_structure(p, dec)
     cover = support_cover_check(p, args.cover_len, dec)
@@ -189,6 +193,8 @@ def cmd_check_structure(p, args):
 
 
 def cmd_module(p, args):
+    from . import rep
+
     work = _monomial_form(p)
     w = parse_walk(work.quiver, args.string)
     M = rep.string_module(work, w)
@@ -208,6 +214,8 @@ def cmd_module(p, args):
 
 
 def cmd_dozed(p, args):
+    from . import rep
+
     work = _monomial_form(p)
     w = find_doze(work)
     if w is None:
@@ -230,6 +238,8 @@ def cmd_dozed(p, args):
 
 
 def cmd_scan(p, args):
+    from . import rep
+
     work = _monomial_form(p)
     result = rep.conjecture_scan(work, args.max_len)
     data = {
@@ -328,6 +338,8 @@ def main(argv=None):
         print(f"analysis failed: {e}", file=sys.stderr)
         return 3
     if args.json:
+        import json
+
         payload = {"schema": 1, "algebra": name, "command": args.command}
         payload.update(data)
         if args.command == "scan":

@@ -15,7 +15,7 @@ from .automaton import automaton, band_census, enumerate_strings
 from .doze import STRICT_LAURA_OR_TILTED, classify, has_double_zero
 from .errors import CorruptPresentationError, PreconditionError
 from .graph import reach, topological_order
-from .presentation import Presentation, Quiver, ZeroRelation, quotient_by_J
+from .presentation import Presentation, Quiver, ZeroRelation, monomial_form
 from .walks import (
     direct,
     inverse,
@@ -309,7 +309,7 @@ def _with_decomposition(p, decomposition):
     if decomposition is None:
         dec = decompose(p)
         return dec, dec.analyzed
-    return decomposition, p if p.is_monomial else quotient_by_J(p)
+    return decomposition, monomial_form(p)
 
 
 def check_structure(p, decomposition=None):

@@ -25,7 +25,7 @@ from .errors import (
 from .graph import reach, topological_order
 from .presentation import (
     _contains_subpath,
-    quotient_by_J,
+    monomial_form,
     validate_special_biserial,
     validate_string_algebra,
 )
@@ -398,7 +398,7 @@ def _classify(p):
             raise PreconditionError(
                 "classification needs a string or special biserial presentation"
             )
-        work = quotient_by_J(p)
+        work = monomial_form(p)
         notes.append(
             "special biserial input: verdict computed on the J-quotient, "
             "where being laura is equivalent"

@@ -305,8 +305,10 @@ class Presentation:
         return tuple(minimalize(gens))
 
     def max_generator_length(self):
-        gens = self.monomial_generators()
-        return max((len(g) for g in gens), default=0)
+        return self.cached(
+            "max_generator_length",
+            lambda: max((len(g) for g in self.monomial_generators()), default=0),
+        )
 
     def zero_index(self):
         """The zero generators as a `window_index`."""
@@ -439,3 +441,16 @@ def quotient_by_J(p):
     if not report.is_valid:
         raise CorruptPresentationError(f"J-quotient is not a string algebra: {report}")
     return out
+
+
+def monomial_form(p):
+    """The monomial presentation the walk-based analyses run on: p itself
+    when it is monomial, else its J-quotient, computed once per
+    presentation (with `quotient_by_J`'s precondition).
+
+    A monomial p is returned uncached: storing p in its own cache would
+    make every presentation a reference cycle.
+    """
+    if p.is_monomial:
+        return p
+    return p.cached("monomial_form", lambda: quotient_by_J(p))

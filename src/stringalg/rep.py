@@ -7,7 +7,10 @@ the scan for modules with both homological dimensions at least two.
 
 Two routes compute the homology of a string module.  The general route
 builds the representation and works with 0/1 integer matrices and exact
-rational solves; nothing there depends on a characteristic.  Over a
+rational solves; nothing there depends on a characteristic.  Its
+projectives and injectives have the paths outside the ideal as bases,
+which is right only for a monomial presentation, so any other is
+refused with PreconditionError (pass to the J-quotient first).  Over a
 string algebra, the combinatorial route (`string_cover`, `string_syzygy`,
 `string_pd_at_least_2`, `string_id_at_least_2`) reads the projective
 cover and the first syzygy off the string in time linear in its length,
@@ -150,7 +153,14 @@ def string_module(p, w):
 
 def _ideal_avoiding_paths(p, x, forward):
     """Ideal-avoiding oriented paths starting (forward) or ending at x,
-    each with its far end vertex, sorted by length then arrow names."""
+    each with its far end vertex, sorted by length then arrow names.
+
+    They are a basis of P(x) or I(x) only when the ideal is monomial; a
+    commutativity relation would identify two of them, so it is refused.
+    """
+    if not p.is_monomial:
+        kind = "projective" if forward else "injective"
+        raise PreconditionError(f"{kind} needs a monomial presentation")
     q = p.quiver
     index = p.zero_index()
     out = []

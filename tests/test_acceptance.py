@@ -19,7 +19,7 @@ from stringalg.doze import (
     has_double_zero,
 )
 from stringalg.errors import SearchBudgetExceeded
-from stringalg.presentation import validate_string_algebra
+from stringalg.presentation import monomial_form, validate_string_algebra
 from stringalg.walks import band_boundary, canonical_band, parse_band
 
 PASS = "ACCEPTANCE {}: PASS ({})"
@@ -79,15 +79,9 @@ def test_criterion_4_nine_vertex_fixture(nine):
     report(4, "not a string algebra; unique-continuation fails at beta1")
 
 
-def _monomial(p):
-    from stringalg.presentation import quotient_by_J
-
-    return p if p.is_monomial else quotient_by_J(p)
-
-
 def test_criterion_5_oracle_equivalence(corpus500, skew6, thirteen, commsquare):
     start = time.time()
-    instances = [_monomial(p) for p in (skew6, thirteen, commsquare)] + list(corpus500)
+    instances = [monomial_form(p) for p in (skew6, thirteen, commsquare)] + list(corpus500)
     agreements = 0
     for p in instances:
         bound = pumping_bound(p)
@@ -146,7 +140,7 @@ def test_criterion_6_lemma_suite(corpus500, thirteen):
 
 def test_criterion_7_conjecture_scan_windows(skew6, thirteen, commsquare):
     start = time.time()
-    doze_free = [thirteen, _monomial(commsquare)]
+    doze_free = [thirteen, monomial_form(commsquare)]
     for p in doze_free:
         bound = pumping_bound(p)
         window = rep.conjecture_scan(p, bound + 10, min_len=bound + 1)

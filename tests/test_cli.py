@@ -1,5 +1,10 @@
+import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,10 @@ SKEW6 = "fixtures/skew6.alg"
 THIRTEEN = "fixtures/thirteen.alg"
 NINE = "fixtures/nine.alg"
 SQUARE = "fixtures/commsquare.alg"
+
+SRC = Path(cli.__file__).resolve().parents[1]
+ROOT = SRC.parent
+ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
 
 def run(capsys, *argv):
@@ -261,6 +270,17 @@ def test_decompose_not_laura_exit_code(capsys):
     assert code == 2
 
 
+def test_non_special_biserial_input_is_precondition_error(tmp_path, capsys):
+    path = tmp_path / "parallel.alg"
+    path.write_text(
+        "algebra parallel\nvertex 1 2 3 4\narrow a : 1 -> 2\narrow b : 2 -> 4\n"
+        "arrow c : 1 -> 3\narrow d : 3 -> 4\narrow e : 2 -> 4\ncomm a b = c d\n"
+    )
+    code, out, err = run(capsys, "strings", str(path), "--max-len", "2")
+    assert (code, out) == (2, "")
+    assert err == "precondition violated: needs a string or special biserial presentation\n"
+
+
 def test_module_with_non_string_walk_is_precondition_error(capsys):
     code, _, err = run(
         capsys, "module", SKEW6, "--string", "x1: alpha beta1"
@@ -305,3 +325,63 @@ def test_scan_json_matches_the_exact_route(capsys, path, max_len):
 def test_seed_flag_is_accepted(capsys):
     code, out, _ = run(capsys, "classify", THIRTEEN, "--seed", "7")
     assert code == 0
+
+
+# --- start-up: a process loads only the layers its command runs ------------
+
+HEAVY = ("stringalg.rep", "stringalg.decomp", "stringalg.exactla", "fractions", "json", "networkx")
+
+IMPORT_PROBE = f"""
+import contextlib, io, sys
+from stringalg.cli import main
+
+def loaded():
+    return sorted(m for m in {HEAVY!r} if m in sys.modules)
+
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["classify", {THIRTEEN!r}])
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["scan", {SKEW6!r}, "--max-len", "4"])
+print(loaded())
+"""
+
+
+def test_cli_loads_only_the_layers_each_command_runs():
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        cwd=ROOT, env=ENV, capture_output=True, text=True, check=True,
+    )
+    after_import, after_classify, after_scan = map(ast.literal_eval, done.stdout.splitlines())
+    assert after_import == []
+    assert after_classify == []
+    assert after_scan == ["fractions", "stringalg.exactla", "stringalg.rep"]
+
+
+# One fresh process per lazily loaded path, all started at once.
+LAZY_PATHS = [
+    ("classify", SKEW6, "--json"),
+    ("decompose", THIRTEEN),
+    ("check-structure", THIRTEEN),
+    ("module", SKEW6, "--string", "x4: gamma1 gamma2^-1 beta2^-1 beta1", "--dims"),
+    ("dozed", SKEW6, "--n", "2"),
+    ("dozed", THIRTEEN, "--n", "1"),
+    ("scan", SKEW6, "--max-len", "8", "--json"),
+]
+
+
+def test_fresh_processes_match_in_process_runs(capsys):
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "stringalg.cli", *argv],
+            cwd=ROOT, env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for argv in LAZY_PATHS
+    ]
+    fresh = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=60)
+        fresh.append((proc.returncode, out, err))
+    for argv, result in zip(LAZY_PATHS, fresh):
+        assert result == run(capsys, *argv), argv

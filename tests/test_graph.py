@@ -6,9 +6,6 @@ rotation) are read off that list.
 """
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -142,15 +139,6 @@ def test_band_census_is_the_primitive_roots_of_the_oracle_cycles(corpus500):
         if checked == 10:
             break
     assert checked == 10
-
-
-def test_cli_import_leaves_networkx_out():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = "import sys, stringalg.cli; print('networkx' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout == "False\n"
 
 
 def test_no_source_file_imports_networkx():

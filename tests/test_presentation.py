@@ -16,6 +16,7 @@ from stringalg.presentation import (
     ZeroRelation,
     _contains_subpath,
     minimalize,
+    monomial_form,
     path_in_ideal,
     quotient_by_J,
     validate_special_biserial,
@@ -224,6 +225,42 @@ def test_quotient_output_is_string_algebra_on_random_special_biserial():
         assert validate_string_algebra(j).is_valid
         for left, right in p.comm_pairs:
             assert path_in_ideal(j, left) and path_in_ideal(j, right)
+
+
+# --- monomial_form and cached facts --------------------------------------
+
+
+def square_with_parallel_arrow():
+    """The commutative square plus a second arrow 2 -> 4: three arrows end
+    at 4, so it is not special biserial, and it is not monomial."""
+    return Presentation.build(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4"), ("e", "2", "4")],
+        comms=[(["a", "b"], ["c", "d"])],
+    )
+
+
+def test_monomial_form_is_the_cached_J_quotient(commsquare, skew6):
+    j = monomial_form(commsquare)
+    assert j == quotient_by_J(commsquare)
+    assert monomial_form(commsquare) is j
+    assert monomial_form(skew6) is skew6
+    # a presentation held in its own cache would be a reference cycle
+    assert all(value is not skew6 for value in skew6._cache.values())
+
+
+def test_monomial_form_keeps_the_quotient_precondition():
+    with pytest.raises(PreconditionError, match="^quotient_by_J requires a special biserial"):
+        monomial_form(square_with_parallel_arrow())
+
+
+def test_max_generator_length_reads_the_generators_once():
+    p = fixtures.thirteen()
+    calls = []
+    generators = p.monomial_generators
+    p.monomial_generators = lambda: calls.append(1) or generators()
+    assert [p.max_generator_length() for _ in range(3)] == [2, 2, 2]
+    assert len(calls) == 1
 
 
 # --- indexed subpath tests against pairwise scans --------------------------

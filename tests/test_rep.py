@@ -99,6 +99,24 @@ def test_sink_projective_is_simple():
     assert P.total_dim == 1 and P.dims["3"] == 1
 
 
+def test_general_route_refuses_commutativity_relations(commsquare):
+    # With ab = cd, P_A(1) is one-dimensional at vertex 4 and pd_A S(1) = 2;
+    # bases of ideal-avoiding paths would give 2 and False there.
+    S1 = rep.simple_module(commsquare, "1")
+    calls = [
+        lambda: rep.projective(commsquare, "1"),
+        lambda: rep.injective(commsquare, "4"),
+        lambda: rep.pd_at_least_2(commsquare, S1),
+        lambda: rep.id_at_least_2(commsquare, S1),
+        lambda: rep.string_module(commsquare, trivial_walk(commsquare.quiver, "1")),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="needs a monomial presentation"):
+            call()
+    j = quotient_by_J(commsquare)
+    assert {v: d for v, d in rep.projective(j, "1").dims.items() if d} == {"1": 1, "2": 1, "3": 1}
+
+
 def test_top_and_radical_of_projective(skew6):
     P = rep.projective(skew6, "x4")
     T, _ = rep.top(P)
