@@ -14,8 +14,8 @@ whether one exists, every simple one) go to the shared traversals in
 `graph`, with `successors` as the edge relation.
 """
 
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from ._ac import AhoCorasick
 from .errors import CorruptPresentationError, PreconditionError, SearchBudgetExceeded
@@ -34,10 +34,8 @@ from .walks import (
 )
 
 
-class AutoState(NamedTuple):
-    arrow: str
-    inverse: bool
-    node: int
+class AutoState(namedtuple("AutoState", "arrow inverse node")):
+    __slots__ = ()
 
     @property
     def letter(self):

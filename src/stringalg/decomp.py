@@ -9,8 +9,7 @@ unique cycle, finite middle, double-zero-free sides) are verified
 mechanically.
 """
 
-from dataclasses import dataclass, field
-
+from ._value import Value
 from .automaton import automaton, band_census, enumerate_strings
 from .doze import STRICT_LAURA_OR_TILTED, classify, has_double_zero
 from .errors import CorruptPresentationError, PreconditionError
@@ -27,22 +26,27 @@ from .walks import (
 )
 
 
-@dataclass(frozen=True)
-class Subcategory:
-    label: str
-    objects: frozenset
-    arrows: frozenset
-    anchor: str = None
-    band: object = field(default=None, compare=False)
+class Subcategory(Value):
+    _compare = ("label", "objects", "arrows", "anchor")
+    _repr = _compare + ("band",)
+
+    def __init__(self, label, objects, arrows, anchor=None, band=None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "band", band)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    a_parts: tuple
-    b_parts: tuple
-    middle: Subcategory
-    notes: tuple
-    analyzed: object = field(repr=False, compare=False, default=None)
+class Decomposition(Value):
+    _compare = ("a_parts", "b_parts", "middle", "notes")
+
+    def __init__(self, a_parts, b_parts, middle, notes, analyzed=None):
+        object.__setattr__(self, "a_parts", a_parts)
+        object.__setattr__(self, "b_parts", b_parts)
+        object.__setattr__(self, "middle", middle)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "analyzed", analyzed)
 
     @property
     def parts(self):
@@ -256,15 +260,27 @@ def decompose(p):
     return dec
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    full: bool
-    no_entry: bool
-    convex: bool
-    unique_cycle: bool
-    middle_finite: bool
-    sides_double_zero_free: bool
-    details: tuple
+class StructureReport(Value):
+    _compare = (
+        "full",
+        "no_entry",
+        "convex",
+        "unique_cycle",
+        "middle_finite",
+        "sides_double_zero_free",
+        "details",
+    )
+
+    def __init__(
+        self, full, no_entry, convex, unique_cycle, middle_finite, sides_double_zero_free, details
+    ):
+        object.__setattr__(self, "full", full)
+        object.__setattr__(self, "no_entry", no_entry)
+        object.__setattr__(self, "convex", convex)
+        object.__setattr__(self, "unique_cycle", unique_cycle)
+        object.__setattr__(self, "middle_finite", middle_finite)
+        object.__setattr__(self, "sides_double_zero_free", sides_double_zero_free)
+        object.__setattr__(self, "details", details)
 
     @property
     def all_pass(self):

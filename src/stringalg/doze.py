@@ -12,10 +12,15 @@ state reachable from a just-consumed generator lies on a cycle and can
 reach a generator-completing step.  The brute-force enumerator is kept
 deliberately naive (no automaton) so the two can act as independent
 oracles for each other.
+
+Double-zeros, witnesses and reports are frozen `_value.Value` classes
+with their own `__init__` rather than dataclasses, which would cost
+every `stringalg` process the `dataclasses` import and a generated
+source per class.  The analyzed presentation a report carries is left
+out of its equality, hash and repr.
 """
 
-from dataclasses import dataclass, field
-
+from ._value import Value
 from .automaton import _primitive_root, automaton, band_census
 from .errors import (
     CorruptPresentationError,
@@ -61,12 +66,14 @@ def generator_walk(quiver, names):
     return Walk(path.source, tuple(direct(n) for n in names))
 
 
-@dataclass(frozen=True)
-class DoubleZero:
-    rho1: tuple
-    middle: Walk
-    rho2: tuple
-    whole: Walk
+class DoubleZero(Value):
+    _compare = ("rho1", "middle", "rho2", "whole")
+
+    def __init__(self, rho1, middle, rho2, whole):
+        object.__setattr__(self, "rho1", rho1)
+        object.__setattr__(self, "middle", middle)
+        object.__setattr__(self, "rho2", rho2)
+        object.__setattr__(self, "whole", whole)
 
     def __len__(self):
         return len(self.whole.letters)
@@ -90,16 +97,19 @@ def make_double_zero(p, rho1, middle, rho2):
     return DoubleZero(rho1, middle, rho2, whole)
 
 
-@dataclass(frozen=True)
-class DozeWitness:
+class DozeWitness(Value):
     """Factorization rho1 . w1 . band^n . w3 . rho2 certifying non-laura."""
 
-    p: object = field(repr=False)
-    rho1: tuple
-    w1: Walk
-    band: CyclicWalk
-    w3: Walk
-    rho2: tuple
+    _compare = ("p", "rho1", "w1", "band", "w3", "rho2")
+    _repr = _compare[1:]
+
+    def __init__(self, p, rho1, w1, band, w3, rho2):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rho1", rho1)
+        object.__setattr__(self, "w1", w1)
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "w3", w3)
+        object.__setattr__(self, "rho2", rho2)
 
     def assembled(self, n):
         q = self.p.quiver
@@ -363,19 +373,23 @@ def find_doze_bruteforce(p, max_len, node_budget=None):
     return None
 
 
-@dataclass(frozen=True)
-class BandInfo:
-    band: CyclicWalk
-    boundary: BandBoundary
+class BandInfo(Value):
+    _compare = ("band", "boundary")
+
+    def __init__(self, band, boundary):
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "boundary", boundary)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    verdict: str
-    evidence: object
-    bands: tuple
-    notes: tuple
-    analyzed: object = field(repr=False, default=None, compare=False)
+class ClassificationReport(Value):
+    _compare = ("verdict", "evidence", "bands", "notes")
+
+    def __init__(self, verdict, evidence, bands, notes, analyzed=None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "evidence", evidence)
+        object.__setattr__(self, "bands", bands)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "analyzed", analyzed)
 
 
 def classify(p):

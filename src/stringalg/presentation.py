@@ -5,12 +5,17 @@ generators) and commutativity relations (pairs of parallel paths that are
 identified).  Zero generators are minimalized on load and the presented
 algebra is required to be finite dimensional: an oriented cycle all of
 whose traversals avoid the ideal is rejected.
+
+Arrows are `collections.namedtuple` subclasses; paths, relations and
+validation reports are frozen `_value.Value` classes, each with its own
+`__init__`.  Neither `typing` nor `dataclasses` is imported: either
+would add to the start-up of every `stringalg` process.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._ac import AhoCorasick
+from ._value import Value
 from .errors import (
     CorruptPresentationError,
     InfiniteDimensionalError,
@@ -20,23 +25,23 @@ from .errors import (
 from .graph import cycle_entry
 
 
-class Arrow(NamedTuple):
-    name: str
-    source: str
-    target: str
+class Arrow(namedtuple("Arrow", "name source target")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrientedPath:
+class OrientedPath(Value):
     """Nonempty composable arrow sequence, composed left to right.
 
     In the path (a, b) the arrow a is traversed first, so the path exists
     iff target(a) = source(b).
     """
 
-    arrows: tuple
-    source: str
-    target: str
+    _compare = ("arrows", "source", "target")
+
+    def __init__(self, arrows, source, target):
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
 
     def __len__(self):
         return len(self.arrows)
@@ -45,15 +50,19 @@ class OrientedPath:
         return ".".join(self.arrows)
 
 
-@dataclass(frozen=True)
-class ZeroRelation:
-    path: OrientedPath
+class ZeroRelation(Value):
+    _compare = ("path",)
+
+    def __init__(self, path):
+        object.__setattr__(self, "path", path)
 
 
-@dataclass(frozen=True)
-class Commutativity:
-    left: OrientedPath
-    right: OrientedPath
+class Commutativity(Value):
+    _compare = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 class Quiver:
@@ -360,17 +369,21 @@ def path_in_ideal(p, path):
     return has_window(arrows, p.zero_index())
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: int
-    site: str
-    kind: str
-    detail: tuple
+class Violation(Value):
+    _compare = ("condition", "site", "kind", "detail")
+
+    def __init__(self, condition, site, kind, detail):
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "site", site)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
+class ValidationReport(Value):
+    _compare = ("violations",)
+
+    def __init__(self, violations):
+        object.__setattr__(self, "violations", violations)
 
     @property
     def is_valid(self):

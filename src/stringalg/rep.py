@@ -18,9 +18,8 @@ with no linear algebra; it is just as exact, and `conjecture_scan` uses it
 whenever it applies.  The general route is its test oracle.
 """
 
-from dataclasses import dataclass
-
 from . import exactla as la
+from ._value import Value
 from .automaton import strings_of_length
 from .errors import CorruptPresentationError, DozedStringAnomaly, PreconditionError
 from .presentation import has_window, validate_string_algebra
@@ -785,10 +784,12 @@ def string_id_at_least_2(p, w):
     return string_pd_at_least_2(pop, _opposite_string(w))
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    count_both_ge2: int
-    witnesses: tuple
+class ScanResult(Value):
+    _compare = ("count_both_ge2", "witnesses")
+
+    def __init__(self, count_both_ge2, witnesses):
+        object.__setattr__(self, "count_both_ge2", count_both_ge2)
+        object.__setattr__(self, "witnesses", witnesses)
 
 
 def conjecture_scan(p, max_len, min_len=0):

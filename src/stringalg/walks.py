@@ -4,19 +4,24 @@ A letter traverses an arrow forwards (direct) or backwards (inverse).  A
 walk is a base vertex plus a composable letter sequence; the empty
 sequence is the trivial walk at its base.  Strings are reduced walks none
 of whose same-direction runs contains a zero generator.
+
+Letters are a `collections.namedtuple` subclass and walks frozen
+`_value.Value` classes with their own `__init__`, so importing this
+module (on every command's path) loads neither `typing` nor
+`dataclasses`; a per-class `__init__` keeps building a walk as cheap as
+a generated one.
 """
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
+from ._value import Value
 from .errors import PreconditionError, SemanticError
 from .presentation import has_window
 
 
-class Letter(NamedTuple):
-    arrow: str
-    inverse: bool
+class Letter(namedtuple("Letter", "arrow inverse")):
+    __slots__ = ()
 
     def inverted(self):
         return Letter(self.arrow, not self.inverse)
@@ -39,10 +44,12 @@ def letter_ends(quiver, letter):
     return (a.target, a.source) if letter.inverse else (a.source, a.target)
 
 
-@dataclass(frozen=True)
-class Walk:
-    base: str
-    letters: tuple
+class Walk(Value):
+    _compare = ("base", "letters")
+
+    def __init__(self, base, letters):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self):
         return len(self.letters)
@@ -155,11 +162,13 @@ def canonical_string(quiver, w):
     return min(w, wi, key=Walk.key)
 
 
-@dataclass(frozen=True)
-class CyclicWalk:
+class CyclicWalk(Value):
     """Walk whose effective endpoints coincide."""
 
-    walk: Walk
+    _compare = ("walk",)
+
+    def __init__(self, walk):
+        object.__setattr__(self, "walk", walk)
 
     def __len__(self):
         return len(self.walk)
@@ -230,10 +239,12 @@ def is_band(p, c):
     return is_string(p, cyclic_power(p.quiver, c, k))
 
 
-@dataclass(frozen=True)
-class BandBoundary:
-    entering: frozenset
-    exiting: frozenset
+class BandBoundary(Value):
+    _compare = ("entering", "exiting")
+
+    def __init__(self, entering, exiting):
+        object.__setattr__(self, "entering", entering)
+        object.__setattr__(self, "exiting", exiting)
 
 
 def band_boundary(p, c):

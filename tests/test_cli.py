@@ -329,7 +329,16 @@ def test_seed_flag_is_accepted(capsys):
 
 # --- start-up: a process loads only the layers its command runs ------------
 
-HEAVY = ("stringalg.rep", "stringalg.decomp", "stringalg.exactla", "fractions", "json", "networkx")
+HEAVY = (
+    "stringalg.rep",
+    "stringalg.decomp",
+    "stringalg.exactla",
+    "fractions",
+    "json",
+    "networkx",
+    "dataclasses",
+    "inspect",
+)
 
 IMPORT_PROBE = f"""
 import contextlib, io, sys
@@ -345,6 +354,9 @@ print(loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     main(["scan", {SKEW6!r}, "--max-len", "4"])
 print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["decompose", {THIRTEEN!r}])
+print(loaded())
 """
 
 
@@ -353,10 +365,22 @@ def test_cli_loads_only_the_layers_each_command_runs():
         [sys.executable, "-c", IMPORT_PROBE],
         cwd=ROOT, env=ENV, capture_output=True, text=True, check=True,
     )
-    after_import, after_classify, after_scan = map(ast.literal_eval, done.stdout.splitlines())
+    after_import, after_classify, after_scan, after_decompose = map(
+        ast.literal_eval, done.stdout.splitlines()
+    )
     assert after_import == []
     assert after_classify == []
     assert after_scan == ["fractions", "stringalg.exactla", "stringalg.rep"]
+    assert after_decompose == ["fractions", "stringalg.decomp", "stringalg.exactla", "stringalg.rep"]
+
+
+def test_cli_import_loads_no_typing_without_site():
+    # with `site`, a .pth file may preload typing; -S shows what the package pulls in
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, stringalg.cli; print('typing' in sys.modules)"],
+        cwd=ROOT, env=ENV, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 # One fresh process per lazily loaded path, all started at once.

@@ -1,6 +1,8 @@
 import pytest
 
 from stringalg.decomp import (
+    Decomposition,
+    Subcategory,
     check_structure,
     choose_anchor,
     d_category,
@@ -171,15 +173,10 @@ def test_support_cover_check_on_thirteen(thirteen):
 
 
 def test_support_cover_fails_with_truncated_middle(thirteen):
-    from dataclasses import replace
-
     dec = decompose(thirteen)
-    broken = replace(
-        dec,
-        middle=replace(
-            dec.middle, objects=frozenset(dec.middle.objects - {"7"})
-        ),
-    )
+    m = dec.middle
+    middle = Subcategory(m.label, m.objects - {"7"}, m.arrows, m.anchor, m.band)
+    broken = Decomposition(dec.a_parts, dec.b_parts, middle, dec.notes, dec.analyzed)
     assert not support_cover_check(thirteen, 10, broken)
 
 

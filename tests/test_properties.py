@@ -389,3 +389,131 @@ def test_analysis_pass_derives_each_fact_once(thirteen, monkeypatch):
     # the input plus one restriction per side part (16 of them)
     assert len(seen["built"]) == 17
     assert len(seen["minimalize"]) <= len(seen["built"])
+
+
+# --- value classes -------------------------------------------------------------
+
+decomp_module = importlib.import_module("stringalg.decomp")
+rep_module = importlib.import_module("stringalg.rep")
+walks_module = importlib.import_module("stringalg.walks")
+
+# (class, fields in declaration order, fields left out of == and hash,
+#  fields left out of repr, fields that default to None)
+VALUE_CLASSES = [
+    (presentation_module.OrientedPath, ("arrows", "source", "target"), (), (), ()),
+    (presentation_module.ZeroRelation, ("path",), (), (), ()),
+    (presentation_module.Commutativity, ("left", "right"), (), (), ()),
+    (presentation_module.Violation, ("condition", "site", "kind", "detail"), (), (), ()),
+    (presentation_module.ValidationReport, ("violations",), (), (), ()),
+    (walks_module.Walk, ("base", "letters"), (), (), ()),
+    (walks_module.CyclicWalk, ("walk",), (), (), ()),
+    (walks_module.BandBoundary, ("entering", "exiting"), (), (), ()),
+    (doze_module.DoubleZero, ("rho1", "middle", "rho2", "whole"), (), (), ()),
+    (doze_module.DozeWitness, ("p", "rho1", "w1", "band", "w3", "rho2"), (), ("p",), ()),
+    (doze_module.BandInfo, ("band", "boundary"), (), (), ()),
+    (
+        doze_module.ClassificationReport,
+        ("verdict", "evidence", "bands", "notes", "analyzed"),
+        ("analyzed",),
+        ("analyzed",),
+        ("analyzed",),
+    ),
+    (
+        decomp_module.Subcategory,
+        ("label", "objects", "arrows", "anchor", "band"),
+        ("band",),
+        (),
+        ("anchor", "band"),
+    ),
+    (
+        decomp_module.Decomposition,
+        ("a_parts", "b_parts", "middle", "notes", "analyzed"),
+        ("analyzed",),
+        ("analyzed",),
+        ("analyzed",),
+    ),
+    (
+        decomp_module.StructureReport,
+        (
+            "full",
+            "no_entry",
+            "convex",
+            "unique_cycle",
+            "middle_finite",
+            "sides_double_zero_free",
+            "details",
+        ),
+        (),
+        (),
+        (),
+    ),
+    (rep_module.ScanResult, ("count_both_ge2", "witnesses"), (), (), ()),
+]
+
+
+def value_example(cls, skew6, thirteen, commsquare):
+    """One instance of cls as the library builds it from a fixture."""
+    square = commsquare.comm_relations[0]
+    witness = find_doze(skew6)
+    report = classify(thirteen)
+    dec = decompose(thirteen)
+    return {
+        "OrientedPath": lambda: square.left,
+        "ZeroRelation": lambda: thirteen.zero_relations[0],
+        "Commutativity": lambda: square,
+        "Violation": lambda: presentation_module.validate_string_algebra(commsquare).violations[0],
+        "ValidationReport": lambda: presentation_module.validate_string_algebra(commsquare),
+        "Walk": lambda: witness.band.walk,
+        "CyclicWalk": lambda: witness.band,
+        "BandBoundary": lambda: report.bands[0].boundary,
+        "DoubleZero": lambda: witness.double_zero(1),
+        "DozeWitness": lambda: witness,
+        "BandInfo": lambda: report.bands[0],
+        "ClassificationReport": lambda: report,
+        "Subcategory": lambda: dec.a_parts[0],
+        "Decomposition": lambda: dec,
+        "StructureReport": lambda: check_structure(thirteen, dec),
+        "ScanResult": lambda: rep_module.conjecture_scan(skew6, 4),
+    }[cls.__name__]()
+
+
+@pytest.mark.parametrize(
+    "cls, fields, uncompared, hidden, defaulted",
+    VALUE_CLASSES,
+    ids=[row[0].__name__ for row in VALUE_CLASSES],
+)
+def test_value_class_semantics(cls, fields, uncompared, hidden, defaulted, skew6, thirteen, commsquare):
+    x = value_example(cls, skew6, thirteen, commsquare)
+    assert type(x) is cls
+    values = {f: getattr(x, f) for f in fields}
+    key = tuple(values[f] for f in fields if f not in uncompared)
+
+    # equality and hash are those of the compared-field tuple
+    same = cls(*values.values())
+    assert same == x and not same != x
+    assert hash(same) == hash(x) == hash(key)
+    assert cls(**values) == x
+    for f in fields:
+        changed = cls(**{**values, f: object()})
+        if f in uncompared:
+            assert changed == x and hash(changed) == hash(x)
+        else:
+            assert changed != x
+    bare = cls(**{f: v for f, v in values.items() if f not in defaulted})
+    assert all(getattr(bare, f) is None for f in defaulted)
+
+    # only the same class compares
+    twin = type("Twin", (cls,), {})(**values)
+    assert x != twin and twin != x
+    assert x.__eq__(twin) is NotImplemented
+    assert x != key
+
+    shown = ", ".join(f"{f}={values[f]!r}" for f in fields if f not in hidden)
+    assert repr(x) == f"{cls.__qualname__}({shown})"
+
+    for f in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(x, f, None)
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    assert tuple(getattr(x, f) for f in fields) == tuple(values.values())
