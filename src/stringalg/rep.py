@@ -16,13 +16,20 @@ string algebra, the combinatorial route (`string_cover`, `string_syzygy`,
 cover and the first syzygy off the string in time linear in its length,
 with no linear algebra; it is just as exact, and `conjecture_scan` uses it
 whenever it applies.  The general route is its test oracle.
+
+The combinatorial route reads each syzygy summand at a site: a valley or
+end of the string with the windows of at most max_generator_length() - 1
+arrows of the descents into it.  The pd verdict of every site is
+memoized per presentation.  The injective side is read on the algebra
+itself, as the pd count of the flipped string against the reversed quiver
+and generators; it builds no opposite presentation.
 """
 
 from . import exactla as la
 from ._value import Value
 from .automaton import strings_of_length
 from .errors import CorruptPresentationError, DozedStringAnomaly, PreconditionError
-from .presentation import has_window, validate_string_algebra
+from .presentation import has_window, validate_string_algebra, window_index
 from .walks import Walk, direct, inverse, is_string, walk_vertices
 
 
@@ -174,51 +181,46 @@ def _ideal_avoiding_paths(p, x, forward):
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
 
-def _projective_data(p, x):
-    paths = _ideal_avoiding_paths(p, x, forward=True)
+def _indecomposable_data(p, x, forward):
+    """(P(x), basis) when forward, else (I(x), basis): basis maps each
+    vertex to its ideal-avoiding paths in `_ideal_avoiding_paths` order."""
+    paths = _ideal_avoiding_paths(p, x, forward)
     basis = {}
     index = {}
     for path, v in paths:
-        index[path] = (v, len(basis.setdefault(v, [])))
+        index[path] = len(basis.setdefault(v, []))
         basis[v].append(path)
     dims = {v: len(b) for v, b in basis.items()}
     q = p.quiver
     maps = {a.name: la.zeros(dims.get(a.target, 0), dims.get(a.source, 0)) for a in q.arrows}
     for path, v in paths:
-        for a in q.out_arrows(v):
-            new = path + (a.name,)
-            if new in index:
-                maps[a.name][index[new][1]][index[path][1]] = 1
-    rep = Representation(p, dims, maps)
-    return rep, basis
+        if forward:
+            for a in q.out_arrows(v):
+                new = path + (a.name,)
+                if new in index:
+                    maps[a.name][index[new]][index[path]] = 1
+        elif path:
+            # the arrow action chops the first arrow off a path ending at x
+            maps[path[0]][index[path[1:]]][index[path]] = 1
+    return Representation(p, dims, maps), basis
+
+
+def _projective_data(p, x):
+    return p.cached(("projective", x), lambda: _indecomposable_data(p, x, True))
 
 
 def _injective_data(p, x):
-    paths = _ideal_avoiding_paths(p, x, forward=False)
-    basis = {}
-    index = {}
-    for path, v in paths:
-        index[path] = (v, len(basis.setdefault(v, [])))
-        basis[v].append(path)
-    dims = {v: len(b) for v, b in basis.items()}
-    q = p.quiver
-    maps = {a.name: la.zeros(dims.get(a.target, 0), dims.get(a.source, 0)) for a in q.arrows}
-    for path, v in paths:
-        # the arrow action chops the first arrow off a path ending at x
-        if path:
-            maps[path[0]][index[path[1:]][1]][index[path][1]] = 1
-    rep = Representation(p, dims, maps)
-    return rep, basis
+    return p.cached(("injective", x), lambda: _indecomposable_data(p, x, False))
 
 
 def projective(p, x):
     """Indecomposable projective with top S_x."""
-    return p.cached(("projective", x), lambda: _projective_data(p, x))[0]
+    return _projective_data(p, x)[0]
 
 
 def injective(p, x):
     """Indecomposable injective with socle S_x."""
-    return p.cached(("injective", x), lambda: _injective_data(p, x))[0]
+    return _injective_data(p, x)[0]
 
 
 def _sub_representation(M, vectors):
@@ -379,38 +381,39 @@ def projective_cover(p, M):
     return _assemble_cover(p, M, summands)
 
 
-def _assemble_cover(p, M, summands):
+def _direct_sum(p, parts):
+    """The block-diagonal direct sum of the representations in parts, and
+    each one's first index per vertex."""
     q = p.quiver
     dims = {v: 0 for v in q.vertices}
     offsets = []
-    bases = []
-    for v, _lift in summands:
-        _, basis = p.cached(("projective", v), lambda v=v: _projective_data(p, v))
-        bases.append(basis)
-        offsets.append({w: dims[w] for w in q.vertices})
-        for w, paths in basis.items():
-            dims[w] += len(paths)
+    for R in parts:
+        offsets.append(dict(dims))
+        for v, d in R.dims.items():
+            dims[v] += d
     maps = {a.name: la.zeros(dims[a.target], dims[a.source]) for a in q.arrows}
-    blocks = {v: la.zeros(M.dims[v], dims[v]) for v in q.vertices}
-    for k, (v, lift) in enumerate(summands):
-        basis = bases[k]
-        index = {}
+    for R, at in zip(parts, offsets):
+        for a in q.arrows:
+            for i, row in enumerate(R.maps[a.name]):
+                for j, val in enumerate(row):
+                    if val:
+                        maps[a.name][at[a.target] + i][at[a.source] + j] = val
+    return Representation(p, dims, maps), offsets
+
+
+def _assemble_cover(p, M, summands):
+    q = p.quiver
+    data = [_projective_data(p, v) for v, _ in summands]
+    P, offsets = _direct_sum(p, [R for R, _ in data])
+    blocks = {v: la.zeros(M.dims[v], P.dims[v]) for v in q.vertices}
+    for (_, lift), (_, basis), at in zip(summands, data, offsets):
         for w, paths in basis.items():
             for i, path in enumerate(paths):
-                index[path] = (w, offsets[k][w] + i)
-        for w, paths in basis.items():
-            for i, path in enumerate(paths):
-                col = offsets[k][w] + i
                 vec = list(lift)
                 for n in path:
                     vec = la.matvec(M.maps[n], vec)
                 for r, val in enumerate(vec):
-                    blocks[w][r][col] = val
-                for a in q.out_arrows(w):
-                    new = path + (a.name,)
-                    if new in index:
-                        maps[a.name][index[new][1]][col] = 1
-    P = Representation(p, dims, maps)
+                    blocks[w][r][at[w] + i] = val
     cover = ModuleMap(P, M, blocks)
     if not cover.is_surjective():
         raise CorruptPresentationError("projective cover is not surjective")
@@ -434,29 +437,11 @@ def injective_envelope(p, M, second_solution=False):
             col = [incl.blocks[v][i][j] for i in range(M.dims[v])]
             summands.append((v, col))
     q = p.quiver
-    dims = {v: 0 for v in q.vertices}
-    socle_rows = []
-    bases = []
-    offsets = []
-    for v, _vec in summands:
-        _, basis = p.cached(("injective", v), lambda v=v: _injective_data(p, v))
-        bases.append(basis)
-        offsets.append({w: dims[w] for w in q.vertices})
-        socle_rows.append(dims[v] + basis[v].index(()))
-        for w, paths in basis.items():
-            dims[w] += len(paths)
-    maps = {a.name: la.zeros(dims[a.target], dims[a.source]) for a in q.arrows}
-    for k, (v, _vec) in enumerate(summands):
-        basis = bases[k]
-        index = {}
-        for w, paths in basis.items():
-            for i, path in enumerate(paths):
-                index[path] = offsets[k][w] + i
-        for w, paths in basis.items():
-            for i, path in enumerate(paths):
-                if path:
-                    maps[path[0]][index[path[1:]]][index[path]] = 1
-    I = Representation(p, dims, maps)
+    data = [_injective_data(p, v) for v, _ in summands]
+    I, offsets = _direct_sum(p, [R for R, _ in data])
+    socle_rows = [
+        at[v] + basis[v].index(()) for (v, _), (_, basis), at in zip(summands, data, offsets)
+    ]
 
     var_offset = {}
     nvars = 0
@@ -620,6 +605,20 @@ def dozed_module(p, witness, n):
 # Reading w left to right, a direct letter descends and an inverse letter
 # ascends: passage i is a peak when no letter next to it points into it,
 # and a valley when both letters next to it do.
+#
+# A summand depends only on its site: the vertex it hangs from and, for
+# each descent into that vertex, the window of its last
+# keep = max_generator_length() - 1 arrows, since no longer suffix can
+# complete a generator.  `_StringHomology._sites` finds the sites by
+# scanning at most keep letters back or forward from each valley and end.
+# There are finitely many sites per algebra, and `pd_at_least_2` memoizes
+# one verdict per site, so a scan decides each site once however many
+# strings share it.
+#
+# The injective side is read on A too.  D M(w) is the string module over
+# A^op of w with every letter's direction flipped, and A^op has the
+# reversed quiver and generators, so a dual `_StringHomology` built from
+# those reads the flipped flags; no A^op presentation is built.
 
 
 def _is_string_algebra(p):
@@ -632,16 +631,18 @@ def _require_string_algebra(p, what):
 
 
 class _StringHomology:
-    """The presentation's lookups the combinatorial route needs, fetched
-    once: the quiver, the zero-generator index and how many trailing
-    arrows can still complete a generator.  Holds no reference to the
+    """The lookups the combinatorial route needs, fetched once: the quiver,
+    the zero-generator index and keep, how many trailing arrows can still
+    complete a generator (0 without generators), plus the memos of dim
+    P(x) and of each site's verdict.  Holds no reference to the
     presentation, which caches it."""
 
-    def __init__(self, p):
-        self.quiver = p.quiver
-        self.index = p.zero_index()
-        self.keep = p.max_generator_length() - 1
+    def __init__(self, quiver, index, keep):
+        self.quiver = quiver
+        self.index = index
+        self.keep = keep
         self.dims = {}
+        self.verdicts = {}
 
     def continuation(self, head, at, first=None):
         """The maximal path u from vertex `at` with head.u outside the ideal;
@@ -673,72 +674,100 @@ class _StringHomology:
             )
         return self.dims[x]
 
-    def syzygy_summands(self, w):
-        """(top, C_L, C_R) per direct summand M(C_L^-1 C_R) of the first
-        syzygy of M(w), with C_L and C_R paths from top."""
-        q = self.quiver
-        letters = w.letters
-        n = len(letters)
-        verts = walk_vertices(q, w)
-        # an end gives the continuation of the descent reaching it or, at a
-        # peak, the branch of P(x) along each out-arrow w does not use there
-        ends = []
-        for j in sorted({0, n}):
-            if _is_peak(letters, j):
-                used = {letters[k].arrow for k in (j - 1, j) if 0 <= k < n}
-                ends += [((), verts[j], a.name) for a in q.out_arrows(verts[j]) if a.name not in used]
-            elif j == 0:
-                ends.append((_descent_from_right(letters, 0), verts[0], None))
+    def _sites(self, base, arrows, inv):
+        """The syzygy summand sites of the walk from `base` with these arrow
+        names (a tuple) and inverse flags, in summand order: the j = 0 end,
+        the j = n end, then the valleys left to right.
+
+        An end site is (head window, vertex, first arrow): the window of
+        the descent reaching the end, or () and one site per out-arrow the
+        walk does not use at a peak end.  A valley site is
+        ((left window, right window), vertex).
+        """
+        q, keep = self.quiver, self.keep
+        if not arrows:
+            for a in q.out_arrows(base):
+                yield (), base, a.name
+            return
+        n = len(arrows)
+        for a, head in (
+            (q.arrow[arrows[0]], _windows(arrows, inv, 0, keep)[1] if inv[0] else None),
+            (q.arrow[arrows[-1]], None if inv[-1] else _windows(arrows, inv, n, keep)[0]),
+        ):
+            if head is not None:
+                yield head, a.target, None
             else:
-                ends.append((_descent_from_left(letters, n), verts[n], None))
-        for head, at, first in ends:
-            u = self.continuation(head, at, first)
-            if u:
-                yield q.arrow[u[0]].target, (), u[1:]
+                for b in q.out_arrows(a.source):
+                    if b != a:
+                        yield (), a.source, b.name
+        arrow = q.arrow
         for j in range(1, n):
-            if not letters[j - 1].inverse and letters[j].inverse:
-                v = verts[j]
-                left = self.continuation(_descent_from_left(letters, j), v)
-                right = self.continuation(_descent_from_right(letters, j), v)
-                yield v, left, right
+            if inv[j] and not inv[j - 1]:
+                yield _windows(arrows, inv, j, keep), arrow[arrows[j]].target
 
-    def pd_at_least_2(self, w):
-        """Some syzygy summand of M(w) is not projective.  A projective
-        M(w) has no syzygy summands at all."""
-        return any(
-            1 + len(left) + len(right) != self.projective_dim(top)
-            for top, left, right in self.syzygy_summands(w)
-        )
+    def _summand(self, site):
+        """(top, C_L, C_R) of the summand M(C_L^-1 C_R) at a site, with C_L
+        and C_R paths from top; None at an end with nothing to continue."""
+        if len(site) == 3:
+            head, at, first = site
+            u = self.continuation(head, at, first)
+            return (self.quiver.arrow[u[0]].target, (), u[1:]) if u else None
+        (left, right), v = site
+        return v, self.continuation(left, v), self.continuation(right, v)
+
+    def _not_projective(self, site):
+        s = self._summand(site)
+        return s is not None and 1 + len(s[1]) + len(s[2]) != self.projective_dim(s[0])
+
+    def pd_at_least_2(self, base, arrows, inv):
+        """Some syzygy summand is not projective; `_sites` takes the same
+        arguments.  A projective M(w) has no syzygy summands at all."""
+        verdicts = self.verdicts
+        for site in self._sites(base, arrows, inv):
+            verdict = verdicts.get(site)
+            if verdict is None:
+                verdict = verdicts[site] = self._not_projective(site)
+            if verdict:
+                return True
+        return False
 
 
-def _string_homology(p):
-    return p.cached("string_homology", lambda: _StringHomology(p))
+def _windows(arrows, inv, j, keep):
+    """The windows of the descents into passage j: the last `keep` arrows
+    of the direct run ending there and of the inverse run starting there,
+    each read as a path into j.  The backward scan stops at index 0 rather
+    than wrap round to the last letter."""
+    i, stop = j, (j - keep if j > keep else 0)
+    while i > stop and not inv[i - 1]:
+        i -= 1
+    n = len(arrows)
+    k, stop = j, (j + keep if j + keep < n else n)
+    while k < stop and inv[k]:
+        k += 1
+    return arrows[i:j], arrows[j:k][::-1]
 
 
-def _opposite_string(w):
-    """The string of D M(w) over the opposite algebra: every letter's
-    direction flipped."""
-    return Walk(w.base, tuple(l.inverted() for l in w.letters))
+def _string_homology(p, dual=False):
+    """The `_StringHomology` of p or, with dual=True, of its opposite
+    algebra, built from the reversed quiver and zero generators."""
+
+    def make():
+        keep = max(p.max_generator_length() - 1, 0)
+        if dual:
+            index = window_index(g[::-1] for g in p.zero_paths)
+            return _StringHomology(p.quiver.opposite(), index, keep)
+        return _StringHomology(p.quiver, p.zero_index(), keep)
+
+    return p.cached(("string_homology", dual), make)
+
+
+def _arrows_and_flags(w):
+    """(arrow names, inverse flags) of a walk's letters, as tuples."""
+    return tuple(zip(*w.letters)) or ((), ())
 
 
 def _is_peak(letters, i):
     return (i == 0 or letters[i - 1].inverse) and (i == len(letters) or not letters[i].inverse)
-
-
-def _descent_from_left(letters, j):
-    """The direct run ending at passage j, as an oriented path."""
-    i = j
-    while i > 0 and not letters[i - 1].inverse:
-        i -= 1
-    return tuple(l.arrow for l in letters[i:j])
-
-
-def _descent_from_right(letters, j):
-    """The inverse run starting at passage j, as an oriented path."""
-    i = j
-    while i < len(letters) and letters[i].inverse:
-        i += 1
-    return tuple(l.arrow for l in reversed(letters[j:i]))
 
 
 def string_cover(p, w):
@@ -761,8 +790,13 @@ def string_syzygy(p, w):
     """
     _require_string_algebra(p, "string_syzygy")
     q = p.quiver
+    homology = _string_homology(p)
     out = []
-    for top, left, right in _string_homology(p).syzygy_summands(w):
+    for site in homology._sites(w.base, *_arrows_and_flags(w)):
+        summand = homology._summand(site)
+        if summand is None:
+            continue
+        top, left, right = summand
         base = q.arrow[left[-1]].target if left else top
         body = tuple(inverse(a) for a in reversed(left)) + tuple(direct(a) for a in right)
         out.append(Walk(base, body))
@@ -773,15 +807,16 @@ def string_pd_at_least_2(p, w):
     """pd M(w) >= 2, without linear algebra: some syzygy summand is not
     projective.  A projective M(w) has no syzygy summands at all."""
     _require_string_algebra(p, "string_pd_at_least_2")
-    return _string_homology(p).pd_at_least_2(w)
+    return _string_homology(p).pd_at_least_2(w.base, *_arrows_and_flags(w))
 
 
 def string_id_at_least_2(p, w):
-    """id M(w) >= 2 as pd >= 2 over the opposite algebra: D M(w) is the
-    string module of w with every letter's direction flipped."""
+    """id M(w) >= 2 as pd >= 2 of D M(w) over the opposite algebra: the
+    string of w with every letter's direction flipped, read against the
+    reversed quiver and generators."""
     _require_string_algebra(p, "string_id_at_least_2")
-    pop = p.cached("opposite", p.opposite)
-    return string_pd_at_least_2(pop, _opposite_string(w))
+    arrows, inv = _arrows_and_flags(w)
+    return _string_homology(p, dual=True).pd_at_least_2(w.base, arrows, [not f for f in inv])
 
 
 class ScanResult(Value):
@@ -805,12 +840,12 @@ def conjecture_scan(p, max_len, min_len=0):
     if not p.is_monomial:
         raise PreconditionError("conjecture_scan needs a monomial presentation")
     if _is_string_algebra(p):
-        # checked once here; the opposite of a string algebra is one too
         pd = _string_homology(p).pd_at_least_2
-        pd_op = _string_homology(p.cached("opposite", p.opposite)).pd_at_least_2
+        pd_op = _string_homology(p, dual=True).pd_at_least_2
 
         def both(w):
-            return pd(w) and pd_op(_opposite_string(w))
+            arrows, inv = _arrows_and_flags(w)
+            return pd(w.base, arrows, inv) and pd_op(w.base, arrows, [not f for f in inv])
     else:
 
         def both(w):

@@ -1,17 +1,25 @@
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
 from stringalg import exactla as la
-from stringalg import rep
+from stringalg import fixtures, rep
 from stringalg.automaton import strings_of_length
-from stringalg.corpus import random_monomial_presentation, special_biserial_corpus
+from stringalg.corpus import random_monomial_presentation, special_biserial_corpus, string_corpus
 from stringalg.doze import find_doze
 from stringalg.errors import DozedStringAnomaly, PreconditionError
 from stringalg.fixtures import linear_a3
-from stringalg.presentation import quotient_by_J, validate_string_algebra
-from stringalg.walks import Walk, inverse_walk, parse_walk, trivial_walk, walk_vertices
+from stringalg.presentation import Presentation, quotient_by_J, validate_string_algebra
+from stringalg.walks import (
+    Walk,
+    inverse_walk,
+    parse_walk,
+    serialize_walk,
+    trivial_walk,
+    walk_vertices,
+)
 
 
 def walk(p, text):
@@ -421,6 +429,111 @@ def test_scan_of_non_string_monomial_presentation_takes_exact_route():
         results.append(rep.conjecture_scan(p, 3))
         assert results[-1] == exact_scan(p, 3)
     assert any(r.count_both_ge2 for r in results)
+
+
+def flipped(w):
+    """w with every letter's direction flipped: the string of D M(w)."""
+    return Walk(w.base, tuple(l.inverted() for l in w.letters))
+
+
+def test_string_id_is_string_pd_over_the_opposite_algebra(skew6, thirteen, commsquare):
+    # D = Hom(-, k) sends M(w) over A to M(w flipped) over A^op and
+    # injectives to projectives, so id M(w) >= 2 iff pd D M(w) >= 2
+    presentations = [skew6, thirteen, quotient_by_J(commsquare)] + string_corpus(5, 200)
+    compared = 0
+    for p in presentations:
+        pop = p.opposite()
+        for w in strings_of_length(p, range(9)):
+            assert rep.string_id_at_least_2(p, w) == rep.string_pd_at_least_2(pop, flipped(w)), w
+            compared += 1
+    assert compared == 15604
+
+
+def test_scan_builds_no_opposite_algebra(monkeypatch):
+    p = fixtures.thirteen()
+    built = []
+    original = Presentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Presentation, "__init__", counting)
+    assert rep.conjecture_scan(p, 46, min_len=37).count_both_ge2 == 0
+    assert "opposite" not in p._cache
+    assert built == []
+
+
+def _verdicts(p, strings):
+    return [(rep.string_pd_at_least_2(p, w), rep.string_id_at_least_2(p, w)) for w in strings]
+
+
+@pytest.mark.parametrize(
+    "make, lengths",
+    [
+        (fixtures.skew6, range(0, 9)),
+        (fixtures.thirteen, range(0, 9)),
+        (fixtures.thirteen, range(37, 39)),
+        (linear_a3, range(0, 4)),
+        (lambda: quotient_by_J(special_biserial_corpus(20260809, 6)[2]), range(0, 6)),
+    ],
+    ids=["skew6", "thirteen", "thirteen-pumped", "relation-free", "j-quotient"],
+)
+def test_string_verdicts_do_not_depend_on_call_order(make, lengths):
+    """The per-site memo gives the same verdicts whichever strings a
+    presentation saw first."""
+    p = make()
+    strings = strings_of_length(p, lengths)
+    forward = _verdicts(p, strings)
+    backward = _verdicts(make(), strings[::-1])
+    assert backward[::-1] == forward
+    witnesses = tuple(w for w, (pd, id_) in zip(strings, forward) if pd and id_)
+    assert rep.conjecture_scan(make(), max(lengths), min_len=min(lengths)).witnesses == witnesses
+
+
+def test_string_route_edge_cases():
+    # a relation-free quiver: no generator to complete, every window empty
+    a3 = linear_a3()
+    assert a3.max_generator_length() - 1 == -1
+    assert _verdicts(a3, strings_of_length(a3, range(0, 3))) == [(False, False)] * 6
+    # a descent reaching the first letter must not wrap round to the last
+    p = quotient_by_J(special_biserial_corpus(20260809, 6)[2])
+    w = walk(p, "v4: a6 a5^-1 a6")
+    M = rep.string_module(p, w)
+    assert rep.string_pd_at_least_2(p, w) == rep.pd_at_least_2(p, M)
+    assert rep.string_id_at_least_2(p, w) == rep.id_at_least_2_dual(p, M)
+    syzygy = Counter()
+    for s in rep.string_syzygy(p, w):
+        syzygy.update(walk_vertices(p.quiver, s))
+    assert dict(syzygy) == _nonzero(rep.syzygy(p, M).dims)
+
+
+def test_string_syzygy_order_is_pinned(skew6, thirteen):
+    # the j = 0 end, the j = n end, then the valleys left to right
+    cases = [
+        (skew6, "x2: beta1 gamma1 gamma2^-1 beta2^-1", ["x3: gamma2", "x4: gamma1", "x5:"]),
+        (thirteen, "13: rho7 rho8^-1", ["12:", "12: delta2", "9: delta2^-1"]),
+    ]
+    for p, text, want in cases:
+        assert [serialize_walk(s) for s in rep.string_syzygy(p, walk(p, text))] == want
+    lines = [
+        serialize_walk(w) + " -> " + " | ".join(serialize_walk(s) for s in rep.string_syzygy(p, w))
+        for p in (skew6, thirteen)
+        for w in strings_of_length(p, range(7))
+    ]
+    assert len(lines) == 125
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "2dda74b58038b4b47093fd8b0065ec79a16093b65511e5c3ce9cb639c6a94e0b"
+    )
+
+
+def test_scan_of_skew6_witnesses_are_pinned():
+    result = rep.conjecture_scan(fixtures.skew6(), 12)
+    text = "\n".join(serialize_walk(w) for w in result.witnesses)
+    assert result.count_both_ge2 == 42
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c6e330548d54ba4aba92537dd878b56d66247cddb8b36c1056bc3797d25de562"
+    )
 
 
 # --- sparse serialization -----------------------------------------------------------
