@@ -6,15 +6,18 @@ with only entering arrows a left side part B_j, and the middle part C
 collects the support of every string not contained in a single side part.
 The structural consequences (fullness, no entering arrows, convexity,
 unique cycle, finite middle, double-zero-free sides) are verified
-mechanically.
+mechanically, on the string automaton the classification built: a side
+part's double-zeros are decided on the states whose arrow lies in the
+part, with no subalgebra built, and the support cover walks the strings
+once, carrying per prefix the bitmask of the parts that hold it.
 """
 
 from ._value import Value
-from .automaton import automaton, band_census, enumerate_strings
-from .doze import STRICT_LAURA_OR_TILTED, classify, has_double_zero
+from .automaton import _walk_tree, automaton, band_census
+from .doze import STRICT_LAURA_OR_TILTED, _double_zero_over, classify
 from .errors import CorruptPresentationError, PreconditionError
 from .graph import reach, topological_order
-from .presentation import Presentation, Quiver, ZeroRelation, monomial_form
+from .presentation import monomial_form
 from .walks import (
     direct,
     inverse,
@@ -261,63 +264,29 @@ def decompose(p):
 
 
 class StructureReport(Value):
-    _compare = (
+    _checks = (
         "full",
         "no_entry",
         "convex",
         "unique_cycle",
         "middle_finite",
         "sides_double_zero_free",
-        "details",
     )
+    _compare = _checks + ("details",)
 
     def __init__(
         self, full, no_entry, convex, unique_cycle, middle_finite, sides_double_zero_free, details
     ):
-        object.__setattr__(self, "full", full)
-        object.__setattr__(self, "no_entry", no_entry)
-        object.__setattr__(self, "convex", convex)
-        object.__setattr__(self, "unique_cycle", unique_cycle)
-        object.__setattr__(self, "middle_finite", middle_finite)
-        object.__setattr__(self, "sides_double_zero_free", sides_double_zero_free)
-        object.__setattr__(self, "details", details)
+        values = (full, no_entry, convex, unique_cycle, middle_finite, sides_double_zero_free)
+        for name, value in zip(self._compare, values + (details,)):
+            object.__setattr__(self, name, value)
 
     @property
     def all_pass(self):
-        return (
-            self.full
-            and self.no_entry
-            and self.convex
-            and self.unique_cycle
-            and self.middle_finite
-            and self.sides_double_zero_free
-        )
+        return all(self.as_dict().values())
 
     def as_dict(self):
-        return {
-            "full": self.full,
-            "no_entry": self.no_entry,
-            "convex": self.convex,
-            "unique_cycle": self.unique_cycle,
-            "middle_finite": self.middle_finite,
-            "sides_double_zero_free": self.sides_double_zero_free,
-        }
-
-
-def _restrict(part, part_arrows, zeros_from):
-    """Full subpresentation on a part: its arrows, in quiver order, and
-    the zero generators all of whose arrows lie in the part.
-
-    zeros_from maps an arrow to the zero generators starting with it.
-    """
-    sub = Quiver(sorted(part.objects), [(a.name, a.source, a.target) for a in part_arrows])
-    rels = [
-        ZeroRelation(sub.path(g))
-        for a in part_arrows
-        for g in zeros_from.get(a.name, ())
-        if all(n in part.arrows for n in g)
-    ]
-    return Presentation(sub, rels)
+        return {name: getattr(self, name) for name in self._checks}
 
 
 def _with_decomposition(p, decomposition):
@@ -350,6 +319,7 @@ def check_structure(p, decomposition=None):
         return sorted(found, key=lambda a: order[a.name])
 
     out_of = {part: incident(part, "out") for part in dec.side_parts}
+    into = {part: incident(part, "in") for part in dec.side_parts}
 
     full = True
     for part in dec.side_parts:
@@ -360,7 +330,7 @@ def check_structure(p, decomposition=None):
 
     no_entry = True
     for part in dec.a_parts:
-        for a in incident(part, "in"):
+        for a in into[part]:
             if a.source not in part.objects:
                 no_entry = False
                 details.append(f"no_entry: arrow {a.name} enters {part.label}")
@@ -377,18 +347,22 @@ def check_structure(p, decomposition=None):
             leave,
             lambda v: [a.target for a in q.out_arrows(v) if a.target not in part.objects],
         )
-        for a in q.arrows:
-            if a.source in outside and a.target in part.objects:
+        for a in into[part]:
+            if a.source in outside:
                 convex = False
                 details.append(f"convex: {part.label} is re-entered through {a.name}")
 
     unique_cycle = True
-    arrows_of = {
-        part: sorted((q.arrow[n] for n in part.arrows if n in q.arrow), key=lambda a: order[a.name])
-        for part in dec.side_parts
-    }
     for part in dec.side_parts:
-        part_arrows = arrows_of[part]
+        part_arrows = sorted(
+            (q.arrow[n] for n in part.arrows if n in q.arrow), key=lambda a: order[a.name]
+        )
+        stray = [a.name for a in part_arrows if not {a.source, a.target} <= part.objects]
+        for name in stray:
+            unique_cycle = False
+            details.append(f"unique_cycle: {part.label} lists arrow {name} with an end outside it")
+        if stray:
+            continue
         comp = {v: v for v in part.objects}
 
         def find(v):
@@ -421,11 +395,8 @@ def check_structure(p, decomposition=None):
             details.append("middle_finite: the middle part contains a band")
 
     sides_clean = True
-    zeros_from = {}
-    for g in work.zero_paths:
-        zeros_from.setdefault(g[0], []).append(g)
     for part in dec.side_parts:
-        if has_double_zero(_restrict(part, arrows_of[part], zeros_from)):
+        if _double_zero_over(work, part.arrows):
             sides_clean = False
             details.append(f"sides_double_zero_free: {part.label} contains a double-zero")
 
@@ -435,20 +406,30 @@ def check_structure(p, decomposition=None):
 
 
 def support_cover_check(p, max_len, decomposition=None):
-    """Every string of bounded length is supported inside a single part."""
+    """Every string of bounded length is supported inside a single part.
+
+    Each prefix in the walk of `_walk_tree` carries the bitmask of the
+    parts holding it, and every vertex must lie in a part (the trivial
+    walks).  The walk runs to the end past a failure, so the visit
+    budget is spent alike on every answer."""
     dec, work = _with_decomposition(p, decomposition)
     q = work.quiver
-    parts_at = {}
-    for part in dec.parts:
+    vertex_mask, arrow_mask = {}, {}
+    for i, part in enumerate(dec.parts):
         for v in part.objects:
-            parts_at.setdefault(v, []).append(part)
-    for w in enumerate_strings(work, max_len):
-        vertices = set(walk_vertices(q, w))
-        arrows = walk_arrows(w)
-        # a part holding w holds its base vertex
-        if not any(
-            vertices <= part.objects and arrows <= part.arrows
-            for part in parts_at.get(w.base, ())
-        ):
-            return False
-    return True
+            vertex_mask[v] = vertex_mask.get(v, 0) | 1 << i
+        for n in part.arrows:
+            arrow_mask[n] = arrow_mask.get(n, 0) | 1 << i
+    held = {
+        letter: arrow_mask.get(a.name, 0) & vertex_mask.get(letter_ends(q, letter)[1], 0)
+        for a in q.arrows
+        for letter in (direct(a.name), inverse(a.name))
+    }
+    covered = all(vertex_mask.get(v, 0) for v in q.vertices)
+    masks = []
+    for base, letters in _walk_tree(work, range(1, max_len + 1)):
+        del masks[len(letters) - 1 :]
+        mask = (masks[-1] if masks else vertex_mask.get(base, 0)) & held[letters[-1]]
+        masks.append(mask)
+        covered = covered and mask != 0
+    return covered

@@ -7,10 +7,13 @@ double-zero (DOZE) additionally factors the middle as w1 . band . w3;
 pumping the band then produces double-zeros of every power, which is
 what kills laura-ness.
 
-The exact search runs on the string automaton: a witness exists iff some
-state reachable from a just-consumed generator lies on a cycle and can
-reach a generator-completing step.  The brute-force enumerator is kept
-deliberately naive (no automaton) so the two can act as independent
+The exact decisions run on the string automaton.  A witness exists iff
+some state reachable from a just-consumed generator lies on a cycle and
+can reach a generator-completing step, which one backward pass from the
+completing states decides; a double-zero exists iff some generator's
+start reaches a completion far enough on, which one pass over the
+strongly connected components decides.  The brute-force enumerator is
+kept deliberately naive (no automaton) so the two can act as independent
 oracles for each other.
 
 Double-zeros, witnesses and reports are frozen `_value.Value` classes
@@ -27,7 +30,7 @@ from .errors import (
     PreconditionError,
     SearchBudgetExceeded,
 )
-from .graph import reach, topological_order
+from .graph import is_cyclic, reach, sccs
 from .presentation import (
     _contains_subpath,
     monomial_form,
@@ -241,46 +244,65 @@ def find_double_zeros(p, max_len, node_budget=None):
 
 
 def has_double_zero(p):
-    """Exact decision, not length-bounded.
-
-    A double-zero needs a generator start whose interior state can reach
-    a generator completion at distance >= len(rho2) - 1; distances grow
-    without bound past any cycle, and are a DAG longest-path otherwise.
-    """
+    """Exact decision, not length-bounded; see `_double_zero_over`."""
     if not p.is_monomial:
         raise PreconditionError("has_double_zero needs a monomial presentation")
+    return _double_zero_over(p)
+
+
+def _double_zero_over(p, arrows=None):
+    """Whether p has a double-zero using only the given arrows (all of
+    them when None), read off p's own string automaton.
+
+    The states whose arrow lies in the set carry the automaton of the
+    full subpresentation on it: its strings are p's strings over those
+    arrows, its generators p's generators inside them.  One pass over
+    their strongly connected components, each after every one it
+    reaches, finds need[s]: how many more letters a path from s needs
+    before it completes some rho2 disjoint from rho1 (len(rho2) - 1 in
+    all), None if it completes none; on a cycle it needs none.  g starts
+    a double-zero iff the state after g[1:] needs none."""
     aut = automaton(p)
+    if arrows is None:
+        arrows = aut.quiver.arrow
+    states_of, starts = _double_zero_index(p)
+    completing = _completing(p)
     gens = p.zero_paths
-    if not gens:
-        return False
-    cyc = aut.cycle_states()
-    for g in gens:
-        s0 = aut.state_after_direct_path(g[1:])
-        if s0 is None:
-            continue
-        after = reach([s0], aut.successors)
-        from_cyc = reach(after & cyc, aut.successors)
-        longest = _dag_longest_from(aut, s0, after - from_cyc)
-        for f in after:
-            limit = None if f in from_cyc else longest.get(f, -1)
-            for gen_idx, _x in aut.completions(f):
-                m = len(gens[gen_idx])
-                if limit is None or m - 1 <= limit:
-                    return True
-    return False
+    states = [s for a in sorted(arrows) for s in states_of.get(a, ())]
+    adj = {s: [t for t in aut.edges[s] if t.arrow in arrows] for s in states}
+    need = {}
+    for comp in sccs(states, adj.__getitem__):
+        lacks = [len(gens[i]) - 1 for s in comp for i, x in completing.get(s, ()) if x in arrows]
+        lacks += [max(need[t] - 1, 0) for s in comp for t in adj[s] if need.get(t) is not None]
+        least = min(lacks, default=None)
+        if least is not None and is_cyclic(comp, adj.__getitem__):
+            least = 0
+        need.update(dict.fromkeys(comp, least))
+    return any(
+        need[s] == 0 and any(all(n in arrows for n in g) for g in starts.get(s, ()))
+        for s in states
+    )
 
 
-def _dag_longest_from(aut, s0, dag):
-    """Longest path lengths from s0 within an acyclic state set."""
-    if s0 not in dag:
-        return {}
-    succ = lambda s: [t for t in aut.successors(s) if t in dag]
-    longest = {s0: 0}
-    for s in topological_order([s0], succ):
-        for t in succ(s):
-            if longest[s] + 1 > longest.get(t, -1):
-                longest[t] = longest[s] + 1
-    return longest
+def _completing(p):
+    """Completing state -> its `completions`, once per presentation."""
+    aut = automaton(p)
+    return p.cached("completing", lambda: {s: c for s in aut.states if (c := aut.completions(s))})
+
+
+def _double_zero_index(p):
+    """(arrow -> its states, state after g[1:] -> the generators g)."""
+
+    def make():
+        aut = automaton(p)
+        states_of, starts = {}, {}
+        for s in aut.states:
+            states_of.setdefault(s.arrow, []).append(s)
+        for g in p.zero_paths:
+            starts.setdefault(aut.state_after_direct_path(g[1:]), []).append(g)
+        return states_of, starts
+
+    return p.cached("double_zero_index", make)
 
 
 def find_doze(p):
@@ -288,7 +310,9 @@ def find_doze(p):
 
     Existence is equivalent to: some state q reachable from a freshly
     consumed generator lies on an automaton cycle and can reach a
-    generator-completing step.  The witness band is the primitive root
+    generator-completing step; the first generator whose start leads to
+    such a q, the nearest q (least on ties) and the nearest completion
+    from q give the witness.  The witness band is the primitive root
     of a minimal cycle at q; w3 absorbs extra band copies whenever the
     closing generator would otherwise overlap the band.
     """
@@ -296,28 +320,23 @@ def find_doze(p):
         raise PreconditionError("find_doze needs a monomial presentation")
     aut = automaton(p)
     gens = p.zero_paths
-    if not gens:
-        return None
     cyc = aut.cycle_states()
     if not cyc:
         return None
+    back = aut.predecessors.__getitem__
+    completing = _completing(p)
+    hot = cyc & reach(completing, back)
+    leads = reach(hot, back)
     for g in gens:
         s0 = aut.state_after_direct_path(g[1:])
-        if s0 is None:
+        if s0 not in leads:
             continue
         dist1, par1 = aut.bfs([s0])
-        for q in sorted((s for s in dist1 if s in cyc), key=lambda s: (dist1[s], s)):
-            dist2, par2 = aut.bfs([q])
-            target = None
-            for f in sorted(dist2, key=lambda s: (dist2[s], s)):
-                comps = aut.completions(f)
-                if comps:
-                    comps.sort(key=lambda c: (gens[c[0]], c[1]))
-                    target = (f, comps[0])
-                    break
-            if target is None:
-                continue
-            return _assemble_witness(p, aut, g, q, par1, target, par2)
+        q = min((s for s in dist1 if s in hot), key=lambda s: (dist1[s], s))
+        dist2, par2 = aut.bfs([q])
+        f = min((s for s in dist2 if s in completing), key=lambda s: (dist2[s], s))
+        comps = sorted(completing[f], key=lambda c: (gens[c[0]], c[1]))
+        return _assemble_witness(p, aut, g, q, par1, (f, comps[0]), par2)
     return None
 
 

@@ -110,6 +110,66 @@ def test_check_structure_thirteen(capsys):
     }
 
 
+# Golden stdout, recorded before the structure checks and the double-zero
+# decisions moved onto the analysed string automaton; they must keep these
+# bytes.  Inputs that are not StrictLauraOrTilted print nothing (exit 2).
+THIRTEEN_STRUCTURE = {
+    (): (
+        "full: pass\nno_entry: pass\nconvex: pass\nunique_cycle: pass\n"
+        "middle_finite: pass\nsides_double_zero_free: pass\nsupport_cover: pass\n"
+    ),
+    ("--json",): (
+        '{"algebra": "thirteen", "all_pass": true, "checks": {"convex": true, '
+        '"full": true, "middle_finite": true, "no_entry": true, '
+        '"sides_double_zero_free": true, "support_cover": true, "unique_cycle": true}, '
+        '"command": "check-structure", "details": [], "schema": 1}\n'
+    ),
+}
+CLASSIFY_JSON = {
+    SKEW6: (
+        0,
+        '{"algebra": "skew6", "bands": [], "command": "classify", "doze": '
+        '{"band": "x4: gamma1 gamma2^-1 beta2^-1 beta1", "rho1": ["alpha", "beta1"], '
+        '"rho2": ["gamma1", "delta"], "w1": "x4:", "w3": "x4:"}, "notes": '
+        '["band census omitted: only complete without interlaced double-zeros"], '
+        '"schema": 1, "verdict": "NotLaura"}\n',
+    ),
+    THIRTEEN: (
+        0,
+        '{"algebra": "thirteen", "bands": [{"band": "band: 2: rho1 rho2^-1", '
+        '"entering": ["alpha1"], "exiting": []}, {"band": "band: 4: rho3 rho4^-1", '
+        '"entering": ["alpha2"], "exiting": []}, {"band": "band: 11: rho5 rho6^-1", '
+        '"entering": [], "exiting": ["delta1"]}, {"band": "band: 13: rho7 rho8^-1", '
+        '"entering": [], "exiting": ["delta2"]}], "command": "classify", "doze": null, '
+        '"notes": [], "schema": 1, "verdict": "StrictLauraOrTilted"}\n',
+    ),
+    NINE: (2, ""),
+    SQUARE: (
+        0,
+        '{"algebra": "commsquare", "bands": [], "command": "classify", "doze": null, '
+        '"notes": ["special biserial input: verdict computed on the J-quotient, where '
+        'being laura is equivalent"], "schema": 1, "verdict": "FiniteType"}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("path", [SKEW6, THIRTEEN, NINE, SQUARE])
+@pytest.mark.parametrize("cover", [(), ("--cover-len", "0"), ("--cover-len", "10")])
+@pytest.mark.parametrize("form", [(), ("--json",)])
+def test_check_structure_golden_stdout(capsys, path, cover, form):
+    code, out, _ = run(capsys, "check-structure", path, *cover, *form)
+    if path == THIRTEEN:
+        assert (code, out) == (0, THIRTEEN_STRUCTURE[form])
+    else:
+        assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("path", [SKEW6, THIRTEEN, NINE, SQUARE])
+def test_classify_golden_stdout(capsys, path):
+    code, out, _ = run(capsys, "classify", path, "--json")
+    assert (code, out) == CLASSIFY_JSON[path]
+
+
 def test_module_command_dims(capsys):
     code, out, _ = run(
         capsys,

@@ -168,6 +168,19 @@ def test_corrupted_quiver_fails_no_entry(thirteen):
     assert any("intruder" in d for d in report.details)
 
 
+def test_side_part_with_a_stray_arrow_fails_unique_cycle(thirteen):
+    # gamma1: 8 -> 7 starts in A1 but ends outside it
+    dec = decompose(thirteen)
+    a1 = dec.a_parts[0]
+    stray = Subcategory(a1.label, a1.objects, a1.arrows | {"gamma1"}, a1.anchor, a1.band)
+    broken = Decomposition((stray,) + dec.a_parts[1:], dec.b_parts, dec.middle, dec.notes)
+    report = check_structure(thirteen, broken)
+    assert not report.unique_cycle
+    assert report.details == ("unique_cycle: A1 lists arrow gamma1 with an end outside it",)
+    assert (report.full, report.no_entry, report.convex) == (True, True, True)
+    assert report.middle_finite and report.sides_double_zero_free
+
+
 def test_support_cover_check_on_thirteen(thirteen):
     assert support_cover_check(thirteen, 10)
 

@@ -359,9 +359,9 @@ def test_disjoint_union_of_thirteen_decomposes_copywise(thirteen, k):
 def test_analysis_pass_derives_each_fact_once(thirteen, monkeypatch):
     """classify -> decompose -> check_structure -> support_cover_check on
     four copies of thirteen: one classification and one band census per
-    presentation, and each (monomial) presentation minimalizes its zero
-    generators once, when it is constructed."""
-    seen = {"minimalize": [], "classify": [], "census": [], "built": []}
+    presentation, and a single presentation and string automaton for the
+    whole pass, since every check reads the analysed automaton."""
+    seen = {"minimalize": [], "classify": [], "census": [], "built": [], "automata": []}
 
     def record(key, real):
         def wrapper(first, *rest):
@@ -377,6 +377,8 @@ def test_analysis_pass_derives_each_fact_once(thirteen, monkeypatch):
     ):
         monkeypatch.setattr(module, name, record(key, getattr(module, name)))
     monkeypatch.setattr(Presentation, "__init__", record("built", Presentation.__init__))
+    aut_class = automaton_module.StringAutomaton
+    monkeypatch.setattr(aut_class, "__init__", record("automata", aut_class.__init__))
 
     p, _ = disjoint_copies(thirteen, 4)
     assert classify(p).verdict == STRICT_LAURA_OR_TILTED
@@ -386,8 +388,8 @@ def test_analysis_pass_derives_each_fact_once(thirteen, monkeypatch):
     for key in ("classify", "census"):
         assert seen[key], key
         assert len({id(x) for x in seen[key]}) == len(seen[key]), key
-    # the input plus one restriction per side part (16 of them)
-    assert len(seen["built"]) == 17
+    assert len(seen["built"]) == 1
+    assert len(seen["automata"]) == 1
     assert len(seen["minimalize"]) <= len(seen["built"])
 
 
