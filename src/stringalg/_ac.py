@@ -55,9 +55,6 @@ class AhoCorasick:
                     self._fail[child] = 0
                 queue.append(child)
 
-    def __len__(self):
-        return len(self._goto)
-
     def step(self, state, symbol):
         while state and symbol not in self._goto[state]:
             state = self._fail[state]
@@ -66,19 +63,3 @@ class AhoCorasick:
     def hit(self, state):
         """Index of the pattern ending at this position, or None."""
         return self._hit[state]
-
-    def scan(self, symbols):
-        """Yield (position, pattern index) for every match in symbols."""
-        state = 0
-        for pos, sym in enumerate(symbols):
-            state = self.step(state, sym)
-            if self._hit[state] is not None:
-                yield pos, self._hit[state]
-
-    def contains_match(self, symbols):
-        state = 0
-        for sym in symbols:
-            state = self.step(state, sym)
-            if self._hit[state] is not None:
-                return True
-        return False

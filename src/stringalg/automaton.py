@@ -7,11 +7,16 @@ runs against the reversed generators.  Transitions are the composable,
 reduced continuations that never complete a generator, so every walk the
 automaton accepts is a string and conversely.
 
+The build is table-driven: `graph.reach` asks each state once for its
+successors, read off per-letter end vertices, per-vertex leaving letters
+and the matchers' goto/fail tables, and records `completing` (the
+nonempty `completions`) on the way.
+
 Cycles in the state graph are exactly the source of bands: pumping any
 cycle yields arbitrarily long strings, and the primitive root of its
-letter sequence is a band.  Cycle questions (which states lie on one,
-whether one exists, every simple one) go to the shared traversals in
-`graph`, with `successors` as the edge relation.
+letter sequence is a band.  The one condensation, `cyclic_components`,
+is shared by `cycle_states`, `doze.find_doze`, `band_census` (Johnson's
+search runs on it) and `exists_band`.
 """
 
 from collections import namedtuple
@@ -19,7 +24,7 @@ from functools import cached_property
 
 from ._ac import AhoCorasick
 from .errors import CorruptPresentationError, PreconditionError, SearchBudgetExceeded
-from .graph import cycle_entry, is_cyclic, reach, sccs, simple_cycles
+from .graph import component_cycles, is_cyclic, reach, sccs
 from .walks import (
     CyclicWalk,
     Letter,
@@ -30,6 +35,7 @@ from .walks import (
     is_band,
     letter_ends,
     make_cyclic,
+    primitive_root,
     trivial_walk,
 )
 
@@ -46,41 +52,68 @@ class StringAutomaton:
     def __init__(self, p):
         if not p.is_monomial:
             raise PreconditionError("the string automaton needs a monomial presentation")
-        self.quiver = p.quiver
+        self.quiver = q = p.quiver
         gens = p.zero_paths
         self.acf = AhoCorasick(gens)
         self.acr = AhoCorasick([tuple(reversed(g)) for g in gens])
-        self.edges = {}
+        self.edges = edges = {}
+        self.completing = completing = {}
+        # ends[inverse][arrow] is the vertex a letter ends at, leaving[v]
+        # the letters (arrow, inverse) starting at v in letter order, and
+        # tables[inverse] the goto, fail and hit tables of the run's matcher
+        ends = ({a.name: a.target for a in q.arrows}, {a.name: a.source for a in q.arrows})
+        leaving = {v: [] for v in q.vertices}
+        for a in q.arrows:
+            leaving[a.source].append((a.name, False))
+            leaving[a.target].append((a.name, True))
+        for letters in leaving.values():
+            letters.sort()
+        tables = [(ac._goto, ac._fail, ac._hit) for ac in (self.acf, self.acr)]
 
         def succ(s):
-            # reach asks once per state, so this records every edge once
-            steps = (self.step(s, letter) for letter in self._candidate_letters(s))
-            self.edges[s] = tuple(sorted(t for t in steps if t is not None))
-            return self.edges[s]
+            # reach asks once per state, so this records every edge once;
+            # the letters come in order, so the edges need no sort
+            arrow, inv, node = s
+            out = []
+            completed = []
+            for a, i in leaving[ends[inv][arrow]]:
+                if a == arrow and i != inv:
+                    continue
+                goto, fail, hit = tables[i]
+                n = node if i == inv else 0
+                while n and a not in goto[n]:
+                    n = fail[n]
+                n = goto[n].get(a, 0)
+                if hit[n] is None:
+                    out.append(AutoState(a, i, n))
+                elif not i:  # a direct letter completing a generator
+                    completed.append((hit[n], a))
+            if completed:
+                completing[s] = completed
+            edges[s] = out = tuple(out)
+            return out
 
-        letters = [f(a.name) for a in self.quiver.arrows for f in (direct, inverse)]
-        reach([self._init(letter) for letter in letters], succ)
-        self.states = tuple(sorted(self.edges))
+        if any(len(g) == 1 for g in gens):
+            raise CorruptPresentationError("single arrow lies in the ideal")
+        # the one-letter walks: each letter read from its matcher's root
+        roots = [
+            AutoState(a.name, i, tables[i][0][0].get(a.name, 0))
+            for a in q.arrows
+            for i in (False, True)
+        ]
+        reach(roots, succ)
+        self.states = tuple(sorted(edges))
 
-    def _init(self, letter):
+    def initial_state(self, letter):
+        """State after a one-letter walk."""
         ac = self.acr if letter.inverse else self.acf
         node = ac.step(0, letter.arrow)
         if ac.hit(node) is not None:
             raise CorruptPresentationError("single arrow lies in the ideal")
         return AutoState(letter.arrow, letter.inverse, node)
 
-    def initial_state(self, letter):
-        """State after a one-letter walk."""
-        return self._init(letter)
-
     def state_vertex(self, s):
         return letter_ends(self.quiver, s.letter)[1]
-
-    def _candidate_letters(self, s):
-        v = self.state_vertex(s)
-        letters = [direct(a.name) for a in self.quiver.out_arrows(v)]
-        letters += [inverse(a.name) for a in self.quiver.in_arrows(v)]
-        return sorted(letters)
 
     def step(self, s, letter):
         """Extend by one letter; None when the extension is not a string."""
@@ -123,7 +156,8 @@ class StringAutomaton:
 
     def completions(self, s):
         """Direct letters that would complete a generator occurrence,
-        as (generator index, arrow name) pairs."""
+        as (generator index, arrow name) pairs; the build records the
+        nonempty ones in `completing`."""
         v = self.state_vertex(s)
         out = []
         for a in self.quiver.out_arrows(v):
@@ -142,45 +176,33 @@ class StringAutomaton:
         """Simulate a walk; agrees with walks.is_string by construction."""
         if not w.letters:
             return self.quiver.has_vertex(w.base)
-        s = None
-        at = w.base
-        for l in w.letters:
-            sv, tv = letter_ends(self.quiver, l)
-            if sv != at:
-                return False
-            s = self._init(l) if s is None else self.step(s, l)
-            if s is None:
-                return False
-            at = tv
-        return True
-
-    def walk_state(self, w):
-        """State after consuming a nonempty string, or None."""
-        s = None
-        for l in w.letters:
-            s = self._init(l) if s is None else self.step(s, l)
-            if s is None:
-                return None
-        return s
+        start = letter_ends(self.quiver, w.letters[0])[0]
+        return start == w.base and self._consume(w.letters) is not None
 
     def state_after_direct_path(self, names):
         """Feed an oriented path as direct letters from scratch."""
+        return self._consume([direct(n) for n in names])
+
+    def _consume(self, letters):
+        """State after reading the letters from scratch; None when there
+        are none or they are not a string."""
         s = None
-        for n in names:
-            l = direct(n)
-            s = self._init(l) if s is None else self.step(s, l)
+        for l in letters:
+            s = self.initial_state(l) if s is None else self.step(s, l)
             if s is None:
                 return None
         return s
 
+    @cached_property
+    def cyclic_components(self):
+        """The strongly connected components that carry a cycle, in
+        `graph.sccs` order: the one condensation of the automaton."""
+        succ = self.edges.__getitem__
+        return tuple(comp for comp in sccs(self.states, succ) if is_cyclic(comp, succ))
+
     def cycle_states(self):
-        """States lying on some nontrivial cycle."""
-        return {
-            s
-            for comp in sccs(self.states, self.successors)
-            if is_cyclic(comp, self.successors)
-            for s in comp
-        }
+        """States lying on some nontrivial cycle, as a fresh set."""
+        return {s for comp in self.cyclic_components for s in comp}
 
     def bfs(self, sources):
         """Deterministic BFS; returns (dist, parent) maps."""
@@ -242,9 +264,9 @@ def pumping_bound(p):
 
 
 def exists_band(p):
-    """True iff the string automaton contains a reachable nontrivial cycle."""
-    aut = automaton(p)
-    return cycle_entry(aut.states, aut.successors) is not None
+    """True iff the string automaton contains a nontrivial cycle, that is
+    a strongly connected component carrying one."""
+    return bool(automaton(p).cyclic_components)
 
 
 # Strings visited per enumeration, both orientations counted.  It bounds
@@ -375,22 +397,14 @@ def band_census(p):
 def _band_census(p):
     aut = automaton(p)
     found = set()
-    for n, cycle in enumerate(simple_cycles(aut.states, aut.successors)):
+    for n, cycle in enumerate(component_cycles(aut.cyclic_components, aut.successors)):
         if n >= _CENSUS_CAP:
             raise SearchBudgetExceeded("band census exceeded the cycle cap")
         letters = [s.letter for s in cycle[1:]] + [cycle[0].letter]
         base = aut.state_vertex(cycle[0])
-        root = _primitive_root(letters)
+        root = primitive_root(letters)
         c = make_cyclic(p.quiver, Walk(base, tuple(root)))
         if not is_band(p, c):
             raise CorruptPresentationError("automaton cycle did not yield a band")
         found.add(canonical_band(p.quiver, c))
     return sorted(found, key=lambda c: c.walk.key())
-
-
-def _primitive_root(letters):
-    n = len(letters)
-    for d in range(1, n + 1):
-        if n % d == 0 and letters[d:] + letters[:d] == letters:
-            return letters[:d]
-    return letters

@@ -24,7 +24,7 @@ out of its equality, hash and repr.
 """
 
 from ._value import Value
-from .automaton import _primitive_root, automaton, band_census
+from .automaton import automaton, band_census
 from .errors import (
     CorruptPresentationError,
     PreconditionError,
@@ -51,6 +51,7 @@ from .walks import (
     is_string,
     letter_ends,
     make_cyclic,
+    primitive_root,
     serialize_walk,
     walk_arrows,
     walk_vertices,
@@ -158,16 +159,10 @@ def _validate_witness(w):
     return w
 
 
-def _gen_as_suffix(gens, run):
+def _gen_at(gens, run, end):
+    """The generator that run ends with (starts with when not end), or None."""
     for g in gens:
-        if len(g) <= len(run) and tuple(run[-len(g):]) == g:
-            return g
-    return None
-
-
-def _gen_as_prefix(gens, run):
-    for g in gens:
-        if len(g) <= len(run) and tuple(run[: len(g)]) == g:
+        if len(g) <= len(run) and tuple(run[-len(g) :] if end else run[: len(g)]) == g:
             return g
     return None
 
@@ -214,7 +209,7 @@ def find_double_zeros(p, max_len, node_budget=None):
             # that is disjoint from rho1 (depth >= len(gen) - 1)
             if not last.inverse and total + 1 <= max_len:
                 for a in q.out_arrows(vertex):
-                    hit = _gen_as_suffix(gens, tail + [a.name])
+                    hit = _gen_at(gens, tail + [a.name], True)
                     if hit is not None and depth >= len(hit) - 1:
                         full = letters + [direct(a.name)]
                         mid_letters = full[l : len(full) - len(hit)]
@@ -231,8 +226,7 @@ def find_double_zeros(p, max_len, node_budget=None):
                     continue
                 if m.inverse == tail_inv:
                     run = tail + [m.arrow] if not m.inverse else [m.arrow] + tail
-                    check = _gen_as_prefix if m.inverse else _gen_as_suffix
-                    if check(gens, run) is not None:
+                    if _gen_at(gens, run, not m.inverse) is not None:
                         continue
                 else:
                     run = [m.arrow]
@@ -266,7 +260,7 @@ def _double_zero_over(p, arrows=None):
     if arrows is None:
         arrows = aut.quiver.arrow
     states_of, starts = _double_zero_index(p)
-    completing = _completing(p)
+    completing = aut.completing
     gens = p.zero_paths
     states = [s for a in sorted(arrows) for s in states_of.get(a, ())]
     adj = {s: [t for t in aut.edges[s] if t.arrow in arrows] for s in states}
@@ -282,12 +276,6 @@ def _double_zero_over(p, arrows=None):
         need[s] == 0 and any(all(n in arrows for n in g) for g in starts.get(s, ()))
         for s in states
     )
-
-
-def _completing(p):
-    """Completing state -> its `completions`, once per presentation."""
-    aut = automaton(p)
-    return p.cached("completing", lambda: {s: c for s in aut.states if (c := aut.completions(s))})
 
 
 def _double_zero_index(p):
@@ -324,7 +312,7 @@ def find_doze(p):
     if not cyc:
         return None
     back = aut.predecessors.__getitem__
-    completing = _completing(p)
+    completing = aut.completing
     hot = cyc & reach(completing, back)
     leads = reach(hot, back)
     for g in gens:
@@ -345,7 +333,7 @@ def _assemble_witness(p, aut, g, q, par1, target, par2):
     f, (gen_idx, xarrow) = target
     g2 = p.zero_paths[gen_idx]
     cycle_letters = aut.shortest_cycle_at(q)
-    root = list(_primitive_root(cycle_letters))
+    root = list(primitive_root(cycle_letters))
     s = q
     for l in root:
         s = aut.step(s, l)

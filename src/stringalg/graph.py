@@ -108,18 +108,24 @@ def _depth_first(nodes, succ):
 
 
 def simple_cycles(nodes, succ):
-    """Every simple cycle once, as the node list of a closed path.
+    """Every simple cycle once, as the node list of a closed path."""
+    yield from component_cycles(sccs(nodes, succ), succ)
+
+
+def component_cycles(comps, succ):
+    """Every simple cycle of the given strongly connected components
+    (as `sccs` lists them) once, as the node list of a closed path.
 
     Johnson: the circuits through one chosen node of a component are
     listed with blocking, then that node is removed and the rest of the
     component split again.
     """
-    todo = sccs(nodes, succ)
+    todo = list(comps)
     while todo:
         comp = todo.pop()
         if len(comp) == 1:
             if is_cyclic(comp, succ):
-                yield comp
+                yield list(comp)
             continue
         members = set(comp)
         adj = {v: [w for w in succ(v) if w in members] for v in comp}

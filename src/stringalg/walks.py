@@ -17,7 +17,6 @@ from collections import namedtuple
 
 from ._value import Value
 from .errors import PreconditionError, SemanticError
-from .presentation import has_window
 
 
 class Letter(namedtuple("Letter", "arrow inverse")):
@@ -126,34 +125,31 @@ def is_reduced(w):
     return True
 
 
-def maximal_runs(w):
-    """Maximal same-direction segments as (inverse?, letters) pairs."""
-    runs = []
-    for l in w.letters:
-        if runs and runs[-1][0] == l.inverse:
-            runs[-1][1].append(l)
-        else:
-            runs.append((l.inverse, [l]))
-    return runs
-
-
-def run_oriented_arrows(inv, letters):
-    """The run read as an oriented path; inverse runs read against the
-    arrow direction, i.e. reversed."""
-    names = [l.arrow for l in letters]
-    return tuple(reversed(names)) if inv else tuple(names)
-
-
 def is_string(p, w):
-    """Reduced and no same-direction run contains a zero generator."""
+    """Reduced and no same-direction run contains a zero generator.
+
+    One pass over the letters: a run starts wherever the direction
+    changes, and each window of the run that ends at the current letter
+    is looked up in `p.zero_index()`, reversed on an inverse run, which
+    reads against the arrows.
+    """
     if not p.is_monomial:
         raise PreconditionError("is_string needs a monomial presentation")
-    if not is_reduced(w):
-        return False
-    index = p.zero_index()
-    return not any(
-        has_window(run_oriented_arrows(inv, letters), index) for inv, letters in maximal_runs(w)
-    )
+    index = p.zero_index().items()
+    letters = w.letters
+    names = tuple(l.arrow for l in letters)
+    start = 0
+    for i, l in enumerate(letters):
+        if i and l.inverse != letters[i - 1].inverse:
+            if l.arrow == names[i - 1]:
+                return False
+            start = i
+        for m, group in index:
+            if m <= i + 1 - start:
+                window = names[i + 1 - m : i + 1]
+                if (window[::-1] if l.inverse else window) in group:
+                    return False
+    return True
 
 
 def canonical_string(quiver, w):
@@ -212,12 +208,17 @@ def canonical_band(quiver, c):
     return min(cands, key=lambda r: r.walk.key())
 
 
-def is_primitive(letters):
+def primitive_root(letters):
+    """The shortest prefix whose power the letters are."""
     n = len(letters)
-    for d in range(1, n):
+    for d in range(1, n + 1):
         if n % d == 0 and letters[d:] + letters[:d] == letters:
-            return False
-    return True
+            return letters[:d]
+    return letters
+
+
+def is_primitive(letters):
+    return len(primitive_root(letters)) == len(letters)
 
 
 def is_band(p, c):

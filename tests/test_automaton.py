@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from stringalg import fixtures, rep
+from stringalg import fixtures, graph, rep
 from stringalg.automaton import (
     automaton,
     band_census,
@@ -14,6 +14,7 @@ from stringalg.automaton import (
     pumping_bound,
     strings_of_length,
 )
+from stringalg.doze import classify
 from stringalg.errors import SearchBudgetExceeded
 from stringalg.fixtures import linear_a3
 from stringalg.presentation import Presentation
@@ -217,6 +218,33 @@ def test_exists_band_on_fixtures(skew6, thirteen):
 def test_band_census_matches_enumeration(skew6, thirteen):
     assert band_census(thirteen) == enumerate_bands(thirteen, 2)
     assert band_census(skew6) == enumerate_bands(skew6, 4)
+
+
+def test_exists_band_agrees_with_cycle_entry(corpus500):
+    for p in corpus500:
+        aut = automaton(p)
+        assert exists_band(p) == (graph.cycle_entry(aut.states, aut.successors) is not None)
+
+
+def test_classify_condenses_the_automaton_once(monkeypatch):
+    """find_doze, band_census and exists_band share one Tarjan pass
+    over the automaton's states."""
+    calls = []
+    real = graph.sccs
+
+    def counting(nodes, succ):
+        calls.append(tuple(nodes))
+        return real(nodes, succ)
+
+    for module in (graph, automaton_module):
+        monkeypatch.setattr(module, "sccs", counting)
+    for p in (fixtures.thirteen(), fixtures.skew6(), linear_a3()):
+        calls.clear()
+        report = classify(p)
+        aut = automaton(report.analyzed)
+        exists_band(report.analyzed)
+        assert aut.cycle_states() == aut.cycle_states()
+        assert calls.count(aut.states) == 1
 
 
 def test_exists_band_agrees_with_enumeration_at_witness_length(corpus500):

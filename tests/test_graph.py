@@ -12,16 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stringalg
-from stringalg.automaton import _primitive_root, automaton, band_census
+from stringalg.automaton import automaton, band_census
 from stringalg.doze import find_doze
 from stringalg.graph import (
+    component_cycles,
     cycle_entry,
+    is_cyclic,
     reach,
     sccs,
     simple_cycles,
     topological_order,
 )
-from stringalg.walks import Walk, canonical_band, make_cyclic
+from stringalg.walks import Walk, canonical_band, make_cyclic, primitive_root
 
 SRC = Path(stringalg.__file__).resolve().parents[1]
 
@@ -107,6 +109,21 @@ def test_traversals_match_the_brute_force_oracle(graph):
         assert all(position[u] < position[w] for u in reachable for w in adj[u])
 
 
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_component_core_lists_the_wrapper_cycles_in_order(graph):
+    _n, adj, starts = graph
+    succ = adj.__getitem__
+    comps = sccs(starts, succ)
+    before = [list(c) for c in comps]
+    wrapped = list(simple_cycles(starts, succ))
+    assert list(component_cycles(comps, succ)) == wrapped
+    assert comps == before  # the core leaves its components alone
+    # the acyclic components contribute nothing, so they may be left out
+    cyclic = tuple(c for c in comps if is_cyclic(c, succ))
+    assert list(component_cycles(cyclic, succ)) == wrapped
+
+
 def test_deep_chain_needs_no_recursion():
     n = 20_000
     succ = lambda v: [v + 1] if v + 1 < n else [0]
@@ -131,7 +148,7 @@ def test_band_census_is_the_primitive_roots_of_the_oracle_cycles(corpus500):
         expected = set()
         for cycle in oracle_cycles(aut.states, aut.successors):
             letters = [s.letter for s in cycle[1:]] + [cycle[0].letter]
-            root = _primitive_root(letters)
+            root = primitive_root(letters)
             walk = Walk(aut.state_vertex(cycle[0]), tuple(root))
             expected.add(canonical_band(p.quiver, make_cyclic(p.quiver, walk)))
         assert band_census(p) == sorted(expected, key=lambda c: c.walk.key())

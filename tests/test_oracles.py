@@ -1,6 +1,11 @@
-"""The routes that the automaton-reading checks replaced, kept as
-differential oracles.
+"""The routes that the table-driven and automaton-reading code replaced,
+kept as differential oracles.
 
+- `stepped_build`: the string automaton built by `reach` over `step`
+  from every candidate letter, edges sorted, then `completions` asked of
+  every state.
+- `runs_is_string`: reducedness, then each maximal same-direction run
+  read as an oriented path and searched with `has_window`.
 - `restricted_double_zero`: build the full subpresentation on a set of
   arrows and run the per-generator decision on its own, fresh automaton
   (reach from the generator's start, then a longest path over the part
@@ -10,14 +15,16 @@ differential oracles.
 - `enumerated_cover`: list the canonical strings and test each one's
   vertices and arrows against every part holding its base.
 
-They run on the seeded corpora 1, 2 and 101 and on random full
-subquivers of their members.
+They run on the seeded corpora 1, 2 and 101, on random full subquivers
+of their members, and on random letter sequences.
 """
 
 import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringalg import fixtures
 from stringalg.automaton import StringAutomaton, enumerate_strings
@@ -38,8 +45,22 @@ from stringalg.doze import (
 )
 from stringalg.errors import CorruptPresentationError, SearchBudgetExceeded
 from stringalg.graph import reach, topological_order
-from stringalg.presentation import Presentation, Quiver, ZeroRelation, monomial_form
-from stringalg.walks import walk_arrows, walk_vertices
+from stringalg.presentation import (
+    Presentation,
+    Quiver,
+    ZeroRelation,
+    has_window,
+    monomial_form,
+)
+from stringalg.walks import (
+    Walk,
+    direct,
+    inverse,
+    is_reduced,
+    is_string,
+    walk_arrows,
+    walk_vertices,
+)
 
 SEEDS = (1, 2, 101)
 SUBQUIVERS = 8  # random full subquivers per corpus member
@@ -61,6 +82,53 @@ def corpus():
 
 
 # --- the replaced routes ------------------------------------------------------
+
+
+def stepped_build(p):
+    """(states, edges, completing) of the automaton, one `step` per
+    candidate letter."""
+    aut = StringAutomaton(p)
+    q = p.quiver
+    edges = {}
+
+    def succ(s):
+        v = aut.state_vertex(s)
+        letters = [direct(a.name) for a in q.out_arrows(v)]
+        letters += [inverse(a.name) for a in q.in_arrows(v)]
+        steps = (aut.step(s, letter) for letter in sorted(letters))
+        edges[s] = tuple(sorted(t for t in steps if t is not None))
+        return edges[s]
+
+    reach([aut.initial_state(f(a.name)) for a in q.arrows for f in (direct, inverse)], succ)
+    states = tuple(sorted(edges))
+    return states, edges, {s: c for s in states if (c := aut.completions(s))}
+
+
+def maximal_runs(w):
+    """Maximal same-direction segments as (inverse?, letters) pairs."""
+    runs = []
+    for l in w.letters:
+        if runs and runs[-1][0] == l.inverse:
+            runs[-1][1].append(l)
+        else:
+            runs.append((l.inverse, [l]))
+    return runs
+
+
+def run_oriented_arrows(inv, letters):
+    """The run read as an oriented path; inverse runs read against the
+    arrow direction, i.e. reversed."""
+    names = [l.arrow for l in letters]
+    return tuple(reversed(names)) if inv else tuple(names)
+
+
+def runs_is_string(p, w):
+    if not is_reduced(w):
+        return False
+    index = p.zero_index()
+    return not any(
+        has_window(run_oriented_arrows(inv, letters), index) for inv, letters in maximal_runs(w)
+    )
 
 
 def restrict(p, objects, arrow_names):
@@ -148,6 +216,104 @@ def _outcome(check, *args):
         return check(*args)
     except SearchBudgetExceeded:
         return "budget"
+
+
+# --- the automaton build and is_string -----------------------------------------
+
+
+def _fixtures():
+    return [monomial_form(build()) for build in fixtures.ALL.values()]
+
+
+def test_table_build_matches_the_stepped_build(corpus):
+    completing = 0
+    for p in corpus + _fixtures():
+        aut = StringAutomaton(p)
+        states, edges, comps = stepped_build(p)
+        assert aut.states == states
+        assert [aut.edges[s] for s in states] == [edges[s] for s in states]
+        assert aut.edges.keys() == edges.keys()
+        assert aut.completing == comps
+        completing += len(comps)
+    assert completing > 100
+
+
+# A loop, generators of lengths 2 and 3, one through the loop, and a
+# 2-cycle killed both ways round.
+LOOPED = Presentation.build(
+    ["1", "2", "3"],
+    [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1"), ("l", "2", "2"), ("d", "1", "3")],
+    zeros=[("a", "b"), ("l", "l"), ("b", "c", "a"), ("d", "c"), ("c", "d"), ("l", "b", "c")],
+)
+STRING_CASES = [LOOPED, fixtures.skew6(), fixtures.thirteen()] + [
+    monomial_form(p) for p in string_corpus(3, 12) + special_biserial_corpus(3, 6)
+]
+
+
+def _run(names, inv):
+    """A path's arrows as one run: forwards, or read backwards as inverse letters."""
+    return [inverse(n) for n in reversed(names)] if inv else [direct(n) for n in names]
+
+
+@st.composite
+def letter_sequences(draw):
+    """(presentation, walk) where the letters need not compose: random
+    letters, generators read as direct or inverse runs, pieces of
+    generators, generators split over a direction change, and letters
+    followed by their inverse."""
+    p = draw(st.sampled_from(STRING_CASES))
+    names = sorted(p.quiver.arrow)
+    gens = p.zero_paths
+    letters = []
+    for kind in draw(st.lists(st.sampled_from("lgpsu" if gens else "lu"), max_size=8)):
+        if kind == "l":
+            letters += _run([draw(st.sampled_from(names))], draw(st.booleans()))
+        elif kind == "u":
+            n = draw(st.sampled_from(names))
+            letters += [direct(n), inverse(n)]
+        else:
+            g = draw(st.sampled_from(gens))
+            i = draw(st.integers(1, len(g) - 1))
+            inv = draw(st.booleans())
+            if kind == "g":
+                letters += _run(g, inv)
+            elif kind == "p":
+                letters += _run(g[i:] if draw(st.booleans()) else g[:i], inv)
+            else:
+                letters += _run(g[:i], inv) + _run(g[i:], not inv)
+    return p, Walk(None, tuple(letters))
+
+
+@settings(max_examples=600, deadline=None)
+@given(letter_sequences())
+def test_one_pass_is_string_matches_the_run_route(case):
+    p, w = case
+    assert is_string(p, w) == runs_is_string(p, w)
+
+
+def test_one_pass_is_string_on_straddling_runs():
+    def string(base, *letters):
+        w = Walk(base, letters)
+        assert is_string(LOOPED, w) == runs_is_string(LOOPED, w)
+        return is_string(LOOPED, w)
+
+    a, b, c, l = (direct(n) for n in "abcl")
+    a_, b_, c_, l_ = (inverse(n) for n in "abcl")
+    # the generator a . b in one run, and split by a direction change
+    assert not string("1", a, b)
+    assert string("1", a, l_, b)
+    # an inverse run reads against the arrows
+    assert not string("3", b_, a_)
+    assert string("1", c_, b_)
+    assert not string("1", c_, b_, a_)
+    # the loop: l . l either way round, and a letter met by its inverse
+    assert not string("2", l, l)
+    assert not string("2", l_, l_)
+    assert not string("2", l, l_)
+    # l . b . c is found at its last letter, in a run after a change
+    assert string("3", b_, l, b)
+    assert not string("3", b_, l, b, c)
+    assert string("1")
 
 
 # --- double-zeros -------------------------------------------------------------

@@ -119,3 +119,23 @@ def test_comm_parses(commsquare):
     _, p = parse_file(FIXTURE_FILES["commsquare"])
     assert p.comm_pairs == ((("a", "b"), ("c", "d")),)
     assert p == commsquare
+
+
+def test_hash_inside_a_token_is_part_of_it():
+    with pytest.raises(ParseError) as err:
+        parse("algebra t\nvertex a#b\n")
+    assert str(err.value) == "line 2, col 8: invalid identifier 'a#b'"
+
+
+def test_token_beginning_with_hash_starts_a_comment():
+    _, p = parse("algebra t\nvertex a #b\n")
+    assert p.quiver.vertices == ("a",)
+
+
+def test_tab_separated_tokens_keep_their_columns():
+    with pytest.raises(SemanticError) as err:
+        parse("algebra t\nvertex 1\t2\narrow\ta\t:\t1\t->\t\t9\n")
+    assert (err.value.line, err.value.col) == (3, 17)
+    with pytest.raises(ParseError) as err:
+        parse("algebra t\nvertex\t1 \tb^\n")
+    assert str(err.value) == "line 2, col 11: invalid identifier 'b^'"
