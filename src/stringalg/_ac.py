@@ -11,9 +11,9 @@ from collections import deque
 class AhoCorasick:
     """Failure-link automaton reporting completed patterns per step.
 
-    States are integers; 0 is the root.  ``step`` consumes one symbol and
-    returns the next state.  ``hit(state)`` is the index of the pattern
-    ending exactly at the current position, or None.
+    States are integers; 0 is the root.  ``advance`` consumes one symbol
+    and returns the next state with the index of the pattern ending
+    exactly at the new position, or None.
     """
 
     def __init__(self, patterns):
@@ -55,11 +55,11 @@ class AhoCorasick:
                     self._fail[child] = 0
                 queue.append(child)
 
-    def step(self, state, symbol):
-        while state and symbol not in self._goto[state]:
+    def advance(self, state, symbol):
+        """Consume one symbol: (next state, index of the pattern ending
+        exactly there or None)."""
+        goto = self._goto
+        while state and symbol not in goto[state]:
             state = self._fail[state]
-        return self._goto[state].get(symbol, 0)
-
-    def hit(self, state):
-        """Index of the pattern ending at this position, or None."""
-        return self._hit[state]
+        state = goto[state].get(symbol, 0)
+        return state, self._hit[state]

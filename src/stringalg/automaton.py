@@ -8,9 +8,11 @@ reduced continuations that never complete a generator, so every walk the
 automaton accepts is a string and conversely.
 
 The build is table-driven: `graph.reach` asks each state once for its
-successors, read off per-letter end vertices, per-vertex leaving letters
-and the matchers' goto/fail tables, and records `completing` (the
-nonempty `completions`) on the way.
+successors, read off per-letter end vertices and per-vertex leaving
+letters.  A letter that changes direction leads to its one-letter state;
+one that continues the run takes one matcher step.  The build records
+`completing` on the way, the direct letters that would complete a
+generator, and `step` reads the edges it recorded.
 
 Cycles in the state graph are exactly the source of bands: pumping any
 cycle yields arbitrarily long strings, and the primitive root of its
@@ -58,57 +60,50 @@ class StringAutomaton:
         self.acr = AhoCorasick([tuple(reversed(g)) for g in gens])
         self.edges = edges = {}
         self.completing = completing = {}
-        # ends[inverse][arrow] is the vertex a letter ends at, leaving[v]
-        # the letters (arrow, inverse) starting at v in letter order, and
-        # tables[inverse] the goto, fail and hit tables of the run's matcher
+        # ends[inverse][arrow] is the vertex a letter ends at; leaving[v]
+        # holds (arrow, inverse, its one-letter state) for the letters
+        # starting at v, in letter order.  A letter that changes direction
+        # starts a new run, so it leads to its one-letter state; one in the
+        # same direction steps the run's matcher, advance[inverse].
+        advance = (self.acf.advance, self.acr.advance)
         ends = ({a.name: a.target for a in q.arrows}, {a.name: a.source for a in q.arrows})
         leaving = {v: [] for v in q.vertices}
         for a in q.arrows:
-            leaving[a.source].append((a.name, False))
-            leaving[a.target].append((a.name, True))
+            for i, v in ((False, a.source), (True, a.target)):
+                leaving[v].append((a.name, i, self.initial_state(Letter(a.name, i))))
         for letters in leaving.values():
             letters.sort()
-        tables = [(ac._goto, ac._fail, ac._hit) for ac in (self.acf, self.acr)]
 
         def succ(s):
             # reach asks once per state, so this records every edge once;
             # the letters come in order, so the edges need no sort
             arrow, inv, node = s
+            run = advance[inv]
             out = []
             completed = []
-            for a, i in leaving[ends[inv][arrow]]:
-                if a == arrow and i != inv:
+            for a, i, first in leaving[ends[inv][arrow]]:
+                if i != inv:
+                    if a != arrow:  # not the last letter's inverse
+                        out.append(first)
                     continue
-                goto, fail, hit = tables[i]
-                n = node if i == inv else 0
-                while n and a not in goto[n]:
-                    n = fail[n]
-                n = goto[n].get(a, 0)
-                if hit[n] is None:
+                n, hit = run(node, a)
+                if hit is None:
                     out.append(AutoState(a, i, n))
                 elif not i:  # a direct letter completing a generator
-                    completed.append((hit[n], a))
+                    completed.append((hit, a))
             if completed:
                 completing[s] = completed
             edges[s] = out = tuple(out)
             return out
 
-        if any(len(g) == 1 for g in gens):
-            raise CorruptPresentationError("single arrow lies in the ideal")
-        # the one-letter walks: each letter read from its matcher's root
-        roots = [
-            AutoState(a.name, i, tables[i][0][0].get(a.name, 0))
-            for a in q.arrows
-            for i in (False, True)
-        ]
-        reach(roots, succ)
+        reach([first for letters in leaving.values() for _a, _i, first in letters], succ)
         self.states = tuple(sorted(edges))
 
     def initial_state(self, letter):
         """State after a one-letter walk."""
         ac = self.acr if letter.inverse else self.acf
-        node = ac.step(0, letter.arrow)
-        if ac.hit(node) is not None:
+        node, hit = ac.advance(0, letter.arrow)
+        if hit is not None:
             raise CorruptPresentationError("single arrow lies in the ideal")
         return AutoState(letter.arrow, letter.inverse, node)
 
@@ -116,17 +111,12 @@ class StringAutomaton:
         return letter_ends(self.quiver, s.letter)[1]
 
     def step(self, s, letter):
-        """Extend by one letter; None when the extension is not a string."""
-        if letter.arrow == s.arrow and letter.inverse != s.inverse:
-            return None
-        sv, _ = letter_ends(self.quiver, letter)
-        if sv != self.state_vertex(s):
-            return None
-        ac = self.acr if letter.inverse else self.acf
-        node = ac.step(s.node if letter.inverse == s.inverse else 0, letter.arrow)
-        if ac.hit(node) is not None:
-            return None
-        return AutoState(letter.arrow, letter.inverse, node)
+        """Extend state s by one letter along its recorded edge; None when
+        the extension is not a string."""
+        for t in self.edges[s]:
+            if t.arrow == letter.arrow and t.inverse == letter.inverse:
+                return t
+        return None
 
     def successors(self, s):
         return self.edges[s]
@@ -153,21 +143,6 @@ class StringAutomaton:
             for v in set(letter_ends(self.quiver, s.letter)):
                 at.setdefault(v, []).append(s)
         return at
-
-    def completions(self, s):
-        """Direct letters that would complete a generator occurrence,
-        as (generator index, arrow name) pairs; the build records the
-        nonempty ones in `completing`."""
-        v = self.state_vertex(s)
-        out = []
-        for a in self.quiver.out_arrows(v):
-            if s.inverse and a.name == s.arrow:
-                continue
-            node = self.acf.step(0 if s.inverse else s.node, a.name)
-            hit = self.acf.hit(node)
-            if hit is not None:
-                out.append((hit, a.name))
-        return out
 
     def __len__(self):
         return len(self.states)

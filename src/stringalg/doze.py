@@ -159,10 +159,16 @@ def _validate_witness(w):
     return w
 
 
-def _gen_at(gens, run, end):
-    """The generator that run ends with (starts with when not end), or None."""
+def _gen_as_suffix(gens, run):
     for g in gens:
-        if len(g) <= len(run) and tuple(run[-len(g) :] if end else run[: len(g)]) == g:
+        if len(g) <= len(run) and tuple(run[-len(g):]) == g:
+            return g
+    return None
+
+
+def _gen_as_prefix(gens, run):
+    for g in gens:
+        if len(g) <= len(run) and tuple(run[: len(g)]) == g:
             return g
     return None
 
@@ -209,7 +215,7 @@ def find_double_zeros(p, max_len, node_budget=None):
             # that is disjoint from rho1 (depth >= len(gen) - 1)
             if not last.inverse and total + 1 <= max_len:
                 for a in q.out_arrows(vertex):
-                    hit = _gen_at(gens, tail + [a.name], True)
+                    hit = _gen_as_suffix(gens, tail + [a.name])
                     if hit is not None and depth >= len(hit) - 1:
                         full = letters + [direct(a.name)]
                         mid_letters = full[l : len(full) - len(hit)]
@@ -226,7 +232,8 @@ def find_double_zeros(p, max_len, node_budget=None):
                     continue
                 if m.inverse == tail_inv:
                     run = tail + [m.arrow] if not m.inverse else [m.arrow] + tail
-                    if _gen_at(gens, run, not m.inverse) is not None:
+                    check = _gen_as_prefix if m.inverse else _gen_as_suffix
+                    if check(gens, run) is not None:
                         continue
                 else:
                     run = [m.arrow]

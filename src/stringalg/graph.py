@@ -107,11 +107,6 @@ def _depth_first(nodes, succ):
     return order, None
 
 
-def simple_cycles(nodes, succ):
-    """Every simple cycle once, as the node list of a closed path."""
-    yield from component_cycles(sccs(nodes, succ), succ)
-
-
 def component_cycles(comps, succ):
     """Every simple cycle of the given strongly connected components
     (as `sccs` lists them) once, as the node list of a closed path.

@@ -202,8 +202,8 @@ def _assert_finite_dimensional(quiver, gens):
             if ac is None:
                 yield (a.target, 0)
             else:
-                node2 = ac.step(node, a.name)
-                if ac.hit(node2) is None:
+                node2, hit = ac.advance(node, a.name)
+                if hit is None:
                     yield (a.target, node2)
 
     entry = cycle_entry([(x, 0) for x in quiver.vertices], succ)

@@ -18,25 +18,19 @@ from .errors import ParseError, SemanticError, StringAlgError
 from .presentation import Commutativity, Presentation, Quiver, ZeroRelation
 
 _ID = re.compile(r"[A-Za-z0-9_]+\Z")
-_TOKEN = re.compile(r"\S+")
 
 
 def _tokens(line):
     """(token, 1-based column) pairs up to the first token that begins
     with `#`; a `#` inside a token does not start a comment."""
     out = []
-    if "#" not in line:
-        col = 0
-        for tok in line.split():
-            col = line.find(tok, col)
-            out.append((tok, col + 1))
-            col += len(tok)
-        return out
-    for m in _TOKEN.finditer(line):
-        tok = m.group(0)
+    col = 0
+    for tok in line.split():
         if tok.startswith("#"):
             break
-        out.append((tok, m.start() + 1))
+        col = line.find(tok, col)
+        out.append((tok, col + 1))
+        col += len(tok)
     return out
 
 

@@ -20,7 +20,6 @@ from stringalg.graph import (
     is_cyclic,
     reach,
     sccs,
-    simple_cycles,
     topological_order,
 )
 from stringalg.walks import Walk, canonical_band, make_cyclic, primitive_root
@@ -92,7 +91,7 @@ def test_traversals_match_the_brute_force_oracle(graph):
             assert listed[v] <= listed[u]
 
     cycles = oracle_cycles(starts, succ)
-    found = [rotated(c) for c in simple_cycles(starts, succ)]
+    found = [rotated(c) for c in component_cycles(comps, succ)]
     assert sorted(found) == cycles
     for c in found:
         assert all(c[(i + 1) % len(c)] in adj[c[i]] for i in range(len(c)))
@@ -111,17 +110,16 @@ def test_traversals_match_the_brute_force_oracle(graph):
 
 @settings(max_examples=300, deadline=None)
 @given(digraphs())
-def test_component_core_lists_the_wrapper_cycles_in_order(graph):
+def test_component_cycles_leave_the_components_alone(graph):
     _n, adj, starts = graph
     succ = adj.__getitem__
     comps = sccs(starts, succ)
     before = [list(c) for c in comps]
-    wrapped = list(simple_cycles(starts, succ))
-    assert list(component_cycles(comps, succ)) == wrapped
-    assert comps == before  # the core leaves its components alone
+    cycles = list(component_cycles(comps, succ))
+    assert comps == before
     # the acyclic components contribute nothing, so they may be left out
     cyclic = tuple(c for c in comps if is_cyclic(c, succ))
-    assert list(component_cycles(cyclic, succ)) == wrapped
+    assert list(component_cycles(cyclic, succ)) == cycles
 
 
 def test_deep_chain_needs_no_recursion():
@@ -129,7 +127,7 @@ def test_deep_chain_needs_no_recursion():
     succ = lambda v: [v + 1] if v + 1 < n else [0]
     assert len(reach([0], succ)) == n
     assert [len(c) for c in sccs([0], succ)] == [n]
-    assert [len(c) for c in simple_cycles([0], succ)] == [n]
+    assert [len(c) for c in component_cycles(sccs([0], succ), succ)] == [n]
     assert topological_order([0], succ) is None
     assert topological_order([0], lambda v: [v + 1] if v + 1 < n else []) == list(range(n))
 

@@ -1,9 +1,9 @@
 """The routes that the table-driven and automaton-reading code replaced,
 kept as differential oracles.
 
-- `stepped_build`: the string automaton built by `reach` over `step`
-  from every candidate letter, edges sorted, then `completions` asked of
-  every state.
+- `stepped_build`: the string automaton built by `reach` over
+  `stepped` from every candidate letter, edges sorted, then
+  `completions` asked of every state.
 - `runs_is_string`: reducedness, then each maximal same-direction run
   read as an oriented path and searched with `has_window`.
 - `restricted_double_zero`: build the full subpresentation on a set of
@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringalg import fixtures
-from stringalg.automaton import StringAutomaton, enumerate_strings
+from stringalg.automaton import AutoState, StringAutomaton, enumerate_strings
 from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.decomp import (
     Decomposition,
@@ -58,6 +58,7 @@ from stringalg.walks import (
     inverse,
     is_reduced,
     is_string,
+    letter_ends,
     walk_arrows,
     walk_vertices,
 )
@@ -84,24 +85,53 @@ def corpus():
 # --- the replaced routes ------------------------------------------------------
 
 
+def stepped(aut, s, letter):
+    """State s extended by one letter, from the matchers alone; None when
+    the extension is not a string."""
+    if letter.arrow == s.arrow and letter.inverse != s.inverse:
+        return None
+    if letter_ends(aut.quiver, letter)[0] != aut.state_vertex(s):
+        return None
+    ac = aut.acr if letter.inverse else aut.acf
+    node, hit = ac.advance(s.node if letter.inverse == s.inverse else 0, letter.arrow)
+    return None if hit is not None else AutoState(letter.arrow, letter.inverse, node)
+
+
+def completions(aut, s):
+    """Direct letters that would complete a generator occurrence after
+    state s, as (generator index, arrow name) pairs."""
+    out = []
+    for a in aut.quiver.out_arrows(aut.state_vertex(s)):
+        if s.inverse and a.name == s.arrow:
+            continue
+        _node, hit = aut.acf.advance(0 if s.inverse else s.node, a.name)
+        if hit is not None:
+            out.append((hit, a.name))
+    return out
+
+
+def _candidate_letters(q, s):
+    v = letter_ends(q, s.letter)[1]
+    letters = [direct(a.name) for a in q.out_arrows(v)]
+    letters += [inverse(a.name) for a in q.in_arrows(v)]
+    return sorted(letters)
+
+
 def stepped_build(p):
-    """(states, edges, completing) of the automaton, one `step` per
+    """(states, edges, completing) of the automaton, one `stepped` per
     candidate letter."""
     aut = StringAutomaton(p)
     q = p.quiver
     edges = {}
 
     def succ(s):
-        v = aut.state_vertex(s)
-        letters = [direct(a.name) for a in q.out_arrows(v)]
-        letters += [inverse(a.name) for a in q.in_arrows(v)]
-        steps = (aut.step(s, letter) for letter in sorted(letters))
+        steps = (stepped(aut, s, letter) for letter in _candidate_letters(q, s))
         edges[s] = tuple(sorted(t for t in steps if t is not None))
         return edges[s]
 
     reach([aut.initial_state(f(a.name)) for a in q.arrows for f in (direct, inverse)], succ)
     states = tuple(sorted(edges))
-    return states, edges, {s: c for s in states if (c := aut.completions(s))}
+    return states, edges, {s: c for s in states if (c := completions(aut, s))}
 
 
 def maximal_runs(w):
@@ -157,7 +187,7 @@ def restricted_double_zero(p):
         longest = _dag_longest_from(aut, s0, after - from_cyc)
         for f in after:
             limit = None if f in from_cyc else longest.get(f, -1)
-            for gen_idx, _x in aut.completions(f):
+            for gen_idx, _x in completions(aut, f):
                 if limit is None or len(gens[gen_idx]) - 1 <= limit:
                     return True
     return False
@@ -187,7 +217,7 @@ def bfs_find_doze(p):
         for q in sorted((s for s in dist1 if s in cyc), key=lambda s: (dist1[s], s)):
             dist2, par2 = aut.bfs([q])
             for f in sorted(dist2, key=lambda s: (dist2[s], s)):
-                comps = aut.completions(f)
+                comps = completions(aut, f)
                 if comps:
                     comps.sort(key=lambda c: (gens[c[0]], c[1]))
                     return _assemble_witness(p, aut, g, q, par1, (f, comps[0]), par2)
@@ -235,6 +265,9 @@ def test_table_build_matches_the_stepped_build(corpus):
         assert aut.edges.keys() == edges.keys()
         assert aut.completing == comps
         completing += len(comps)
+        for s in states:
+            for letter in _candidate_letters(p.quiver, s):
+                assert aut.step(s, letter) == stepped(aut, s, letter)
     assert completing > 100
 
 
