@@ -179,8 +179,9 @@ class StringAutomaton:
         """States lying on some nontrivial cycle, as a fresh set."""
         return {s for comp in self.cyclic_components for s in comp}
 
-    def bfs(self, sources):
-        """Deterministic BFS; returns (dist, parent) maps."""
+    def bfs(self, sources, targets=None):
+        """Deterministic BFS; returns (dist, parent) maps.  With targets it
+        stops after the first layer holding one, the maps unchanged up to it."""
         dist = {}
         parent = {}
         frontier = list(sources)
@@ -189,6 +190,8 @@ class StringAutomaton:
             parent[s] = None
         d = 0
         while frontier:
+            if targets is not None and any(s in targets for s in frontier):
+                break
             nxt = []
             for s in frontier:
                 for t in self.edges[s]:
@@ -217,7 +220,7 @@ class StringAutomaton:
             if s == q:
                 cand = [s.letter]
             else:
-                dist, parent = self.bfs([s])
+                dist, parent = self.bfs([s], {q})
                 if q not in dist:
                     continue
                 cand = [s.letter] + self.path_letters(parent, q)

@@ -14,7 +14,7 @@ completing states decides; a double-zero exists iff some generator's
 start reaches a completion far enough on, which one pass over the
 strongly connected components decides.  The brute-force enumerator is
 kept deliberately naive (no automaton) so the two can act as independent
-oracles for each other.
+oracles for each other; both check their witness with `_validate_witness`.
 
 Double-zeros, witnesses and reports are frozen `_value.Value` classes
 with their own `__init__` rather than dataclasses, which would cost
@@ -91,14 +91,17 @@ def make_double_zero(p, rho1, middle, rho2):
         raise CorruptPresentationError("double-zero ends must be zero generators")
     q = p.quiver
     whole = concat_walks(q, generator_walk(q, rho1), middle, generator_walk(q, rho2))
+    _check_whole(p, whole)
+    return DoubleZero(rho1, middle, rho2, whole)
+
+
+def _check_whole(p, whole):
+    """Raise unless the walk is reduced and its interior a string."""
     if not is_reduced(whole):
         raise CorruptPresentationError("double-zero walk is not reduced")
-    interior = Walk(
-        letter_ends(q, whole.letters[0])[1], whole.letters[1:-1]
-    )
+    interior = Walk(letter_ends(p.quiver, whole.letters[0])[1], whole.letters[1:-1])
     if not is_string(p, interior):
         raise CorruptPresentationError("double-zero interior is not a string")
-    return DoubleZero(rho1, middle, rho2, whole)
 
 
 class DozeWitness(Value):
@@ -152,10 +155,20 @@ class DozeWitness(Value):
 
 
 def _validate_witness(w):
-    if not is_band(w.p, w.band):
+    """Raise unless the band is a band and rho1 . w1 . band^n . w3 . rho2
+    is a double-zero for n = 1, 2, 3: the checks and messages of
+    `w.double_zero(n)`, in its order, with each walk built once."""
+    p, q = w.p, w.p.quiver
+    if not is_band(p, w.band):
         raise CorruptPresentationError("witness band is not a band")
+    # the chain w1 . band . w3 first, as double_zero(1) meets it
+    concat_walks(q, w.w1, w.band.walk, w.w3)
+    gens = set(p.zero_paths)
+    if w.rho1 not in gens or w.rho2 not in gens:
+        raise CorruptPresentationError("double-zero ends must be zero generators")
+    g1, g2 = generator_walk(q, w.rho1), generator_walk(q, w.rho2)
     for n in (1, 2, 3):
-        w.double_zero(n)
+        _check_whole(p, concat_walks(q, g1, w.w1, cyclic_power(q, w.band, n), w.w3, g2))
     return w
 
 
@@ -307,9 +320,11 @@ def find_doze(p):
     consumed generator lies on an automaton cycle and can reach a
     generator-completing step; the first generator whose start leads to
     such a q, the nearest q (least on ties) and the nearest completion
-    from q give the witness.  The witness band is the primitive root
-    of a minimal cycle at q; w3 absorbs extra band copies whenever the
-    closing generator would otherwise overlap the band.
+    from q give the witness; each search stops at its first layer holding
+    a target.  The witness band is the primitive root of a minimal cycle
+    at q; w3 absorbs extra band copies whenever the closing generator
+    would otherwise overlap the band.  The witness pumps: its band is a
+    band and every power n >= 1 gives a double-zero (checked for 1, 2, 3).
     """
     if not p.is_monomial:
         raise PreconditionError("find_doze needs a monomial presentation")
@@ -326,9 +341,9 @@ def find_doze(p):
         s0 = aut.state_after_direct_path(g[1:])
         if s0 not in leads:
             continue
-        dist1, par1 = aut.bfs([s0])
+        dist1, par1 = aut.bfs([s0], hot)
         q = min((s for s in dist1 if s in hot), key=lambda s: (dist1[s], s))
-        dist2, par2 = aut.bfs([q])
+        dist2, par2 = aut.bfs([q], completing)
         f = min((s for s in dist2 if s in completing), key=lambda s: (dist2[s], s))
         comps = sorted(completing[f], key=lambda c: (gens[c[0]], c[1]))
         return _assemble_witness(p, aut, g, q, par1, (f, comps[0]), par2)

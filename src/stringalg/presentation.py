@@ -4,7 +4,9 @@ A presentation is a finite quiver together with zero relations (monomial
 generators) and commutativity relations (pairs of parallel paths that are
 identified).  Zero generators are minimalized on load and the presented
 algebra is required to be finite dimensional: an oriented cycle all of
-whose traversals avoid the ideal is rejected.
+whose traversals avoid the ideal is rejected (an acyclic quiver after
+one depth-first pass, with no matcher built).  Both validators read one
+cached scan of the vertex-degree and unique-continuation axioms.
 
 Arrows are `collections.namedtuple` subclasses; paths, relations and
 validation reports are frozen `_value.Value` classes, each with its own
@@ -192,8 +194,11 @@ def _assert_finite_dimensional(quiver, gens):
 
     Searches the (vertex, matcher-progress) graph of ideal-avoiding
     oriented paths; a cycle there means such paths are unbounded, i.e.
-    the algebra is infinite dimensional.
+    the algebra is infinite dimensional.  Such a cycle lies over an
+    oriented cycle of the quiver, so an acyclic quiver needs no search.
     """
+    if cycle_entry(quiver.vertices, lambda v: [a.target for a in quiver.out_arrows(v)]) is None:
+        return
     ac = AhoCorasick(gens) if gens else None
 
     def succ(state):
@@ -393,18 +398,20 @@ class ValidationReport(Value):
         return tuple(v for v in self.violations if v.condition == k)
 
 
-def _two_path_is_zero(p, first, second):
-    return (first, second) in p.zero_index().get(2, ())
-
-
 def _axiom_violations(p):
-    """Violations of the vertex-degree and unique-continuation axioms.
+    """Violations of the vertex-degree and unique-continuation axioms, a
+    tuple scanned once per presentation.
 
     Two-path ideal membership is decided against zero generators alone; in
     special biserial normal form a commutativity side never makes a further
     two-path vanish, so this is exact for the presentations we accept.
     """
+    return p.cached("axiom_violations", lambda: _scan_axioms(p))
+
+
+def _scan_axioms(p):
     q = p.quiver
+    zero = p.zero_index().get(2, ())
     out = []
     for v in q.vertices:
         ins = q.in_arrows(v)
@@ -414,18 +421,18 @@ def _axiom_violations(p):
         if len(outs) > 2:
             out.append(Violation(1, v, "out", tuple(a.name for a in outs)))
     for a in q.arrows:
-        succ = [b.name for b in q.out_arrows(a.target) if not _two_path_is_zero(p, a.name, b.name)]
+        succ = [b.name for b in q.out_arrows(a.target) if (a.name, b.name) not in zero]
         if len(succ) > 1:
             out.append(Violation(2, a.name, "successors", tuple(succ)))
-        pred = [b.name for b in q.in_arrows(a.source) if not _two_path_is_zero(p, b.name, a.name)]
+        pred = [b.name for b in q.in_arrows(a.source) if (b.name, a.name) not in zero]
         if len(pred) > 1:
             out.append(Violation(2, a.name, "predecessors", tuple(pred)))
-    return out
+    return tuple(out)
 
 
 def validate_string_algebra(p):
     """Check the three string algebra axioms; violations are data."""
-    out = _axiom_violations(p)
+    out = list(_axiom_violations(p))
     for l, r in p.comm_pairs:
         out.append(Violation(3, ".".join(l), "commutativity", (".".join(l), ".".join(r))))
     return ValidationReport(tuple(out))
@@ -433,7 +440,7 @@ def validate_string_algebra(p):
 
 def validate_special_biserial(p):
     """Like validate_string_algebra but the ideal may be non-monomial."""
-    return ValidationReport(tuple(_axiom_violations(p)))
+    return ValidationReport(_axiom_violations(p))
 
 
 def quotient_by_J(p):
@@ -447,9 +454,11 @@ def quotient_by_J(p):
         raise PreconditionError("quotient_by_J requires a special biserial presentation")
     if p.is_monomial:
         return p
-    q = p.quiver
-    rels = [ZeroRelation(q.path(g)) for g in p.monomial_generators()]
-    out = Presentation(q, rels)
+    # p's construction checked these generators on this quiver (paths,
+    # minimality, finite dimension), so they are not checked again
+    out = Presentation.__new__(Presentation)
+    out.quiver, out._zero_paths = p.quiver, p.monomial_generators()
+    out._comm_pairs, out._cache = (), {}
     report = validate_string_algebra(out)
     if not report.is_valid:
         raise CorruptPresentationError(f"J-quotient is not a string algebra: {report}")

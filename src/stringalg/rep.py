@@ -621,12 +621,8 @@ def dozed_module(p, witness, n):
 # those reads the flipped flags; no A^op presentation is built.
 
 
-def _is_string_algebra(p):
-    return p.cached("is_string_algebra", lambda: validate_string_algebra(p).is_valid)
-
-
 def _require_string_algebra(p, what):
-    if not _is_string_algebra(p):
+    if not validate_string_algebra(p).is_valid:
         raise PreconditionError(f"{what} needs a string algebra presentation")
 
 
@@ -839,7 +835,7 @@ def conjecture_scan(p, max_len, min_len=0):
     """
     if not p.is_monomial:
         raise PreconditionError("conjecture_scan needs a monomial presentation")
-    if _is_string_algebra(p):
+    if validate_string_algebra(p).is_valid:
         pd = _string_homology(p).pd_at_least_2
         pd_op = _string_homology(p, dual=True).pd_at_least_2
 

@@ -14,12 +14,20 @@ kept as differential oracles.
   state it reaches, until one reaches a completion.
 - `enumerated_cover`: list the canonical strings and test each one's
   vertices and arrows against every part holding its base.
+- `double_zero_witness_check`: the band, then `w.double_zero(n)` for
+  n = 1, 2, 3, each re-validating both generators.
+- `product_search_finite`: the construction-time finiteness check without
+  the acyclic shortcut, the (vertex, matcher-progress) search on every
+  quiver.
 
-They run on the seeded corpora 1, 2 and 101, on random full subquivers
-of their members, and on random letter sequences.
+The full `bfs` is also the oracle of the bounded one `find_doze` and
+`shortest_cycle_at` use.  They run on the seeded corpora 1, 2 and 101,
+on random full subquivers of their members, on random letter sequences
+and on random bound quivers.
 """
 
 import importlib
+import itertools
 import random
 
 import pytest
@@ -35,16 +43,24 @@ from stringalg.decomp import (
     decompose,
     support_cover_check,
 )
+from stringalg._ac import AhoCorasick
 from stringalg.doze import (
     STRICT_LAURA_OR_TILTED,
+    DozeWitness,
     _assemble_witness,
     _double_zero_over,
+    _validate_witness,
     classify,
     find_doze,
+    find_doze_bruteforce,
     has_double_zero,
 )
-from stringalg.errors import CorruptPresentationError, SearchBudgetExceeded
-from stringalg.graph import reach, topological_order
+from stringalg.errors import (
+    CorruptPresentationError,
+    InfiniteDimensionalError,
+    SearchBudgetExceeded,
+)
+from stringalg.graph import cycle_entry, reach, topological_order
 from stringalg.presentation import (
     Presentation,
     Quiver,
@@ -53,13 +69,16 @@ from stringalg.presentation import (
     monomial_form,
 )
 from stringalg.walks import (
+    CyclicWalk,
     Walk,
     direct,
     inverse,
+    is_band,
     is_reduced,
     is_string,
     letter_ends,
     walk_arrows,
+    walk_end,
     walk_vertices,
 )
 
@@ -67,6 +86,7 @@ SEEDS = (1, 2, 101)
 SUBQUIVERS = 8  # random full subquivers per corpus member
 
 automaton_module = importlib.import_module("stringalg.automaton")
+presentation_module = importlib.import_module("stringalg.presentation")
 
 
 def _corpus():
@@ -222,6 +242,34 @@ def bfs_find_doze(p):
                     comps.sort(key=lambda c: (gens[c[0]], c[1]))
                     return _assemble_witness(p, aut, g, q, par1, (f, comps[0]), par2)
     return None
+
+
+def double_zero_witness_check(w):
+    if not is_band(w.p, w.band):
+        raise CorruptPresentationError("witness band is not a band")
+    for n in (1, 2, 3):
+        w.double_zero(n)
+    return w
+
+
+def product_search_finite(quiver, gens):
+    ac = AhoCorasick(gens) if gens else None
+
+    def succ(state):
+        v, node = state
+        for a in quiver.out_arrows(v):
+            if ac is None:
+                yield (a.target, 0)
+            else:
+                node2, hit = ac.advance(node, a.name)
+                if hit is None:
+                    yield (a.target, node2)
+
+    entry = cycle_entry([(x, 0) for x in quiver.vertices], succ)
+    if entry is not None:
+        raise InfiniteDimensionalError(
+            f"ideal-avoiding oriented cycle through vertex {entry[0]!r}"
+        )
 
 
 def enumerated_cover(p, max_len, dec):
@@ -397,6 +445,252 @@ def test_find_doze_matches_the_bfs_route(corpus, skew6):
         assert (got and got.serialize()) == (want and want.serialize())
         found += got is not None
     assert found > 20
+
+
+def _nearest(aut, search, targets):
+    """(least nearest target, its distance, the letters leading to it)."""
+    dist, parent = search
+    hits = [s for s in dist if s in targets]
+    if not hits:
+        return None
+    t = min(hits, key=lambda s: (dist[s], s))
+    return t, dist[t], aut.path_letters(parent, t)
+
+
+def test_bounded_bfs_matches_the_full_search(corpus):
+    stopped = 0
+    for p in corpus:
+        aut = automaton_module.automaton(p)
+        back = aut.predecessors.__getitem__
+        hot = aut.cycle_states() & reach(aut.completing, back)
+        for s in aut.states:
+            full = aut.bfs([s])
+            searches = [([s], hot), ([s], aut.completing)]
+            searches += [([t], {s}) for t in aut.edges[s]]
+            for sources, targets in searches:
+                if sources != [s]:
+                    full = aut.bfs(sources)
+                bounded = aut.bfs(sources, targets)
+                assert _nearest(aut, bounded, targets) == _nearest(aut, full, targets)
+                dist, parent = bounded
+                assert all(full[0][t] == d and full[1][t] == parent[t] for t, d in dist.items())
+                stopped += len(dist) < len(full[0])
+    assert stopped > 1000
+
+
+# --- the witness check --------------------------------------------------------
+
+
+def _check_outcome(check, w):
+    try:
+        check(w)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return "ok"
+
+
+def _replaced(w, **fields):
+    args = {k: getattr(w, k) for k in ("p", "rho1", "w1", "band", "w3", "rho2")}
+    args.update(fields)
+    return DozeWitness(**args)
+
+
+def _letters_at(q, v):
+    return [direct(a.name) for a in q.out_arrows(v)] + [inverse(a.name) for a in q.in_arrows(v)]
+
+
+def _meets_inverse(a, b):
+    return a.arrow == b.arrow and a.inverse != b.inverse
+
+
+def _walk_back(q, start, end, after, before, max_len=6):
+    """A shortest walk from start to end that is reduced, also after the
+    letter `after` and before the letter `before`; None if none is found."""
+    frontier = [(start, ())]
+    seen = set()
+    for _ in range(max_len):
+        nxt = []
+        for v, letters in frontier:
+            for l in _letters_at(q, v):
+                if _meets_inverse(letters[-1] if letters else after, l):
+                    continue
+                at = letter_ends(q, l)[1]
+                if at == end and not _meets_inverse(l, before):
+                    return letters + (l,)
+                if (at, l) not in seen:
+                    seen.add((at, l))
+                    nxt.append((at, letters + (l,)))
+        frontier = nxt
+    return None
+
+
+def _non_primitive_band(w):
+    return _replaced(w, band=CyclicWalk(Walk(w.band.base, w.band.letters * 2)))
+
+
+def _open_band(w):
+    walk = Walk(w.band.base, w.band.letters[:-1])
+    if walk.letters and walk_end(w.p.quiver, walk) == walk.base:
+        return None
+    return _replaced(w, band=CyclicWalk(walk))
+
+
+def _rho2_not_a_generator(w):
+    return _replaced(w, rho2=w.rho2[:-1])
+
+
+def _w3_off_the_band(w):
+    other = [v for v in w.p.quiver.vertices if v != w.band.base]
+    return _replaced(w, w3=Walk(other[0], w.w3.letters)) if other else None
+
+
+def _w1_backtracks_rho1(w):
+    last = w.rho1[-1]
+    return _replaced(w, w1=Walk(w.w1.base, (inverse(last), direct(last)) + w.w1.letters))
+
+
+def _w3_holds_rho2(w):
+    """w3 followed by rho2 and a walk back to rho2's start: the interior
+    then holds a whole generator."""
+    q = w.p.quiver
+    rho2 = tuple(direct(a) for a in w.rho2)
+    source, target = q.arrow[w.rho2[0]].source, q.arrow[w.rho2[-1]].target
+    back = _walk_back(q, target, source, rho2[-1], rho2[0])
+    if back is None:
+        return None
+    return _replaced(w, w3=Walk(w.w3.base, w.w3.letters + rho2 + back))
+
+
+MUTATIONS = (
+    _non_primitive_band,
+    _open_band,
+    _rho2_not_a_generator,
+    _w3_off_the_band,
+    _w1_backtracks_rho1,
+    _w3_holds_rho2,
+)
+
+
+@pytest.fixture(scope="module")
+def witnesses(corpus):
+    found = [w for p in corpus + _fixtures() if (w := find_doze(p)) is not None]
+    assert len(found) > 300
+    return found
+
+
+def test_witness_check_accepts_what_the_double_zero_route_accepts(corpus, witnesses):
+    # The brute-force oracle enumerates every double-zero up to its bound,
+    # about 8 s at length 12 over the corpora, so they take length 8 there.
+    brute = [find_doze_bruteforce(p, 8) for p in corpus]
+    brute += [find_doze_bruteforce(p, 12) for p in _fixtures()]
+    brute = [w for w in brute if w is not None]
+    assert len(brute) > 250
+    for w in witnesses + brute:
+        assert _check_outcome(_validate_witness, w) == "ok"
+        assert _check_outcome(double_zero_witness_check, w) == "ok"
+
+
+def test_witness_check_rejects_as_the_double_zero_route_rejects(witnesses):
+    seen = {}
+    pairs = list(itertools.permutations(MUTATIONS, 2))
+    for i, w in enumerate(witnesses):
+        mutants = [(m.__name__, m(w)) for m in MUTATIONS]
+        # every mutation alone, and one pair of them in turn (in both
+        # orders), which pins which fault is reported first
+        first, second = pairs[i % len(pairs)]
+        inner = first(w)
+        if inner is not None:
+            mutants.append((f"{first.__name__}+{second.__name__}", second(inner)))
+        for name, m in mutants:
+            if m is None:
+                continue
+            got = _check_outcome(_validate_witness, m)
+            assert got == _check_outcome(double_zero_witness_check, m), name
+            assert got != "ok", name
+            seen.setdefault(name, set()).add(got)
+    # each single mutation raises the error it is built to raise
+    assert seen["_non_primitive_band"] == seen["_open_band"] == {
+        ("CorruptPresentationError", "witness band is not a band")
+    }
+    assert seen["_rho2_not_a_generator"] == {
+        ("CorruptPresentationError", "double-zero ends must be zero generators")
+    }
+    assert {kind for kind, _msg in seen["_w3_off_the_band"]} == {"SemanticError"}
+    assert seen["_w1_backtracks_rho1"] == {
+        ("CorruptPresentationError", "double-zero walk is not reduced")
+    }
+    assert seen["_w3_holds_rho2"] == {
+        ("CorruptPresentationError", "double-zero interior is not a string")
+    }
+    assert len(seen) == len(MUTATIONS) + len(pairs)
+
+
+# --- the finiteness check -----------------------------------------------------
+
+
+def _random_bound_quiver(rng):
+    """Vertices, arrows, zero and commutativity relations by name: loops
+    and parallel arrows allowed, acyclic (arrows only up the vertex
+    order) half of the time."""
+    n = rng.randint(1, 4)
+    vertices = [str(i) for i in range(1, n + 1)]
+    acyclic = rng.random() < 0.5
+    arrows = []
+    for i in range(rng.randint(0, 6)):
+        s, t = rng.randrange(n), rng.randrange(n)
+        if acyclic:
+            if s == t:
+                continue
+            s, t = min(s, t), max(s, t)
+        arrows.append((f"a{i}", vertices[s], vertices[t]))
+    out = {v: [a for a in arrows if a[1] == v] for v in vertices}
+    paths = []  # (start, arrow names, end)
+    for _ in range(rng.randint(0, 6)):
+        start = at = rng.choice(vertices)
+        names = []
+        for _ in range(rng.randint(2, 4)):
+            if not out[at]:
+                break
+            name, _source, at = rng.choice(out[at])
+            names.append(name)
+        if len(names) >= 2:
+            paths.append((start, tuple(names), at))
+    zeros = [names for _start, names, _end in paths if rng.random() < 0.7]
+    comms = [
+        (l[1], r[1])
+        for l, r in itertools.combinations(paths, 2)
+        if (l[0], l[2]) == (r[0], r[2]) and l[1] != r[1] and rng.random() < 0.5
+    ]
+    return vertices, arrows, zeros, comms
+
+
+def _construction(case):
+    vertices, arrows, zeros, comms = case
+    try:
+        p = Presentation.build(vertices, arrows, zeros, comms)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return "ok", p.zero_paths, p.comm_pairs
+
+
+def _acyclic(case):
+    vertices, arrows = case[0], case[1]
+    return cycle_entry(vertices, lambda v: [t for _n, s, t in arrows if s == v]) is None
+
+
+def test_acyclic_shortcut_matches_the_product_search(monkeypatch):
+    rng = random.Random(20261018)
+    cases = [_random_bound_quiver(rng) for _ in range(20_000)]
+    fast = [_construction(case) for case in cases]
+    monkeypatch.setattr(presentation_module, "_assert_finite_dimensional", product_search_finite)
+    assert fast == [_construction(case) for case in cases]
+    # acyclic and cyclic quivers, with and without commutativity
+    # relations, accepted, and cyclic ones rejected; loops; parallel arrows
+    kinds = {(_acyclic(case), got[0], bool(case[3])) for case, got in zip(cases, fast)}
+    assert {(a, "ok", c) for a in (True, False) for c in (True, False)} <= kinds
+    assert (False, "InfiniteDimensionalError", False) in kinds
+    assert any(s == t for case in cases for _n, s, t in case[1])
+    assert any(len({(s, t) for _n, s, t in case[1]}) < len(case[1]) for case in cases)
 
 
 # --- support cover ------------------------------------------------------------

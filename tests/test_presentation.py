@@ -1,9 +1,14 @@
+import importlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringalg import fixtures
+from stringalg.cli import main
 from stringalg.corpus import special_biserial_corpus
+from stringalg.doze import classify
 from stringalg.errors import (
     InfiniteDimensionalError,
     PreconditionError,
@@ -23,6 +28,9 @@ from stringalg.presentation import (
     validate_string_algebra,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+presentation_module = importlib.import_module("stringalg.presentation")
+
 
 def square(zeros=(), comms=((["a", "b"], ["c", "d"]),)):
     return Presentation.build(
@@ -30,6 +38,16 @@ def square(zeros=(), comms=((["a", "b"], ["c", "d"]),)):
         [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")],
         zeros=zeros,
         comms=comms,
+    )
+
+
+def square_with_parallel_arrow():
+    """The commutative square plus a second arrow 2 -> 4: three arrows end
+    at 4, so it is not special biserial, and it is not monomial."""
+    return Presentation.build(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4"), ("e", "2", "4")],
+        comms=[(["a", "b"], ["c", "d"])],
     )
 
 
@@ -96,6 +114,20 @@ def test_infinite_dimensional_cycle_rejected():
         Presentation.build(
             ["1", "2"], [("a", "1", "2"), ("b", "2", "1")], zeros=[]
         )
+
+
+@pytest.mark.parametrize(
+    "vertices, arrows",
+    [
+        (["1"], [("e", "1", "1")]),
+        (["1", "2"], [("a", "1", "2"), ("b", "2", "1")]),
+    ],
+    ids=["loop", "two-cycle"],
+)
+def test_infinite_dimensional_message_is_pinned(vertices, arrows):
+    with pytest.raises(InfiniteDimensionalError) as err:
+        Presentation.build(vertices, arrows)
+    assert str(err.value) == "ideal-avoiding oriented cycle through vertex '1'"
 
 
 def test_relation_bound_cycle_accepted():
@@ -189,6 +221,56 @@ def test_commutative_square_is_special_biserial_not_string(commsquare):
     assert not report.by_condition(1) and not report.by_condition(2)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [fixtures.commutative_square, fixtures.nine, fixtures.skew6, square_with_parallel_arrow],
+)
+def test_validators_do_not_depend_on_call_order(build):
+    fresh = (validate_string_algebra(build()), validate_special_biserial(build()))
+    p = build()
+    assert (validate_string_algebra(p), validate_special_biserial(p)) == fresh
+    q = build()
+    assert (validate_special_biserial(q), validate_string_algebra(q))[::-1] == fresh
+    # the commutativity entries go to a copy, never into the shared scan
+    for r in (p, q):
+        assert validate_string_algebra(r) == fresh[0]
+        assert not any(v.condition == 3 for v in validate_special_biserial(r).violations)
+        assert validate_special_biserial(r) == fresh[1]
+
+
+def _count_scans(monkeypatch):
+    scanned = []
+    scan = presentation_module._scan_axioms
+    monkeypatch.setattr(
+        presentation_module, "_scan_axioms", lambda p: scanned.append(p) or scan(p)
+    )
+    return scanned
+
+
+def test_classify_scans_the_input_and_its_quotient_once(monkeypatch):
+    scanned = _count_scans(monkeypatch)
+    p = fixtures.commutative_square()
+    classify(p)
+    assert scanned == [p, monomial_form(p)]
+    # the corpus validates each draw as it makes it; classify reuses that scan
+    scanned.clear()
+    draws = [p for p in special_biserial_corpus(7, 40) if not p.is_monomial]
+    for p in draws:
+        assert sum(q is p for q in scanned) == 1
+    scanned.clear()
+    classify(draws[0])
+    assert scanned == [monomial_form(draws[0])]
+
+
+def test_cli_validate_scans_once(monkeypatch, capsys):
+    scanned = _count_scans(monkeypatch)
+    for name in ("nine.alg", "commsquare.alg"):
+        scanned.clear()
+        assert main(["validate", str(ROOT / "fixtures" / name)]) == 0
+        assert len(scanned) == 1
+    capsys.readouterr()
+
+
 # --- quotient_by_J -------------------------------------------------------
 
 
@@ -220,24 +302,18 @@ def test_quotient_rejects_non_special_biserial(nine):
 def test_quotient_output_is_string_algebra_on_random_special_biserial():
     from stringalg.corpus import special_biserial_corpus
 
-    for p in special_biserial_corpus(99, 25):
+    for p in special_biserial_corpus(99, 25) + [fixtures.commutative_square()]:
         j = quotient_by_J(p)
         assert validate_string_algebra(j).is_valid
         for left, right in p.comm_pairs:
             assert path_in_ideal(j, left) and path_in_ideal(j, right)
+        # the same presentation as one built, and checked, from its relations
+        q = p.quiver
+        built = Presentation(q, [ZeroRelation(q.path(g)) for g in p.monomial_generators()])
+        assert j == built and vars(j).keys() == vars(built).keys()
 
 
 # --- monomial_form and cached facts --------------------------------------
-
-
-def square_with_parallel_arrow():
-    """The commutative square plus a second arrow 2 -> 4: three arrows end
-    at 4, so it is not special biserial, and it is not monomial."""
-    return Presentation.build(
-        ["1", "2", "3", "4"],
-        [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4"), ("e", "2", "4")],
-        comms=[(["a", "b"], ["c", "d"])],
-    )
 
 
 def test_monomial_form_is_the_cached_J_quotient(commsquare, skew6):
