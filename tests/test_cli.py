@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -168,6 +169,52 @@ def test_check_structure_golden_stdout(capsys, path, cover, form):
 def test_classify_golden_stdout(capsys, path):
     code, out, _ = run(capsys, "classify", path, "--json")
     assert (code, out) == CLASSIFY_JSON[path]
+
+
+# SHA-256 of the stdout, stderr and exit codes of `module` and `dozed`,
+# recorded before string modules moved out of the matrix layer.  `module`
+# runs once on every canonical string of length <= 6 and once on its
+# inverse; `dozed` runs at powers 0..4.
+MODULE_SHA256 = {
+    (SKEW6, ()): "69bff19422818ea15b0b9fe3c5b3878d30f29c69d5be0182c51426eaa6f6c9fa",
+    (SKEW6, ("--json",)): "be620c61fec8c98ed7810ea04fe5c56f37a9bd659ee8c6c440361cb3c12de5c0",
+    (THIRTEEN, ()): "b34e899e2f68553bee2cb4a472e751840a040c06a9b8c08aca8828ac10e9ea10",
+    (THIRTEEN, ("--json",)): "e8f34a188efcc0513af644d2bf775b4c89273f105913c9222fdbc5b48d76c472",
+}
+DOZED_SHA256 = {
+    (): "1c4b55eb4f71a8414620b8754905b8320b856fa720b24f439dfe8f983312b2c8",
+    ("--json",): "a66419845cd8cdb45f69804f0e6a81233ce4e84f69eb0eb6b84d1df17d6fe656",
+}
+
+
+def _transcript(capsys, runs):
+    parts = []
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        parts.append(f"{code}\n{out}{err}")
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("path,form", sorted(MODULE_SHA256))
+def test_module_golden_stdout(capsys, path, form):
+    from stringalg import textio
+    from stringalg.automaton import strings_of_length
+    from stringalg.walks import inverse_walk, serialize_walk
+
+    _, p = textio.parse_file(path)
+    runs = [
+        ("module", path, "--string", serialize_walk(v), *form)
+        for w in strings_of_length(p, range(7))
+        for v in (w, inverse_walk(p.quiver, w))
+    ]
+    assert len(runs) == {SKEW6: 64, THIRTEEN: 186}[path]
+    assert _transcript(capsys, runs) == MODULE_SHA256[path, form]
+
+
+@pytest.mark.parametrize("form", sorted(DOZED_SHA256))
+def test_dozed_golden_stdout(capsys, form):
+    runs = [("dozed", SKEW6, "--n", str(k), *form) for k in range(5)]
+    assert _transcript(capsys, runs) == DOZED_SHA256[form]
 
 
 def test_module_command_dims(capsys):
