@@ -9,6 +9,7 @@ Run from the repository root:  python3 demos/pump_a_witness.py
 """
 
 from stringalg import find_doze, fixtures, rep
+from stringalg.stringhom import conjecture_scan, dozed_string
 from stringalg.walks import serialize_walk
 
 p = fixtures.skew6()
@@ -20,7 +21,7 @@ for n in range(4):
     M = rep.dozed_module(p, w, n)
     dims = " ".join(f"{v}:{d}" for v, d in sorted(M.dims.items()) if d)
     print(
-        f"power {n}: walk {serialize_walk(rep.dozed_string(w, n))}"
+        f"power {n}: walk {serialize_walk(dozed_string(w, n))}"
     )
     print(
         f"   dim {M.total_dim:2d}   ({dims})   "
@@ -28,7 +29,7 @@ for n in range(4):
     )
 
 print()
-scan = rep.conjecture_scan(p, 10)
+scan = conjecture_scan(p, 10)
 print(
     f"scan up to length 10 finds {scan.count_both_ge2} string modules with "
     "both homological dimensions >= 2; the family above is cofinal in it."

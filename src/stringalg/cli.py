@@ -9,9 +9,11 @@ exhausted search budget).  Output is byte-identical across runs.
 A process loads only the layers its command runs, since start-up is most
 of a command's wall time.  Every command loads the package core
 (presentation, walks, automaton, doze) and the file reader; `module`,
-`dozed` and `scan` also load `rep` (with `exactla` and `fractions`),
-`decompose` and `check-structure` load `decomp`, and `--json` loads
-`json`.  Those imports therefore sit inside the functions that use them.
+`dozed` and `scan` also load `stringhom`, `decompose` and
+`check-structure` load `decomp`, and `--json` loads `json`.  Those
+imports therefore sit inside the functions that use them.  No command
+loads the matrix route (`rep`, `exactla`, `fractions`) on a string
+algebra.
 """
 
 import argparse
@@ -192,56 +194,51 @@ def cmd_check_structure(p, args):
     return data, text
 
 
+def _dims_line(dims):
+    return "dims " + " ".join(f"{v}:{d}" for v, d in dims.items())
+
+
 def cmd_module(p, args):
-    from . import rep
+    from .stringhom import string_entries
 
     work = _monomial_form(p)
     w = parse_walk(work.quiver, args.string)
-    M = rep.string_module(work, w)
-    sparse = rep.rep_to_sparse(M)
-    data = {"string": serialize_walk(w), "total": M.total_dim, "dims": sparse["dims"]}
+    dims, entries = string_entries(work, w)
+    total = sum(dims.values())
+    data = {"string": serialize_walk(w), "total": total, "dims": dims}
     if not args.dims:
-        data["maps"] = sparse["maps"]
-    text = [
-        f"string module over {serialize_walk(w)}",
-        f"total dimension {M.total_dim}",
-        "dims " + " ".join(f"{v}:{d}" for v, d in sorted(sparse["dims"].items())),
-    ]
+        data["maps"] = entries
+    text = [f"string module over {serialize_walk(w)}", f"total dimension {total}", _dims_line(dims)]
     if not args.dims:
-        for a, triples in sparse["maps"].items():
+        for a, triples in entries.items():
             text.append(f"{a}: " + " ".join(f"({r},{c})={v}" for r, c, v in triples))
     return data, text
 
 
 def cmd_dozed(p, args):
-    from . import rep
+    from .stringhom import dozed_module_string, string_entries
 
     work = _monomial_form(p)
     w = find_doze(work)
     if w is None:
         raise PreconditionError("the algebra has no interlaced double-zero")
-    M = rep.dozed_module(work, w, args.n)
-    sigma = rep.dozed_string(w, args.n)
-    sparse = rep.rep_to_sparse(M)
-    data = {
-        "n": args.n,
-        "sigma": serialize_walk(sigma),
-        "total": M.total_dim,
-        "dims": sparse["dims"],
-    }
+    sigma = dozed_module_string(work, w, args.n)
+    dims, _ = string_entries(work, sigma)
+    total = sum(dims.values())
+    data = {"n": args.n, "sigma": serialize_walk(sigma), "total": total, "dims": dims}
     text = [
         f"pumped string at power {args.n}: {serialize_walk(sigma)}",
-        f"total dimension {M.total_dim}",
-        "dims " + " ".join(f"{v}:{d}" for v, d in sorted(sparse["dims"].items())),
+        f"total dimension {total}",
+        _dims_line(dims),
     ]
     return data, text
 
 
 def cmd_scan(p, args):
-    from . import rep
+    from .stringhom import conjecture_scan
 
     work = _monomial_form(p)
-    result = rep.conjecture_scan(work, args.max_len)
+    result = conjecture_scan(work, args.max_len)
     data = {
         "max_len": args.max_len,
         "count_both_ge2": result.count_both_ge2,

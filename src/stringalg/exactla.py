@@ -45,12 +45,6 @@ def matvec(a, v):
     return [sum(x * y for x, y in zip(row, v) if x and y) for row in a]
 
 
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def rref(a, ncols=None):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     rows = [list(r) for r in a]
@@ -104,12 +98,6 @@ def kernel_basis(a, ncols=None):
     return basis
 
 
-def solve(a, b):
-    """One solution of a @ x = b, or None if inconsistent."""
-    xs = solve_matrix(a, [b])
-    return xs[0] if xs is not None else None
-
-
 def solve_matrix(a, b_cols, ncols=None):
     """Columns solving a @ x = b for each b in b_cols; None if any is
     inconsistent.  One elimination for all right-hand sides."""
@@ -134,14 +122,6 @@ def solve_matrix(a, b_cols, ncols=None):
 def independent_columns(a, ncols=None):
     """Indices of a maximal independent subset of columns (leftmost)."""
     return rref(a, ncols)[1]
-
-
-def column_span_contains(cols, v):
-    """Coefficients expressing v in the given column list, or None."""
-    if not cols:
-        return [] if not any(v) else None
-    mat = [[col[i] for col in cols] for i in range(len(v))]
-    return solve(mat, v)
 
 
 def column_space_basis(cols):

@@ -6,7 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import time
 
 
-from stringalg import rep
+from stringalg import rep, stringhom
 from stringalg.automaton import band_census, pumping_bound
 from stringalg.decomp import check_structure, decompose, support_cover_check
 from stringalg.doze import (
@@ -143,9 +143,9 @@ def test_criterion_7_conjecture_scan_windows(skew6, thirteen, commsquare):
     doze_free = [thirteen, monomial_form(commsquare)]
     for p in doze_free:
         bound = pumping_bound(p)
-        window = rep.conjecture_scan(p, bound + 10, min_len=bound + 1)
+        window = stringhom.conjecture_scan(p, bound + 10, min_len=bound + 1)
         assert window.count_both_ge2 == 0, "late witness on a DOZE-free fixture"
-    scan = rep.conjecture_scan(skew6, 12)
+    scan = stringhom.conjecture_scan(skew6, 12)
     dims = sorted(rep.string_module(skew6, w).total_dim for w in scan.witnesses)
     distinct = sorted(set(dims))
     assert scan.count_both_ge2 >= 3

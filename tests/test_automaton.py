@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from stringalg import fixtures, graph, rep
+from stringalg import fixtures, graph, stringhom
 from stringalg.automaton import (
     automaton,
     band_census,
@@ -272,7 +272,7 @@ def test_census_bands_are_bands(corpus500):
 
 @pytest.mark.parametrize(
     "use",
-    [automaton, lambda p: rep.conjecture_scan(p, 9)],
+    [automaton, lambda p: stringhom.conjecture_scan(p, 9)],
     ids=["automaton", "conjecture_scan"],
 )
 def test_presentation_is_freed_without_the_cycle_collector(use):

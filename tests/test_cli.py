@@ -195,7 +195,11 @@ def _transcript(capsys, runs):
     return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("path,form", sorted(MODULE_SHA256))
+@pytest.mark.parametrize(
+    "path,form",
+    sorted(MODULE_SHA256),
+    ids=[f"{Path(path).stem}-{'json' if form else 'text'}" for path, form in sorted(MODULE_SHA256)],
+)
 def test_module_golden_stdout(capsys, path, form):
     from stringalg import textio
     from stringalg.automaton import strings_of_length
@@ -211,7 +215,7 @@ def test_module_golden_stdout(capsys, path, form):
     assert _transcript(capsys, runs) == MODULE_SHA256[path, form]
 
 
-@pytest.mark.parametrize("form", sorted(DOZED_SHA256))
+@pytest.mark.parametrize("form", sorted(DOZED_SHA256), ids=["text", "json"])
 def test_dozed_golden_stdout(capsys, form):
     runs = [("dozed", SKEW6, "--n", str(k), *form) for k in range(5)]
     assert _transcript(capsys, runs) == DOZED_SHA256[form]
@@ -437,6 +441,7 @@ def test_seed_flag_is_accepted(capsys):
 # --- start-up: a process loads only the layers its command runs ------------
 
 HEAVY = (
+    "stringalg.stringhom",
     "stringalg.rep",
     "stringalg.decomp",
     "stringalg.exactla",
@@ -459,6 +464,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     main(["classify", {THIRTEEN!r}])
 print(loaded())
 with contextlib.redirect_stdout(io.StringIO()):
+    main(["module", {SKEW6!r}, "--string", "x4: gamma1 gamma2^-1 beta2^-1 beta1"])
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["dozed", {SKEW6!r}, "--n", "2"])
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
     main(["scan", {SKEW6!r}, "--max-len", "4"])
 print(loaded())
 with contextlib.redirect_stdout(io.StringIO()):
@@ -472,13 +483,13 @@ def test_cli_loads_only_the_layers_each_command_runs():
         [sys.executable, "-c", IMPORT_PROBE],
         cwd=ROOT, env=ENV, capture_output=True, text=True, check=True,
     )
-    after_import, after_classify, after_scan, after_decompose = map(
-        ast.literal_eval, done.stdout.splitlines()
-    )
+    steps = list(map(ast.literal_eval, done.stdout.splitlines()))
+    after_import, after_classify, after_module, after_dozed, after_scan, after_decompose = steps
     assert after_import == []
     assert after_classify == []
-    assert after_scan == ["fractions", "stringalg.exactla", "stringalg.rep"]
-    assert after_decompose == ["fractions", "stringalg.decomp", "stringalg.exactla", "stringalg.rep"]
+    # on a string algebra the string-module commands never load the matrix route
+    assert after_module == after_dozed == after_scan == ["stringalg.stringhom"]
+    assert after_decompose == ["stringalg.decomp", "stringalg.stringhom"]
 
 
 def test_cli_import_loads_no_typing_without_site():

@@ -37,13 +37,6 @@ def test_kernel_vectors_annihilate():
         assert la.matvec(m, v) == [0, 0, 0]
 
 
-def test_solve_consistent_and_inconsistent():
-    assert la.solve([[2, 0], [0, 4]], [2, 8]) == [1, 2]
-    assert la.solve([[1, 1], [2, 2]], [1, 3]) is None
-    x = la.solve([[1, 1]], [5])
-    assert x is not None and x[0] + x[1] == 5
-
-
 def test_solve_matrix_batches():
     sols = la.solve_matrix([[1, 0], [1, 1]], [[1, 2], [0, 3]])
     assert sols == [[1, 1], [0, 3]]
@@ -67,14 +60,3 @@ def test_column_space_basis():
     basis = la.column_space_basis(cols)
     assert basis == [[1, 0], [0, 1]]
     assert la.column_space_basis([]) == []
-
-
-def test_column_span_contains():
-    cols = [[1, 0], [1, 1]]
-    coeffs = la.column_span_contains(cols, [3, 2])
-    assert coeffs is not None
-    assert [
-        coeffs[0] * 1 + coeffs[1] * 1,
-        coeffs[0] * 0 + coeffs[1] * 1,
-    ] == [3, 2]
-    assert la.column_span_contains([[1, 0]], [0, 1]) is None

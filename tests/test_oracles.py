@@ -19,6 +19,11 @@ kept as differential oracles.
 - `product_search_finite`: the construction-time finiteness check without
   the acyclic shortcut, the (vertex, matcher-progress) search on every
   quiver.
+- `naturality_envelope`: the injective envelope as one solution of the
+  naturality system that extends the socle matching, into injectives
+  whose bases are the ideal-avoiding paths ending at each socle vertex;
+  `rep` now builds the envelope as the dual of a projective cover over
+  the opposite algebra.
 
 The full `bfs` is also the oracle of the bounded one `find_doze` and
 `shortest_cycle_at` use.  They run on the seeded corpora 1, 2 and 101,
@@ -34,7 +39,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringalg import fixtures
+from stringalg import exactla as la
+from stringalg import fixtures, rep
 from stringalg.automaton import AutoState, StringAutomaton, enumerate_strings
 from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.decomp import (
@@ -77,6 +83,7 @@ from stringalg.walks import (
     is_reduced,
     is_string,
     letter_ends,
+    parse_walk,
     walk_arrows,
     walk_end,
     walk_vertices,
@@ -744,3 +751,130 @@ def test_support_cover_spends_the_same_budget(monkeypatch, thirteen):
                 answers.add(got)
     assert answers == {True, False, "budget"}
 
+
+
+# --- injective envelope --------------------------------------------------------
+
+
+def path_injective(p, x):
+    """(I(x), basis): the ideal-avoiding paths ending at x, by vertex in
+    (length, names) order; an arrow chops itself off the front of a path."""
+    q = p.quiver
+    zero = p.zero_index()
+    paths = []
+    stack = [((), x)]
+    while stack:
+        path, v = stack.pop()
+        paths.append((path, v))
+        for a in q.in_arrows(v):
+            if not has_window((a.name,) + path, zero):
+                stack.append(((a.name,) + path, a.source))
+    paths.sort(key=lambda t: (len(t[0]), t[0]))
+    basis, index = {}, {}
+    for path, v in paths:
+        index[path] = len(basis.setdefault(v, []))
+        basis[v].append(path)
+    dims = {v: len(b) for v, b in basis.items()}
+    maps = {a.name: la.zeros(dims.get(a.target, 0), dims.get(a.source, 0)) for a in q.arrows}
+    for path, v in paths:
+        if path:
+            maps[path[0]][index[path[1:]]][index[path]] = 1
+    return rep.Representation(p, dims, maps), basis
+
+
+def naturality_envelope(p, M, second_solution=False):
+    """(I, embedding) with I one path injective per socle basis vector and
+    the embedding any solution of the naturality system that extends the
+    socle matching.  With second_solution=True a third value is returned:
+    a different solution when the system is underdetermined, else None."""
+    S, incl = rep.socle(M)
+    q = p.quiver
+    summands = [
+        (v, [incl.blocks[v][i][j] for i in range(M.dims[v])])
+        for v in sorted(q.vertices)
+        for j in range(S.dims[v])
+    ]
+    data = [path_injective(p, v) for v, _ in summands]
+    I, offsets = rep._direct_sum(p, [R for R, _ in data])
+    socle_rows = [at[v] + basis[v].index(()) for (v, _), (_, basis), at in zip(summands, data, offsets)]
+    var_offset, nvars = {}, 0
+    for v in q.vertices:
+        var_offset[v] = nvars
+        nvars += I.dims[v] * M.dims[v]
+
+    def var(v, r, c):
+        return var_offset[v] + r * M.dims[v] + c
+
+    rows, rhs = [], []
+    # naturality: f_t . M_a = I_a . f_s for every arrow a
+    for a in q.arrows:
+        s, t = a.source, a.target
+        for r in range(I.dims[t]):
+            for c in range(M.dims[s]):
+                row = [0] * nvars
+                for k in range(M.dims[t]):
+                    row[var(t, r, k)] += M.maps[a.name][k][c]
+                for k in range(I.dims[s]):
+                    row[var(s, k, c)] -= I.maps[a.name][r][k]
+                if any(row):
+                    rows.append(row)
+                    rhs.append(0)
+    # socle matching: the k-th socle vector goes to the k-th summand's socle line
+    for k, (v, vec) in enumerate(summands):
+        for r in range(I.dims[v]):
+            row = [0] * nvars
+            for c in range(M.dims[v]):
+                row[var(v, r, c)] = vec[c]
+            rows.append(row)
+            rhs.append(1 if r == socle_rows[k] else 0)
+    sols = la.solve_matrix(rows, [rhs], ncols=nvars) if rows else [[0] * nvars]
+    assert sols is not None, "the naturality system is inconsistent"
+
+    def embedding(values):
+        blocks = {
+            v: [[values[var(v, r, c)] for c in range(M.dims[v])] for r in range(I.dims[v])]
+            for v in q.vertices
+        }
+        return rep.ModuleMap(M, I, blocks)
+
+    embed = embedding(sols[0])
+    assert embed.is_injective()
+    if not second_solution:
+        return I, embed
+    null = la.kernel_basis(rows, ncols=nvars) if rows else []
+    other = embedding([x + y for x, y in zip(sols[0], null[0])]) if null else None
+    return I, embed, other
+
+
+def naturality_id_at_least_2(p, M):
+    """Not injective, and the cokernel of the envelope not injective either."""
+    I, embed = naturality_envelope(p, M)
+    if I.total_dim == M.total_dim:
+        return False
+    C, _ = rep.cokernel(embed)
+    I2, _ = naturality_envelope(p, C)
+    return I2.total_dim != C.total_dim
+
+
+def test_envelope_solution_independence(skew6):
+    M = rep.string_module(skew6, parse_walk(skew6.quiver, "x2: beta1 gamma1"))
+    I, embed, other = naturality_envelope(skew6, M, second_solution=True)
+    C1, _ = rep.cokernel(embed)
+    if other is not None:
+        assert any(embed.blocks[v] != other.blocks[v] for v in skew6.quiver.vertices)
+        C2, _ = rep.cokernel(other)
+        assert C1.dims == C2.dims
+
+
+def test_duality_envelope_matches_the_naturality_solve(skew6, thirteen):
+    compared = 0
+    for p in [skew6, thirteen] + string_corpus(5, 10):
+        for w in enumerate_strings(p, 4):
+            M = rep.string_module(p, w)
+            I, embed = rep.injective_envelope(p, M)
+            J, oracle = naturality_envelope(p, M)
+            assert I.dims == J.dims, w
+            assert embed.is_injective(), w
+            assert rep.cokernel(embed)[0].dims == rep.cokernel(oracle)[0].dims, w
+            compared += 1
+    assert compared == 315

@@ -396,7 +396,7 @@ def test_analysis_pass_derives_each_fact_once(thirteen, monkeypatch):
 # --- value classes -------------------------------------------------------------
 
 decomp_module = importlib.import_module("stringalg.decomp")
-rep_module = importlib.import_module("stringalg.rep")
+stringhom_module = importlib.import_module("stringalg.stringhom")
 walks_module = importlib.import_module("stringalg.walks")
 
 # (class, fields in declaration order, fields left out of == and hash,
@@ -449,7 +449,7 @@ VALUE_CLASSES = [
         (),
         (),
     ),
-    (rep_module.ScanResult, ("count_both_ge2", "witnesses"), (), (), ()),
+    (stringhom_module.ScanResult, ("count_both_ge2", "witnesses"), (), (), ()),
 ]
 
 
@@ -475,7 +475,7 @@ def value_example(cls, skew6, thirteen, commsquare):
         "Subcategory": lambda: dec.a_parts[0],
         "Decomposition": lambda: dec,
         "StructureReport": lambda: check_structure(thirteen, dec),
-        "ScanResult": lambda: rep_module.conjecture_scan(skew6, 4),
+        "ScanResult": lambda: stringhom_module.conjecture_scan(skew6, 4),
     }[cls.__name__]()
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from stringalg import exactla as la
-from stringalg import fixtures, rep
+from stringalg import fixtures, rep, stringhom
 from stringalg.automaton import strings_of_length
 from stringalg.corpus import random_monomial_presentation, special_biserial_corpus, string_corpus
 from stringalg.doze import find_doze
@@ -180,18 +180,6 @@ def test_envelope_of_simple_is_injective_hull(skew6):
     assert {v: d for v, d in C.dims.items() if d} == {"x2": 1}
 
 
-def test_envelope_solution_independence(skew6):
-    M = rep.string_module(skew6, walk(skew6, "x2: beta1 gamma1"))
-    I, embed, other = rep.injective_envelope(skew6, M, second_solution=True)
-    C1, _ = rep.cokernel(embed)
-    if other is not None:
-        assert any(
-            embed.blocks[v] != other.blocks[v] for v in skew6.quiver.vertices
-        )
-        C2, _ = rep.cokernel(other)
-        assert C1.dims == C2.dims
-
-
 def test_syzygy_dimension_bookkeeping(skew6):
     S = rep.simple_module(skew6, "x4")
     P, cover = rep.projective_cover(skew6, S)
@@ -232,11 +220,13 @@ def test_source_simple_in_hereditary_quiver_has_small_id():
 
 def test_dual_route_matches_envelope_route(skew6, thirteen):
     from stringalg.automaton import enumerate_strings
+    from tests.test_oracles import naturality_id_at_least_2
 
+    assert rep.id_at_least_2_dual is rep.id_at_least_2
     for p in (skew6, thirteen):
         for w in enumerate_strings(p, 4):
             M = rep.string_module(p, w)
-            assert rep.id_at_least_2(p, M) == rep.id_at_least_2_dual(p, M)
+            assert rep.id_at_least_2(p, M) == naturality_id_at_least_2(p, M), w
 
 
 # --- pumped modules -------------------------------------------------------------
@@ -292,11 +282,13 @@ def test_theorem_five_on_witness(skew6):
 
 
 def test_scan_of_relation_free_quiver_is_empty():
-    assert rep.conjecture_scan(linear_a3(), 8).count_both_ge2 == 0
+    assert stringhom.conjecture_scan(linear_a3(), 8).count_both_ge2 == 0
+    # perfbench/workloads.py reaches the scan as rep.conjecture_scan
+    assert rep.conjecture_scan is stringhom.conjecture_scan
 
 
 def test_scan_of_skew6_contains_growing_family(skew6):
-    result = rep.conjecture_scan(skew6, 12)
+    result = stringhom.conjecture_scan(skew6, 12)
     assert result.count_both_ge2 >= 3
     dims = sorted(rep.string_module(skew6, w).total_dim for w in result.witnesses)
     assert {1, 5, 9} <= set(dims)
@@ -305,7 +297,7 @@ def test_scan_of_skew6_contains_growing_family(skew6):
 def test_scan_of_thirteen_regression_baseline(thirteen):
     from stringalg.walks import serialize_walk
 
-    result = rep.conjecture_scan(thirteen, 20)
+    result = stringhom.conjecture_scan(thirteen, 20)
     got = [serialize_walk(w) for w in result.witnesses]
     assert got == [
         "5:",
@@ -321,7 +313,7 @@ def test_scan_of_thirteen_regression_baseline(thirteen):
 
 
 def test_scan_window_parameters(thirteen):
-    result = rep.conjecture_scan(thirteen, 6, min_len=5)
+    result = stringhom.conjecture_scan(thirteen, 6, min_len=5)
     for w in result.witnesses:
         assert 5 <= len(w.letters) <= 6
 
@@ -334,10 +326,10 @@ def exact_scan(p, max_len, min_len=0):
     witnesses = []
     for w in strings_of_length(p, range(min_len, max_len + 1)):
         M = rep.string_module(p, w)
-        if rep.pd_at_least_2(p, M) and rep.id_at_least_2_dual(p, M):
+        if rep.pd_at_least_2(p, M) and rep.id_at_least_2(p, M):
             witnesses.append(w)
     witnesses.sort(key=Walk.key)
-    return rep.ScanResult(len(witnesses), tuple(witnesses))
+    return stringhom.ScanResult(len(witnesses), tuple(witnesses))
 
 
 def _nonzero(dims):
@@ -359,34 +351,34 @@ def assert_routes_agree(p, lengths):
         P, cover = rep.projective_cover(p, M)
         K, _ = rep.kernel(cover)
         tops = Counter()
-        for x in rep.string_cover(p, w):
+        for x in stringhom.string_cover(p, w):
             tops.update(rep.projective(p, x).dims)
         assert _nonzero(tops) == _nonzero(P.dims), w
         syzygy = Counter()
-        for s in rep.string_syzygy(p, w):
+        for s in stringhom.string_syzygy(p, w):
             syzygy.update(walk_vertices(q, s))
         assert dict(syzygy) == _nonzero(K.dims), w
         pd = P.total_dim != M.total_dim and not rep.is_projective_module(p, K)
-        assert rep.string_pd_at_least_2(p, w) == pd, w
-        assert rep.string_id_at_least_2(p, w) == rep.id_at_least_2_dual(p, M), w
+        assert stringhom.string_pd_at_least_2(p, w) == pd, w
+        assert stringhom.string_id_at_least_2(p, w) == rep.id_at_least_2(p, M), w
         count += 1
     return count
 
 
 def test_string_route_on_simple_and_projective(skew6):
     x4 = trivial_walk(skew6.quiver, "x4")
-    assert rep.string_cover(skew6, x4) == ("x4",)
-    assert rep.string_syzygy(skew6, x4) == (trivial_walk(skew6.quiver, "x5"),)
+    assert stringhom.string_cover(skew6, x4) == ("x4",)
+    assert stringhom.string_syzygy(skew6, x4) == (trivial_walk(skew6.quiver, "x5"),)
     # P(x2) is the string module of its two maximal paths
     w = walk(skew6, "x5: gamma1^-1 beta1^-1 beta2 gamma2")
-    assert rep.string_cover(skew6, w) == ("x2",)
-    assert rep.string_syzygy(skew6, w) == ()
-    assert not rep.string_pd_at_least_2(skew6, w)
+    assert stringhom.string_cover(skew6, w) == ("x2",)
+    assert stringhom.string_syzygy(skew6, w) == ()
+    assert not stringhom.string_pd_at_least_2(skew6, w)
     # cutting P(x2) short at both ends leaves S(x5) twice
     w = walk(skew6, "x4: beta1^-1 beta2")
     x5 = trivial_walk(skew6.quiver, "x5")
-    assert rep.string_syzygy(skew6, w) == (x5, x5)
-    assert rep.string_pd_at_least_2(skew6, x4) and rep.string_id_at_least_2(skew6, x4)
+    assert stringhom.string_syzygy(skew6, w) == (x5, x5)
+    assert stringhom.string_pd_at_least_2(skew6, x4) and stringhom.string_id_at_least_2(skew6, x4)
 
 
 def test_string_route_matches_exact_route_on_fixtures(skew6, thirteen):
@@ -410,10 +402,10 @@ def test_string_route_matches_exact_route_on_j_quotients():
 def test_string_route_needs_a_string_algebra(nine):
     w = trivial_walk(nine.quiver, "x5")
     for f in (
-        rep.string_cover,
-        rep.string_syzygy,
-        rep.string_pd_at_least_2,
-        rep.string_id_at_least_2,
+        stringhom.string_cover,
+        stringhom.string_syzygy,
+        stringhom.string_pd_at_least_2,
+        stringhom.string_id_at_least_2,
     ):
         with pytest.raises(PreconditionError):
             f(nine, w)
@@ -426,7 +418,7 @@ def test_scan_of_non_string_monomial_presentation_takes_exact_route():
         p = random_monomial_presentation(rng, max_vertices=4, max_arrows=5)
         if p is None or validate_string_algebra(p).is_valid:
             continue
-        results.append(rep.conjecture_scan(p, 3))
+        results.append(stringhom.conjecture_scan(p, 3))
         assert results[-1] == exact_scan(p, 3)
     assert any(r.count_both_ge2 for r in results)
 
@@ -444,7 +436,7 @@ def test_string_id_is_string_pd_over_the_opposite_algebra(skew6, thirteen, comms
     for p in presentations:
         pop = p.opposite()
         for w in strings_of_length(p, range(9)):
-            assert rep.string_id_at_least_2(p, w) == rep.string_pd_at_least_2(pop, flipped(w)), w
+            assert stringhom.string_id_at_least_2(p, w) == stringhom.string_pd_at_least_2(pop, flipped(w)), w
             compared += 1
     assert compared == 15604
 
@@ -459,13 +451,13 @@ def test_scan_builds_no_opposite_algebra(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Presentation, "__init__", counting)
-    assert rep.conjecture_scan(p, 46, min_len=37).count_both_ge2 == 0
+    assert stringhom.conjecture_scan(p, 46, min_len=37).count_both_ge2 == 0
     assert "opposite" not in p._cache
     assert built == []
 
 
 def _verdicts(p, strings):
-    return [(rep.string_pd_at_least_2(p, w), rep.string_id_at_least_2(p, w)) for w in strings]
+    return [(stringhom.string_pd_at_least_2(p, w), stringhom.string_id_at_least_2(p, w)) for w in strings]
 
 
 @pytest.mark.parametrize(
@@ -488,7 +480,7 @@ def test_string_verdicts_do_not_depend_on_call_order(make, lengths):
     backward = _verdicts(make(), strings[::-1])
     assert backward[::-1] == forward
     witnesses = tuple(w for w, (pd, id_) in zip(strings, forward) if pd and id_)
-    assert rep.conjecture_scan(make(), max(lengths), min_len=min(lengths)).witnesses == witnesses
+    assert stringhom.conjecture_scan(make(), max(lengths), min_len=min(lengths)).witnesses == witnesses
 
 
 def test_string_route_edge_cases():
@@ -500,10 +492,10 @@ def test_string_route_edge_cases():
     p = quotient_by_J(special_biserial_corpus(20260809, 6)[2])
     w = walk(p, "v4: a6 a5^-1 a6")
     M = rep.string_module(p, w)
-    assert rep.string_pd_at_least_2(p, w) == rep.pd_at_least_2(p, M)
-    assert rep.string_id_at_least_2(p, w) == rep.id_at_least_2_dual(p, M)
+    assert stringhom.string_pd_at_least_2(p, w) == rep.pd_at_least_2(p, M)
+    assert stringhom.string_id_at_least_2(p, w) == rep.id_at_least_2(p, M)
     syzygy = Counter()
-    for s in rep.string_syzygy(p, w):
+    for s in stringhom.string_syzygy(p, w):
         syzygy.update(walk_vertices(p.quiver, s))
     assert dict(syzygy) == _nonzero(rep.syzygy(p, M).dims)
 
@@ -515,9 +507,9 @@ def test_string_syzygy_order_is_pinned(skew6, thirteen):
         (thirteen, "13: rho7 rho8^-1", ["12:", "12: delta2", "9: delta2^-1"]),
     ]
     for p, text, want in cases:
-        assert [serialize_walk(s) for s in rep.string_syzygy(p, walk(p, text))] == want
+        assert [serialize_walk(s) for s in stringhom.string_syzygy(p, walk(p, text))] == want
     lines = [
-        serialize_walk(w) + " -> " + " | ".join(serialize_walk(s) for s in rep.string_syzygy(p, w))
+        serialize_walk(w) + " -> " + " | ".join(serialize_walk(s) for s in stringhom.string_syzygy(p, w))
         for p in (skew6, thirteen)
         for w in strings_of_length(p, range(7))
     ]
@@ -528,7 +520,7 @@ def test_string_syzygy_order_is_pinned(skew6, thirteen):
 
 
 def test_scan_of_skew6_witnesses_are_pinned():
-    result = rep.conjecture_scan(fixtures.skew6(), 12)
+    result = stringhom.conjecture_scan(fixtures.skew6(), 12)
     text = "\n".join(serialize_walk(w) for w in result.witnesses)
     assert result.count_both_ge2 == 42
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -540,11 +532,18 @@ def test_scan_of_skew6_witnesses_are_pinned():
 
 
 def test_sparse_round_trip_shape(skew6):
-    M = rep.string_module(skew6, walk(skew6, "x4: gamma1 gamma2^-1 beta2^-1 beta1"))
-    sparse = rep.rep_to_sparse(M)
-    assert sparse["dims"] == {"x2": 1, "x3": 1, "x4": 2, "x5": 1}
-    total = sum(len(t) for t in sparse["maps"].values())
+    w = walk(skew6, "x4: gamma1 gamma2^-1 beta2^-1 beta1")
+    dims, entries = stringhom.string_entries(skew6, w)
+    assert dims == {"x2": 1, "x3": 1, "x4": 2, "x5": 1}
+    total = sum(len(t) for t in entries.values())
     assert total == 4  # one identity entry per letter
+    M = rep.string_module(skew6, w)
+    assert {v: d for v, d in M.dims.items() if d} == dims
+    assert entries == {
+        a: [(i, j, 1) for i, row in enumerate(m) for j, x in enumerate(row) if x]
+        for a, m in sorted(M.maps.items())
+        if any(any(row) for row in m)
+    }
 
 
 def test_representation_constructor_rejects_broken_relations(skew6):
