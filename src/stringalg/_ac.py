@@ -1,8 +1,11 @@
-"""Multi-pattern matcher over arrow alphabets (Aho-Corasick).
+"""Multi-pattern matcher over any alphabet (Aho-Corasick).
 
-Patterns are tuples of arrow ids.  The caller guarantees the pattern set
-is an antichain under contiguous containment (relation generators are
-minimalized on load), so at most one pattern can end at any position.
+Patterns are tuples of symbols, which may be any hashable: arrow ids for
+the relation generators, letters (arrows with a direction) for the one
+walk `decomp.d_category` looks for.  The caller guarantees the pattern
+set is an antichain under contiguous containment (relation generators
+are minimalized on load, and one pattern is one trivially), so at most
+one pattern can end at any position.
 """
 
 from collections import deque

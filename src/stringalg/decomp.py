@@ -12,11 +12,12 @@ part, with no subalgebra built, and the support cover walks the strings
 once, carrying per prefix the bitmask of the parts that hold it.
 """
 
+from ._ac import AhoCorasick
 from ._value import Value
 from .automaton import _walk_tree, automaton, band_census
 from .doze import STRICT_LAURA_OR_TILTED, _double_zero_over, classify
 from .errors import CorruptPresentationError, PreconditionError
-from .graph import reach, topological_order
+from .graph import reach, sccs, topological_order
 from .presentation import monomial_form
 from .walks import (
     direct,
@@ -60,33 +61,19 @@ class Decomposition(Value):
         return self.a_parts + self.b_parts
 
 
-def _kmp_failure(pat):
-    fail = [0] * len(pat)
-    k = 0
-    for i in range(1, len(pat)):
-        while k and pat[i] != pat[k]:
-            k = fail[k - 1]
-        if pat[i] == pat[k]:
-            k += 1
-        fail[i] = k
-    return fail
-
-
 def _product_nodes(aut, pat):
     """Forward-reachable (state, pattern-progress) nodes and their edges.
 
-    Progress is a KMP match state over the pattern's letters, absorbing
-    once the pattern has occurred.
+    Progress is a state of the pattern's matcher over letters, and None,
+    absorbing, once the pattern has occurred.
     """
-    fail = _kmp_failure(pat)
-    K = len(pat)
+    ac = AhoCorasick([pat])
 
     def advance(pr, letter):
-        if pr == K:
-            return K
-        while pr and pat[pr] != letter:
-            pr = fail[pr - 1]
-        return pr + 1 if pat[pr] == letter else 0
+        if pr is None:
+            return None
+        pr, hit = ac.advance(pr, letter)
+        return pr if hit is None else None
 
     inits = {
         (aut.initial_state(letter), advance(0, letter))
@@ -102,7 +89,7 @@ def _product_nodes(aut, pat):
         return edges[n]
 
     reach(inits, succ)
-    return inits, edges, K
+    return edges
 
 
 def d_category(p, w, label="D"):
@@ -119,13 +106,12 @@ def d_category(p, w, label="D"):
     objects = {w.base}
     arrows = set()
     if w.letters:
-        pat = list(w.letters)
-        inits, edges, K = _product_nodes(aut, pat)
+        edges = _product_nodes(aut, w.letters)
         rev = {n: [] for n in edges}
         for n, succ in edges.items():
             for m in succ:
                 rev[m].append(n)
-        for s, _pr in reach([n for n in edges if n[1] == K], rev.__getitem__):
+        for s, _pr in reach([n for n in edges if n[1] is None], rev.__getitem__):
             sv, tv = letter_ends(q, s.letter)
             objects.update((sv, tv))
             arrows.add(s.arrow)
@@ -363,24 +349,16 @@ def check_structure(p, decomposition=None):
             details.append(f"unique_cycle: {part.label} lists arrow {name} with an end outside it")
         if stray:
             continue
-        comp = {v: v for v in part.objects}
-
-        def find(v):
-            while comp[v] != v:
-                comp[v] = comp[comp[v]]
-                v = comp[v]
-            return v
-
+        succ = {v: [] for v in part.objects}
+        pred = {v: [] for v in part.objects}
         for a in part_arrows:
-            comp[find(a.source)] = find(a.target)
-        ncomp = len({find(v) for v in part.objects})
+            succ[a.source].append(a.target)
+            pred[a.target].append(a.source)
+        ncomp = len(sccs(part.objects, lambda v: succ[v] + pred[v]))
         cyclomatic = len(part_arrows) - len(part.objects) + ncomp
         if cyclomatic != 1:
             unique_cycle = False
             details.append(f"unique_cycle: {part.label} has cyclomatic number {cyclomatic}")
-        succ = {v: [] for v in part.objects}
-        for a in part_arrows:
-            succ[a.source].append(a.target)
         if topological_order(sorted(part.objects), succ.__getitem__) is None:
             unique_cycle = False
             details.append(f"unique_cycle: {part.label} contains an oriented cycle")

@@ -124,6 +124,27 @@ def independent_columns(a, ncols=None):
     return rref(a, ncols)[1]
 
 
+def complement(cols, n):
+    """Split k^n into the span of cols and the coordinates outside it.
+
+    One rref of the columns with their coordinates read right to left, so
+    each reduced row has its last nonzero at a pivot coordinate t, with a
+    1 there and 0 at every other pivot.  Returns (free, proj): `free` is
+    every other coordinate, the unit vectors a leftmost extension of a
+    basis of the span picks, and `proj` (one row per free coordinate)
+    projects k^n onto them along the span: the identity on `free`, and
+    -row_t at each pivot t.
+    """
+    rows, pivots = rref([c[::-1] for c in cols], n)
+    pivot_rows = {n - 1 - c: row[::-1] for c, row in zip(pivots, rows)}
+    free = [i for i in range(n) if i not in pivot_rows]
+    proj = [
+        [-pivot_rows[i][f] if i in pivot_rows else int(i == f) for i in range(n)]
+        for f in free
+    ]
+    return free, proj
+
+
 def column_space_basis(cols):
     """Subset of the given columns forming a basis of their span."""
     if not cols:

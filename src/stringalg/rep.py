@@ -4,10 +4,16 @@ Representations, module maps, indecomposable projectives and injectives,
 radical and socle series, kernels and cokernels, projective covers and
 injective envelopes, syzygies and the pd >= 2 / id >= 2 tests, and the
 pumped module family of a DOZE witness.  Everything works with 0/1
-integer matrices and exact rational solves; nothing depends on a
+integer matrices and exact rational elimination; nothing depends on a
 characteristic.  The projectives have the paths outside the ideal as
 bases, which is right only for a monomial presentation, so any other is
 refused with PreconditionError (pass to the J-quotient first).
+
+Quotients, tops, cokernels and covers come from one echelon form per
+vertex (`exactla.complement`): a quotient's basis is the unit vectors
+the subspace leaves free, and the projective cover is one projective per
+top basis vector, lifted into M as that unit vector (Assem-Simson-
+Skowronski I, I.5).  Sub-representations solve for each arrow's matrix.
 
 The injective side is built by duality: D = Hom(-, k) sends injective
 A-modules to projective A^op-modules (Assem-Simson-Skowronski I, I.5), so
@@ -35,7 +41,7 @@ class Representation:
     column vectors; every zero generator's composite must vanish.
     """
 
-    def __init__(self, p, dims, maps, check=True):
+    def __init__(self, p, dims, maps):
         self.p = p
         q = p.quiver
         self.dims = {v: int(dims.get(v, 0)) for v in q.vertices}
@@ -49,8 +55,7 @@ class Representation:
             ):
                 raise CorruptPresentationError(f"map for {a.name} has the wrong shape")
             self.maps[a.name] = m
-        if check:
-            self._check_relations()
+        self._check_relations()
 
     def _check_relations(self):
         for g in self.p.zero_paths:
@@ -81,7 +86,7 @@ class Representation:
 class ModuleMap:
     """Per-vertex blocks commuting with every arrow matrix."""
 
-    def __init__(self, source, target, blocks, check=True):
+    def __init__(self, source, target, blocks):
         self.source = source
         self.target = target
         q = source.p.quiver
@@ -91,8 +96,7 @@ class ModuleMap:
             if b is None:
                 b = la.zeros(target.dims[v], source.dims[v])
             self.blocks[v] = b
-        if check:
-            self._check_natural()
+        self._check_natural()
 
     def _check_natural(self):
         q = self.source.p.quiver
@@ -115,7 +119,7 @@ class ModuleMap:
 
 
 def simple_module(p, x):
-    return Representation(p, {x: 1}, {}, check=False)
+    return Representation(p, {x: 1}, {})
 
 
 def string_module(p, w):
@@ -204,79 +208,42 @@ def _sub_representation(M, vectors):
 
 
 def _quotient_representation(M, vectors):
-    """(quotient, projection) by the subspace spanned per vertex."""
-    p = M.p
-    q = p.quiver
-    proj_blocks = {}
-    qdims = {}
-    for v in q.vertices:
-        n = M.dims[v]
-        cols = vectors.get(v, [])
-        k = len(la.independent_columns(
-            [[c[i] for c in cols] for i in range(n)] if cols else la.zeros(n, 0),
-            ncols=len(cols),
-        ))
-        stacked = [[c[i] for c in cols] + row for i, row in enumerate(la.identity(n))]
-        chosen = la.independent_columns(stacked, ncols=len(cols) + n)
-        free = [j - len(cols) for j in chosen if j >= len(cols)]
-        qdims[v] = n - k
-        if len(free) != qdims[v]:
-            raise CorruptPresentationError("quotient basis extraction failed")
-        basis_cols = [
-            [c[i] for i in range(n)] for c in cols
-        ] + [[1 if i == j else 0 for i in range(n)] for j in free]
-        full = [[basis_cols[j][i] for j in range(len(basis_cols))] for i in range(n)]
-        coords = la.solve_matrix(full, la.identity(n), ncols=len(basis_cols))
-        if coords is None:
-            raise CorruptPresentationError("quotient coordinates failed")
-        proj_blocks[v] = [
-            [coords[e][len(cols) + r] for e in range(n)] for r in range(qdims[v])
-        ]
+    """(quotient, projection) by the subspace spanned per vertex.  Its
+    basis is the images of the unit vectors `complement` leaves free, so
+    an arrow's matrix is the projection after the arrow, restricted to the
+    source's free columns."""
+    q = M.p.quiver
+    split = {v: la.complement(vectors[v], M.dims[v]) for v in q.vertices}
     maps = {}
     for a in q.arrows:
-        src_free = proj_blocks[a.source]
-        n_src = M.dims[a.source]
-        lift_cols = []
-        if qdims[a.source]:
-            sol = la.solve_matrix(proj_blocks[a.source], la.identity(qdims[a.source]), ncols=n_src)
-            if sol is None:
-                raise CorruptPresentationError("quotient lift failed")
-            lift_cols = sol
-        mat = la.zeros(qdims[a.target], qdims[a.source])
-        for j, lift in enumerate(lift_cols):
-            img = la.matvec(M.maps[a.name], lift)
-            down = la.matvec(proj_blocks[a.target], img)
-            for i, val in enumerate(down):
-                mat[i][j] = val
-        maps[a.name] = mat
-    quot = Representation(p, qdims, maps)
-    return quot, ModuleMap(M, quot, proj_blocks)
+        free = split[a.source][0]
+        image = la.matmul(split[a.target][1], M.maps[a.name], ncols=M.dims[a.source])
+        maps[a.name] = [[row[j] for j in free] for row in image]
+    quot = Representation(M.p, {v: len(free) for v, (free, _) in split.items()}, maps)
+    return quot, ModuleMap(M, quot, {v: proj for v, (_, proj) in split.items()})
 
 
-def _radical_basis(M):
-    """Per vertex, a column basis of the sum of all arrow images."""
+def _arrow_images(M):
+    """Per vertex, the nonzero columns of the arrows into it: they span
+    the radical there."""
     q = M.p.quiver
-    vectors = {}
+    images = {}
     for v in q.vertices:
-        cols = []
+        images[v] = cols = []
         for a in q.in_arrows(v):
-            mat = M.maps[a.name]
-            for j in range(M.dims[a.source]):
-                col = [mat[i][j] for i in range(M.dims[v])]
-                if any(col):
-                    cols.append(col)
-        vectors[v] = la.column_space_basis(cols)
-    return vectors
+            cols.extend(c for c in _transposed(M.maps[a.name], M.dims[a.source]) if any(c))
+    return images
 
 
 def radical(M):
     """(rad M, inclusion): the sum of all arrow images."""
-    return _sub_representation(M, _radical_basis(M))
+    basis = {v: la.column_space_basis(cols) for v, cols in _arrow_images(M).items()}
+    return _sub_representation(M, basis)
 
 
 def top(M):
     """(top M, projection): M modulo its radical."""
-    return _quotient_representation(M, _radical_basis(M))
+    return _quotient_representation(M, _arrow_images(M))
 
 
 def socle(M):
@@ -290,9 +257,7 @@ def socle(M):
         if stacked:
             vectors[v] = la.kernel_basis(stacked, ncols=M.dims[v])
         else:
-            vectors[v] = [
-                [1 if i == j else 0 for i in range(M.dims[v])] for j in range(M.dims[v])
-            ]
+            vectors[v] = la.identity(M.dims[v])
     return _sub_representation(M, vectors)
 
 
@@ -307,30 +272,32 @@ def kernel(f):
 
 def cokernel(f):
     """(coker f, projection) of a module map."""
-    N = f.target
-    vectors = {}
-    for v in N.p.quiver.vertices:
-        b = f.blocks[v]
-        cols = [[b[i][j] for i in range(len(b))] for j in range(f.source.dims[v])]
-        vectors[v] = la.column_space_basis(cols)
-    return _quotient_representation(N, vectors)
+    vectors = {v: _transposed(b, f.source.dims[v]) for v, b in f.blocks.items()}
+    return _quotient_representation(f.target, vectors)
 
 
 def projective_cover(p, M):
-    """(P, cover) with P the direct sum of one projective per top basis
-    vector and cover the lift of the top identification."""
-    T, proj = top(M)
-    summands = []
-    for v in sorted(p.quiver.vertices):
-        t = T.dims[v]
-        if not t:
-            continue
-        lifts = la.solve_matrix(proj.blocks[v], la.identity(t), ncols=M.dims[v])
-        if lifts is None:
-            raise CorruptPresentationError("top lift failed")
-        for i in range(t):
-            summands.append((v, lifts[i]))
-    return _assemble_cover(p, M, summands)
+    """(P, cover): one projective P(v) per top basis vector, which is the
+    unit vector at a coordinate of M_v the radical leaves free; the cover
+    sends each path from v to that vector's image along it."""
+    q = p.quiver
+    images = _arrow_images(M)
+    tops = [(v, f) for v in sorted(q.vertices) for f in la.complement(images[v], M.dims[v])[0]]
+    data = [_projective_data(p, v) for v, _ in tops]
+    P, offsets = _direct_sum(p, [R for R, _ in data])
+    blocks = {v: la.zeros(M.dims[v], P.dims[v]) for v in q.vertices}
+    for (v, f), (_, basis), at in zip(tops, data, offsets):
+        for w, paths in basis.items():
+            for i, path in enumerate(paths):
+                vec = [int(r == f) for r in range(M.dims[v])]
+                for n in path:
+                    vec = la.matvec(M.maps[n], vec)
+                for r, val in enumerate(vec):
+                    blocks[w][r][at[w] + i] = val
+    cover = ModuleMap(P, M, blocks)
+    if not cover.is_surjective():
+        raise CorruptPresentationError("projective cover is not surjective")
+    return P, cover
 
 
 def _direct_sum(p, parts):
@@ -351,25 +318,6 @@ def _direct_sum(p, parts):
                     if val:
                         maps[a.name][at[a.target] + i][at[a.source] + j] = val
     return Representation(p, dims, maps), offsets
-
-
-def _assemble_cover(p, M, summands):
-    q = p.quiver
-    data = [_projective_data(p, v) for v, _ in summands]
-    P, offsets = _direct_sum(p, [R for R, _ in data])
-    blocks = {v: la.zeros(M.dims[v], P.dims[v]) for v in q.vertices}
-    for (_, lift), (_, basis), at in zip(summands, data, offsets):
-        for w, paths in basis.items():
-            for i, path in enumerate(paths):
-                vec = list(lift)
-                for n in path:
-                    vec = la.matvec(M.maps[n], vec)
-                for r, val in enumerate(vec):
-                    blocks[w][r][at[w] + i] = val
-    cover = ModuleMap(P, M, blocks)
-    if not cover.is_surjective():
-        raise CorruptPresentationError("projective cover is not surjective")
-    return P, cover
 
 
 def _opposite(p):

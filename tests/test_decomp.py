@@ -181,6 +181,19 @@ def test_side_part_with_a_stray_arrow_fails_unique_cycle(thirteen):
     assert report.middle_finite and report.sides_double_zero_free
 
 
+def test_side_part_with_two_components_fails_unique_cycle(thirteen):
+    # A1 and A2 merged: six objects, six arrows, two components, so the
+    # cyclomatic number counts both cycles
+    dec = decompose(thirteen)
+    a1, a2 = dec.a_parts
+    merged = Subcategory(a1.label, a1.objects | a2.objects, a1.arrows | a2.arrows, a1.anchor, a1.band)
+    broken = Decomposition((merged,), dec.b_parts, dec.middle, dec.notes)
+    report = check_structure(thirteen, broken)
+    assert not report.unique_cycle
+    assert report.details == ("unique_cycle: A1 has cyclomatic number 2",)
+    assert report.full and report.no_entry and report.convex and report.sides_double_zero_free
+
+
 def test_support_cover_check_on_thirteen(thirteen):
     assert support_cover_check(thirteen, 10)
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from stringalg import exactla as la
@@ -60,3 +61,36 @@ def test_column_space_basis():
     basis = la.column_space_basis(cols)
     assert basis == [[1, 0], [0, 1]]
     assert la.column_space_basis([]) == []
+
+
+def _column_sets():
+    """Seeded small integer column sets: dependent and zero columns, no
+    columns at all, and n = 0."""
+    rng = random.Random(20261018)
+    yield [], 0
+    yield [[], []], 0
+    yield [], 3
+    yield [[0, 0, 0]], 3
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        cols = [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(rng.randint(0, 5))]
+        if cols and rng.random() < 0.5:
+            a, b = rng.choice(cols), rng.choice(cols)
+            cols.append([rng.randint(-2, 2) * x + y for x, y in zip(a, b)])
+        yield cols, n
+
+
+def test_complement_projects_onto_the_leftmost_free_coordinates():
+    for cols, n in _column_sets():
+        free, proj = la.complement(cols, n)
+        mat = [[c[i] for c in cols] for i in range(n)]
+        rank = la.rank(mat) if cols else 0
+        pivots = [i for i in range(n) if i not in free]
+        assert sorted(free + pivots) == list(range(n)) and len(free) == n - rank
+        assert len(proj) == len(free) and all(len(row) == n for row in proj)
+        for c in cols:
+            assert la.matvec(proj, c) == [0] * len(free)
+        assert [[row[j] for j in free] for row in proj] == la.identity(len(free))
+        stacked = [[c[i] for c in cols] + row for i, row in enumerate(la.identity(n))]
+        chosen = la.independent_columns(stacked, ncols=len(cols) + n)
+        assert free == [j - len(cols) for j in chosen if j >= len(cols)], (cols, n)

@@ -192,6 +192,48 @@ def test_syzygy_dimension_bookkeeping(skew6):
     assert {v: d for v, d in cosyz.dims.items() if d} == {"x2": 1}
 
 
+def _module_lines(R):
+    yield repr(sorted(R.dims.items()))
+    for a in sorted(R.maps):
+        yield a + " " + repr([[str(x) for x in row] for row in R.maps[a]])
+
+
+def _map_lines(f):
+    for v in sorted(f.blocks):
+        yield v + " " + repr([[str(x) for x in row] for row in f.blocks[v]])
+
+
+@pytest.mark.parametrize(
+    "make, count, digest",
+    [
+        (fixtures.skew6, 24, "bed920460f9462252f6fe4468c5c898ca3ca058257db91a195840fc11b85510f"),
+        (fixtures.thirteen, 69, "b8331e81c9fd3053569a6ce4b05fdd632db67b78d00e1de1b930a9b1d65ae4dc"),
+    ],
+    ids=["skew6", "thirteen"],
+)
+def test_matrix_route_outputs_are_pinned(make, count, digest):
+    """Every entry of the top, the projective cover, its kernel, the
+    injective envelope and its cokernel (modules and maps), and both
+    verdicts, of each string up to length 4.  Entries are hashed through
+    `str`, so an int and a Fraction of the same value agree."""
+    p = make()
+    strings = strings_of_length(p, range(5))
+    lines = []
+    for w in strings:
+        M = rep.string_module(p, w)
+        T, onto_top = rep.top(M)
+        P, cover = rep.projective_cover(p, M)
+        K, incl = rep.kernel(cover)
+        I, embed = rep.injective_envelope(p, M)
+        C, onto_coker = rep.cokernel(embed)
+        for X, f in ((T, onto_top), (P, cover), (K, incl), (I, embed), (C, onto_coker)):
+            lines.extend(_module_lines(X))
+            lines.extend(_map_lines(f))
+        lines.append(f"{rep.pd_at_least_2(p, M)} {rep.id_at_least_2(p, M)}")
+    assert len(strings) == count
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
 # --- pd and id thresholds ------------------------------------------------------
 
 
@@ -391,7 +433,7 @@ def test_string_route_matches_exact_route_in_pumped_window(thirteen):
 
 
 def test_string_route_matches_exact_route_on_corpus(corpus500):
-    assert sum(assert_routes_agree(p, range(5)) for p in corpus500[:20]) == 532
+    assert sum(assert_routes_agree(p, range(5)) for p in corpus500[:40]) == 1020
 
 
 def test_string_route_matches_exact_route_on_j_quotients():
