@@ -36,7 +36,6 @@ from .walks import (
     inverse,
     is_band,
     letter_ends,
-    make_cyclic,
     primitive_root,
     trivial_walk,
 )
@@ -247,9 +246,10 @@ def exists_band(p):
     return bool(automaton(p).cyclic_components)
 
 
-# Strings visited per enumeration, both orientations counted.  It bounds
-# the time and memory of `strings`, `scan` and the support cover where the
-# number of strings grows exponentially with their length.
+# Strings visited per enumeration, both orientations counted, and
+# (state, mask) pairs per support cover.  It bounds the time and memory of
+# `strings`, `scan` and `bands --max-len`, where the number of strings
+# grows exponentially with their length, and of `check-structure`.
 _WALK_CAP = 200_000
 
 
@@ -297,6 +297,37 @@ def _walk_tree(p, wanted):
             s = nxt[0]
 
 
+def _mask_pairs(p, max_len, roots, held):
+    """The (last state, mask) pairs of the nonempty strings of length
+    <= max_len, a string's mask being `roots[first state]` ANDed with
+    `held[t]` for each later state t.
+
+    One breadth-first pass, one layer per letter, that never revisits a
+    pair: a pair's continuations depend on the pair alone, so the cost is
+    bounded by states x distinct masks, whatever max_len.  Visiting more
+    than `_WALK_CAP` pairs raises SearchBudgetExceeded.
+    """
+    if max_len < 1:
+        return set()
+    edges = automaton(p).edges
+    frontier = list(roots.items())
+    seen = set(frontier)
+    depth = 1
+    while len(seen) <= _WALK_CAP:
+        if depth == max_len or not frontier:
+            return seen
+        nxt = []
+        for s, m in frontier:
+            for t in edges[s]:
+                pair = (t, m & held[t])
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
+        frontier = nxt
+        depth += 1
+    raise SearchBudgetExceeded("string enumeration exceeded the walk cap")
+
+
 def _below_inverse(letters):
     """letters < the letters of the inverse walk.  They are never equal
     for a nonempty reduced walk, so this picks `canonical_string`."""
@@ -338,18 +369,43 @@ def enumerate_strings(p, max_len):
 def enumerate_bands(p, max_len):
     """Bands of length <= max_len, one per rotation/inversion class.
 
-    Takes the closed walks of the `_walk_tree` traversal up to max_len,
-    builds a walk only for those, and keeps the primitive ones whose
-    powers are strings.  Same budget as `strings_of_length`.
+    Takes the closed walks of the `_walk_tree` traversal up to max_len
+    and keeps the primitive ones whose powers are strings, verifying each
+    band once (see `_verified_bands`).  Same budget as
+    `strings_of_length`.
     """
     q = p.quiver
-    found = set()
-    for base, letters in _walk_tree(p, range(1, max_len + 1)):
-        if letter_ends(q, letters[-1])[1] != base:
+    closed = (
+        tuple(letters)
+        for base, letters in _walk_tree(p, range(1, max_len + 1))
+        if letter_ends(q, letters[-1])[1] == base
+    )
+    return _verified_bands(p, closed)
+
+
+def _verified_bands(p, words, strict=False):
+    """Canonical bands, in `Walk.key` order, of the closed letter words
+    that are bands; `strict` raises on a word that is not one.
+
+    `is_band` and `canonical_band` do not change under rotation or
+    inversion, so a word whose letters are a rotation of a band already
+    verified, or of its inverse, is skipped: each band is verified and
+    canonicalized once, however many of its rotations the words hold.
+    """
+    q = p.quiver
+    known = set()
+    found = []
+    for letters in words:
+        if letters in known:
             continue
-        c = CyclicWalk(Walk(base, tuple(letters)))
-        if is_band(p, c):
-            found.add(canonical_band(q, c))
+        c = CyclicWalk(Walk(letter_ends(q, letters[0])[0], letters))
+        if not is_band(p, c):
+            if strict:
+                raise CorruptPresentationError("automaton cycle did not yield a band")
+            continue
+        found.append(canonical_band(q, c))
+        for w in (letters, tuple(l.inverted() for l in reversed(letters))):
+            known.update(w[i:] + w[:i] for i in range(len(w)))
     return sorted(found, key=lambda c: c.walk.key())
 
 
@@ -365,24 +421,21 @@ def band_census(p):
     pairwise share at most one vertex, which is always the case on
     DOZE-free presentations.  On others (the `bands` command takes any
     input) a band whose automaton cycle repeats a state can be missing.
-    Enumerating more than `_CENSUS_CAP` cycles raises
-    SearchBudgetExceeded.  Computed once per presentation; every call
-    returns a fresh list.
+    The automaton holds each band's cycle once per orientation, and each
+    band is verified once (see `_verified_bands`).  Enumerating more than `_CENSUS_CAP` cycles
+    raises SearchBudgetExceeded.  Computed once per presentation; every
+    call returns a fresh list.
     """
     return list(p.cached("band_census", lambda: tuple(_band_census(p))))
 
 
 def _band_census(p):
     aut = automaton(p)
-    found = set()
-    for n, cycle in enumerate(component_cycles(aut.cyclic_components, aut.successors)):
-        if n >= _CENSUS_CAP:
-            raise SearchBudgetExceeded("band census exceeded the cycle cap")
-        letters = [s.letter for s in cycle[1:]] + [cycle[0].letter]
-        base = aut.state_vertex(cycle[0])
-        root = primitive_root(letters)
-        c = make_cyclic(p.quiver, Walk(base, tuple(root)))
-        if not is_band(p, c):
-            raise CorruptPresentationError("automaton cycle did not yield a band")
-        found.add(canonical_band(p.quiver, c))
-    return sorted(found, key=lambda c: c.walk.key())
+
+    def roots():
+        for n, cycle in enumerate(component_cycles(aut.cyclic_components, aut.successors)):
+            if n >= _CENSUS_CAP:
+                raise SearchBudgetExceeded("band census exceeded the cycle cap")
+            yield primitive_root(tuple(s.letter for s in cycle[1:]) + (cycle[0].letter,))
+
+    return _verified_bands(p, roots(), strict=True)

@@ -8,13 +8,15 @@ The structural consequences (fullness, no entering arrows, convexity,
 unique cycle, finite middle, double-zero-free sides) are verified
 mechanically, on the string automaton the classification built: a side
 part's double-zeros are decided on the states whose arrow lies in the
-part, with no subalgebra built, and the support cover walks the strings
-once, carrying per prefix the bitmask of the parts that hold it.
+part, with no subalgebra built, and the support cover is decided on
+(automaton state, part-mask) pairs, where a string's mask is the bitmask
+of the parts holding it: each pair is visited once, however many strings
+reach it.
 """
 
 from ._ac import AhoCorasick
 from ._value import Value
-from .automaton import _walk_tree, automaton, band_census
+from .automaton import _mask_pairs, automaton, band_census
 from .doze import STRICT_LAURA_OR_TILTED, _double_zero_over, classify
 from .errors import CorruptPresentationError, PreconditionError
 from .graph import reach, sccs, topological_order
@@ -386,12 +388,15 @@ def check_structure(p, decomposition=None):
 def support_cover_check(p, max_len, decomposition=None):
     """Every string of bounded length is supported inside a single part.
 
-    Each prefix in the walk of `_walk_tree` carries the bitmask of the
-    parts holding it, and every vertex must lie in a part (the trivial
-    walks).  The walk runs to the end past a failure, so the visit
+    Every vertex must lie in a part (the trivial walks), and no string of
+    length 1..max_len may reach mask 0, where a string's mask is the
+    bitmask of the parts holding its base and every letter's arrow and
+    end.  The masks are decided on (automaton state, mask) pairs by
+    `_mask_pairs`, which runs to the end past a failure, so the visit
     budget is spent alike on every answer."""
     dec, work = _with_decomposition(p, decomposition)
     q = work.quiver
+    aut = automaton(work)
     vertex_mask, arrow_mask = {}, {}
     for i, part in enumerate(dec.parts):
         for v in part.objects:
@@ -399,15 +404,14 @@ def support_cover_check(p, max_len, decomposition=None):
         for n in part.arrows:
             arrow_mask[n] = arrow_mask.get(n, 0) | 1 << i
     held = {
-        letter: arrow_mask.get(a.name, 0) & vertex_mask.get(letter_ends(q, letter)[1], 0)
-        for a in q.arrows
-        for letter in (direct(a.name), inverse(a.name))
+        s: arrow_mask.get(s.arrow, 0) & vertex_mask.get(aut.state_vertex(s), 0)
+        for s in aut.states
     }
+    roots = {}
+    for a in q.arrows:
+        for letter in (direct(a.name), inverse(a.name)):
+            s = aut.initial_state(letter)
+            roots[s] = vertex_mask.get(letter_ends(q, letter)[0], 0) & held[s]
     covered = all(vertex_mask.get(v, 0) for v in q.vertices)
-    masks = []
-    for base, letters in _walk_tree(work, range(1, max_len + 1)):
-        del masks[len(letters) - 1 :]
-        mask = (masks[-1] if masks else vertex_mask.get(base, 0)) & held[letters[-1]]
-        masks.append(mask)
-        covered = covered and mask != 0
-    return covered
+    pairs = _mask_pairs(work, max_len, roots, held)
+    return covered and all(m for _s, m in pairs)

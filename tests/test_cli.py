@@ -155,7 +155,9 @@ CLASSIFY_JSON = {
 
 
 @pytest.mark.parametrize("path", [SKEW6, THIRTEEN, NINE, SQUARE])
-@pytest.mark.parametrize("cover", [(), ("--cover-len", "0"), ("--cover-len", "10")])
+@pytest.mark.parametrize(
+    "cover", [(), ("--cover-len", "0"), ("--cover-len", "10"), ("--cover-len", "40")]
+)
 @pytest.mark.parametrize("form", [(), ("--json",)])
 def test_check_structure_golden_stdout(capsys, path, cover, form):
     code, out, _ = run(capsys, "check-structure", path, *cover, *form)
@@ -219,6 +221,30 @@ def test_module_golden_stdout(capsys, path, form):
 def test_dozed_golden_stdout(capsys, form):
     runs = [("dozed", SKEW6, "--n", str(k), *form) for k in range(5)]
     assert _transcript(capsys, runs) == DOZED_SHA256[form]
+
+
+# SHA-256 of `bands` on the four fixtures, as the census and as the
+# enumeration up to length 8, recorded before the band search verified
+# each rotation class once.
+BANDS_SHA256 = {
+    ((), ()): "7b18dfbb79a3d10a8e64a9276e28978082cad100204666eb53beb946029c4eef",
+    ((), ("--json",)): "a06893e50d555b4924fe628a9f6d2cf739324dec7bdf10ec8ec3e2590c6a63fb",
+    (("--max-len", "8"), ()): "7b18dfbb79a3d10a8e64a9276e28978082cad100204666eb53beb946029c4eef",
+    (("--max-len", "8"), ("--json",)): "a06893e50d555b4924fe628a9f6d2cf739324dec7bdf10ec8ec3e2590c6a63fb",
+}
+
+
+@pytest.mark.parametrize(
+    "mode,form",
+    sorted(BANDS_SHA256),
+    ids=[
+        f"{'enum' if mode else 'census'}-{'json' if form else 'text'}"
+        for mode, form in sorted(BANDS_SHA256)
+    ],
+)
+def test_bands_golden_stdout(capsys, mode, form):
+    runs = [("bands", path, *mode, *form) for path in (SKEW6, THIRTEEN, NINE, SQUARE)]
+    assert _transcript(capsys, runs) == BANDS_SHA256[mode, form]
 
 
 def test_module_command_dims(capsys):
@@ -346,6 +372,7 @@ def test_band_census_cap_exit_code(monkeypatch, capsys):
         ("strings", SKEW6, "--max-len", "6"),
         ("scan", SKEW6, "--max-len", "6"),
         ("bands", SKEW6, "--max-len", "6"),
+        ("check-structure", THIRTEEN, "--cover-len", "3"),
     ],
 )
 def test_walk_cap_exit_code(monkeypatch, capsys, argv):
@@ -354,6 +381,13 @@ def test_walk_cap_exit_code(monkeypatch, capsys, argv):
     assert code == 3
     assert out == ""
     assert err == "analysis failed: string enumeration exceeded the walk cap\n"
+
+
+def test_support_cover_budget_does_not_grow_with_the_cover_length(capsys):
+    # thirteen has more than 200,000 strings of length <= 20,000 but 32
+    # (state, part-mask) pairs
+    code, out, _ = run(capsys, "check-structure", THIRTEEN, "--cover-len", "1000000")
+    assert (code, out) == (0, THIRTEEN_STRUCTURE[()])
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,10 @@ kept as differential oracles.
   state it reaches, until one reaches a completion.
 - `enumerated_cover`: list the canonical strings and test each one's
   vertices and arrows against every part holding its base.
+- `every_cycle_census` and `every_walk_bands`: the band census and the
+  bounded band enumeration verifying and canonicalizing every automaton
+  cycle and every closed walk, with no skip of the rotations and the
+  inverse of a band already found.
 - `double_zero_witness_check`: the band, then `w.double_zero(n)` for
   n = 1, 2, 3, each re-validating both generators.
 - `product_search_finite`: the construction-time finiteness check without
@@ -41,7 +45,15 @@ from hypothesis import strategies as st
 
 from stringalg import exactla as la
 from stringalg import fixtures, rep
-from stringalg.automaton import AutoState, StringAutomaton, enumerate_strings
+from stringalg.automaton import (
+    AutoState,
+    StringAutomaton,
+    _walk_tree,
+    automaton,
+    band_census,
+    enumerate_bands,
+    enumerate_strings,
+)
 from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.decomp import (
     Decomposition,
@@ -51,6 +63,7 @@ from stringalg.decomp import (
 )
 from stringalg._ac import AhoCorasick
 from stringalg.doze import (
+    NOT_LAURA,
     STRICT_LAURA_OR_TILTED,
     DozeWitness,
     _assemble_witness,
@@ -66,7 +79,7 @@ from stringalg.errors import (
     InfiniteDimensionalError,
     SearchBudgetExceeded,
 )
-from stringalg.graph import cycle_entry, reach, topological_order
+from stringalg.graph import component_cycles, cycle_entry, reach, topological_order
 from stringalg.presentation import (
     Presentation,
     Quiver,
@@ -77,13 +90,18 @@ from stringalg.presentation import (
 from stringalg.walks import (
     CyclicWalk,
     Walk,
+    canonical_band,
     direct,
     inverse,
+    inverse_walk,
     is_band,
     is_reduced,
     is_string,
     letter_ends,
+    make_cyclic,
     parse_walk,
+    primitive_root,
+    rotations,
     walk_arrows,
     walk_end,
     walk_vertices,
@@ -294,6 +312,31 @@ def enumerated_cover(p, max_len, dec):
         ):
             return False
     return True
+
+
+def every_cycle_census(p):
+    aut = automaton(p)
+    found = set()
+    for cycle in component_cycles(aut.cyclic_components, aut.successors):
+        letters = [s.letter for s in cycle[1:]] + [cycle[0].letter]
+        root = primitive_root(letters)
+        c = make_cyclic(p.quiver, Walk(aut.state_vertex(cycle[0]), tuple(root)))
+        if not is_band(p, c):
+            raise CorruptPresentationError("automaton cycle did not yield a band")
+        found.add(canonical_band(p.quiver, c))
+    return sorted(found, key=lambda c: c.walk.key())
+
+
+def every_walk_bands(p, max_len):
+    q = p.quiver
+    found = set()
+    for base, letters in _walk_tree(p, range(1, max_len + 1)):
+        if letter_ends(q, letters[-1])[1] != base:
+            continue
+        c = CyclicWalk(Walk(base, tuple(letters)))
+        if is_band(p, c):
+            found.add(canonical_band(q, c))
+    return sorted(found, key=lambda c: c.walk.key())
 
 
 def _outcome(check, *args):
@@ -704,6 +747,9 @@ def test_acyclic_shortcut_matches_the_product_search(monkeypatch):
 
 
 def _decompositions(corpus):
+    """(presentation, decomposition, kind): each decomposition as it is
+    and broken by a middle that lost a vertex or an arrow or by a side
+    part that lost an arrow."""
     for p in corpus + [fixtures.thirteen()]:
         if classify(p).verdict != STRICT_LAURA_OR_TILTED:
             continue
@@ -711,46 +757,87 @@ def _decompositions(corpus):
             dec = decompose(p)
         except CorruptPresentationError:
             continue
-        yield p, dec
+        yield p, dec, "intact"
         m = dec.middle
         for v in sorted(m.objects)[:2]:
-            middle = Subcategory(m.label, m.objects - {v}, m.arrows, m.anchor, m.band)
-            yield p, Decomposition(dec.a_parts, dec.b_parts, middle, dec.notes, dec.analyzed)
+            yield p, _shrunk(dec, m, objects={v}), "middle"
         for a in sorted(m.arrows)[:1]:
-            middle = Subcategory(m.label, m.objects, m.arrows - {a}, m.anchor, m.band)
-            yield p, Decomposition(dec.a_parts, dec.b_parts, middle, dec.notes, dec.analyzed)
+            yield p, _shrunk(dec, m, arrows={a}), "middle"
+        for part in dec.side_parts[:1]:
+            yield p, _shrunk(dec, part, arrows={min(part.arrows)}), "side"
+
+
+def _shrunk(dec, part, objects=frozenset(), arrows=frozenset()):
+    """dec with one of its parts missing the given objects and arrows."""
+    new = Subcategory(
+        part.label, part.objects - objects, part.arrows - arrows, part.anchor, part.band
+    )
+    swap = lambda parts: tuple(new if x is part else x for x in parts)
+    middle = new if part is dec.middle else dec.middle
+    return Decomposition(swap(dec.a_parts), swap(dec.b_parts), middle, dec.notes, dec.analyzed)
 
 
 def test_support_cover_matches_the_enumeration(corpus):
-    answers = []
-    for p, dec in _decompositions(corpus):
+    answers = {}
+    for p, dec, kind in _decompositions(corpus):
         for n in range(-1, 9):
             got = _outcome(support_cover_check, p, n, dec)
             assert got == _outcome(enumerated_cover, p, n, dec), (n, dec)
-            answers.append(got)
-    assert True in answers and False in answers
+            answers.setdefault(kind, set()).add(got)
+    assert answers == {"intact": {True}, "middle": {True, False}, "side": {True, False}}
 
 
 def test_support_cover_spends_the_same_budget(monkeypatch, thirteen):
+    """The budget counts the (state, mask) pairs the cover visits, not
+    the strings: wherever the enumeration finishes under a cap the
+    answers agree, and the intact and the broken decomposition of
+    thirteen raise or answer together at every cap and length."""
     dec = decompose(thirteen)
-    m = dec.middle
-    broken = Decomposition(
-        dec.a_parts,
-        dec.b_parts,
-        Subcategory(m.label, m.objects - {"7"}, m.arrows, m.anchor, m.band),
-        dec.notes,
-        dec.analyzed,
-    )
-    answers = set()
-    for cap in (50, 200, 1000):
+    broken = _shrunk(dec, dec.middle, objects={"7"})
+    answers, enumerated = set(), set()
+    for cap in (20, 50, 200, 1000):
         monkeypatch.setattr(automaton_module, "_WALK_CAP", cap)
-        for d in (dec, broken):
-            for n in (3, 6, 10):
-                got = _outcome(support_cover_check, thirteen, n, d)
-                assert got == _outcome(enumerated_cover, thirteen, n, d), (cap, n)
-                answers.add(got)
+        for n in (3, 6, 10, 40):
+            got = {d: _outcome(support_cover_check, thirteen, n, d) for d in (dec, broken)}
+            assert (got[dec] == "budget") == (got[broken] == "budget"), (cap, n)
+            for d in (dec, broken):
+                expected = _outcome(enumerated_cover, thirteen, n, d)
+                if expected != "budget":
+                    assert got[d] == expected, (cap, n)
+                answers.add(got[d])
+                enumerated.add((got[d] == "budget", expected == "budget"))
     assert answers == {True, False, "budget"}
+    # the cover answered where the enumeration of the strings ran out
+    assert (False, True) in enumerated
 
+
+def test_band_searches_match_the_every_cycle_routes(corpus500):
+    """The census and the bounded enumeration against the routes that
+    verify every cycle, on the fixtures, corpus500 and the NotLaura draws
+    of another seed, where bands may share vertices."""
+    not_laura = [p for p in string_corpus(7, 500) if classify(p).verdict == NOT_LAURA]
+    instances = _fixtures() + [monomial_form(p) for p in corpus500] + not_laura
+    with_bands = 0
+    for p in instances:
+        census = band_census(p)
+        assert census == every_cycle_census(p)
+        assert enumerate_bands(p, 6) == every_walk_bands(p, 6)
+        with_bands += bool(census)
+    assert with_bands > 100
+
+
+def test_band_checks_are_invariant_under_rotation_and_inversion(corpus500):
+    """The property the census's skip relies on."""
+    checked = 0
+    for p in corpus500:
+        q = p.quiver
+        for band in band_census(p):
+            inv = make_cyclic(q, inverse_walk(q, band.walk))
+            for c in rotations(q, band) + rotations(q, inv):
+                assert is_band(p, c)
+                assert canonical_band(q, c) == band
+                checked += 1
+    assert checked > 1000
 
 
 # --- injective envelope --------------------------------------------------------
