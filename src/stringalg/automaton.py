@@ -11,14 +11,18 @@ The build is table-driven: `graph.reach` asks each state once for its
 successors, read off per-letter end vertices and per-vertex leaving
 letters.  A letter that changes direction leads to its one-letter state;
 one that continues the run takes one matcher step.  The build records
-`completing` on the way, the direct letters that would complete a
-generator, and `step` reads the edges it recorded.
+`first`, each letter's one-letter state (the only matcher steps from
+scratch), `edges`, and `completing`, the direct letters that would
+complete a generator; `initial_state` reads `first` and `step` reads
+`edges`.  Two tables are computed once on first use: `letter_of`, each
+state's last letter, and `ends_of`, that letter's (source, target),
+which `state_vertex`, `states_at`, the walk tree and `decomp` read.
 
 Cycles in the state graph are exactly the source of bands: pumping any
 cycle yields arbitrarily long strings, and the primitive root of its
 letter sequence is a band.  The one condensation, `cyclic_components`,
-is shared by `cycle_states`, `doze.find_doze`, `band_census` (Johnson's
-search runs on it) and `exists_band`.
+is shared by `cycle_states`, `doze.find_doze`, `band_census`
+(`graph.component_cycles` runs on it) and `exists_band`.
 """
 
 from collections import namedtuple
@@ -59,17 +63,23 @@ class StringAutomaton:
         self.acr = AhoCorasick([tuple(reversed(g)) for g in gens])
         self.edges = edges = {}
         self.completing = completing = {}
-        # ends[inverse][arrow] is the vertex a letter ends at; leaving[v]
-        # holds (arrow, inverse, its one-letter state) for the letters
-        # starting at v, in letter order.  A letter that changes direction
-        # starts a new run, so it leads to its one-letter state; one in the
-        # same direction steps the run's matcher, advance[inverse].
+        # ends[inverse][arrow] is the vertex a letter ends at; first[letter]
+        # is its one-letter state, and leaving[v] holds (arrow, inverse,
+        # one-letter state) for the letters starting at v, in letter order.
+        # A letter that changes direction starts a new run, so it leads to
+        # its one-letter state; one in the same direction steps the run's
+        # matcher, advance[inverse].
         advance = (self.acf.advance, self.acr.advance)
         ends = ({a.name: a.target for a in q.arrows}, {a.name: a.source for a in q.arrows})
+        self.first = first = {}
         leaving = {v: [] for v in q.vertices}
         for a in q.arrows:
             for i, v in ((False, a.source), (True, a.target)):
-                leaving[v].append((a.name, i, self.initial_state(Letter(a.name, i))))
+                node, hit = advance[i](0, a.name)
+                if hit is not None:
+                    raise CorruptPresentationError("single arrow lies in the ideal")
+                first[Letter(a.name, i)] = s = AutoState(a.name, i, node)
+                leaving[v].append((a.name, i, s))
         for letters in leaving.values():
             letters.sort()
 
@@ -99,15 +109,12 @@ class StringAutomaton:
         self.states = tuple(sorted(edges))
 
     def initial_state(self, letter):
-        """State after a one-letter walk."""
-        ac = self.acr if letter.inverse else self.acf
-        node, hit = ac.advance(0, letter.arrow)
-        if hit is not None:
-            raise CorruptPresentationError("single arrow lies in the ideal")
-        return AutoState(letter.arrow, letter.inverse, node)
+        """State after a one-letter walk; KeyError for a letter whose
+        arrow is not in the quiver."""
+        return self.first[letter]
 
     def state_vertex(self, s):
-        return letter_ends(self.quiver, s.letter)[1]
+        return self.ends_of[s][1]
 
     def step(self, s, letter):
         """Extend state s by one letter along its recorded edge; None when
@@ -126,6 +133,12 @@ class StringAutomaton:
         return {s: s.letter for s in self.states}
 
     @cached_property
+    def ends_of(self):
+        """State -> (source, target) of its last letter."""
+        q = self.quiver
+        return {s: letter_ends(q, l) for s, l in self.letter_of.items()}
+
+    @cached_property
     def predecessors(self):
         """State -> states with an edge into it."""
         rev = {s: [] for s in self.states}
@@ -138,8 +151,8 @@ class StringAutomaton:
     def states_at(self):
         """Vertex -> states whose last letter starts or ends there."""
         at = {}
-        for s in self.states:
-            for v in set(letter_ends(self.quiver, s.letter)):
+        for s, ends in self.ends_of.items():
+            for v in set(ends):
                 at.setdefault(v, []).append(s)
         return at
 
@@ -253,9 +266,18 @@ def exists_band(p):
 _WALK_CAP = 200_000
 
 
+def _largest(lengths):
+    """max(lengths, default=0), with a range read off its ends."""
+    if isinstance(lengths, range):
+        return max(lengths[0], lengths[-1]) if lengths else 0
+    return max(lengths, default=0)
+
+
 def _walk_tree(p, wanted):
-    """The nonempty strings of length in `wanted`, each reached once as a
-    node of the automaton's walk tree, as (base, letters) pairs.
+    """The nonempty strings of length in `wanted`, a container of lengths
+    (a range is never iterated), each reached once as a node of the
+    automaton's walk tree, as (base, letters) pairs.  `wanted` is asked
+    once per depth the walk reaches.
 
     One iterative depth-first walk down to the largest wanted length,
     following the automaton's edges.  Siblings come in letter order, so
@@ -264,7 +286,7 @@ def _walk_tree(p, wanted):
     built per node.  Visiting more than `_WALK_CAP` nodes raises
     SearchBudgetExceeded.
     """
-    top = max(wanted, default=0)
+    top = _largest(wanted)
     if top < 1:
         return
     aut = automaton(p)
@@ -275,23 +297,26 @@ def _walk_tree(p, wanted):
     stack = [(s, 1) for s in reversed(roots)]
     letters = []
     nodes = 0
+    hit = [False, 1 in wanted]  # hit[depth]: depth in wanted, per depth reached
     while stack:
         s, depth = stack.pop()
         del letters[depth - 1 :]
         if depth == 1:
-            base = letter_ends(q, letter_of[s])[0]
+            base = aut.ends_of[s][0]
         while True:
             nodes += 1
             if nodes > _WALK_CAP:
                 raise SearchBudgetExceeded("string enumeration exceeded the walk cap")
             letters.append(letter_of[s])
-            if depth in wanted:
+            if hit[depth]:
                 yield base, letters
             nxt = edges[s]
             if depth == top or not nxt:
                 break
             # follow the first child here, the others after its subtree
             depth += 1
+            if depth == len(hit):
+                hit.append(depth in wanted)
             if len(nxt) > 1:
                 stack.extend([(t, depth) for t in reversed(nxt[1:])])
             s = nxt[0]
@@ -339,24 +364,24 @@ def _below_inverse(letters):
 
 
 def strings_of_length(p, lengths):
-    """Canonical strings whose length lies in the given set, ordered by
+    """Canonical strings whose length lies in `lengths`, ordered by
     `Walk.key`: the trivial walks when 0 is wanted, then one string per
     {w, w^-1} at each wanted length.
 
     Visits every string up to the largest wanted length once, in both
     orientations (see `_walk_tree`), and builds a `Walk` only for the
-    strings it returns.  Raises SearchBudgetExceeded after `_WALK_CAP`
+    strings it returns: time and memory follow the strings visited, not
+    the lengths asked for.  Raises SearchBudgetExceeded after `_WALK_CAP`
     visits.
     """
-    wanted = set(lengths)
     q = p.quiver
-    by_length = {n: [] for n in sorted(wanted)}
-    if 0 in wanted:
+    by_length = {}
+    if 0 in lengths:
         by_length[0] = [trivial_walk(q, v) for v in sorted(q.vertices)]
-    for base, letters in _walk_tree(p, wanted):
+    for base, letters in _walk_tree(p, lengths):
         if _below_inverse(letters):
-            by_length[len(letters)].append(Walk(base, tuple(letters)))
-    return [w for ws in by_length.values() for w in ws]
+            by_length.setdefault(len(letters), []).append(Walk(base, tuple(letters)))
+    return [w for n in sorted(by_length) for w in by_length[n]]
 
 
 def enumerate_strings(p, max_len):
@@ -436,6 +461,7 @@ def _band_census(p):
         for n, cycle in enumerate(component_cycles(aut.cyclic_components, aut.successors)):
             if n >= _CENSUS_CAP:
                 raise SearchBudgetExceeded("band census exceeded the cycle cap")
-            yield primitive_root(tuple(s.letter for s in cycle[1:]) + (cycle[0].letter,))
+            letters = tuple(map(aut.letter_of.__getitem__, cycle))
+            yield primitive_root(letters[1:] + letters[:1])
 
     return _verified_bands(p, roots(), strict=True)

@@ -21,15 +21,7 @@ from .doze import STRICT_LAURA_OR_TILTED, _double_zero_over, classify
 from .errors import CorruptPresentationError, PreconditionError
 from .graph import reach, sccs, topological_order
 from .presentation import monomial_form
-from .walks import (
-    direct,
-    inverse,
-    is_string,
-    letter_ends,
-    trivial_walk,
-    walk_arrows,
-    walk_vertices,
-)
+from .walks import is_string, trivial_walk, walk_arrows, walk_vertices
 
 
 class Subcategory(Value):
@@ -77,17 +69,14 @@ def _product_nodes(aut, pat):
         pr, hit = ac.advance(pr, letter)
         return pr if hit is None else None
 
-    inits = {
-        (aut.initial_state(letter), advance(0, letter))
-        for a in aut.quiver.arrow
-        for letter in (direct(a), inverse(a))
-    }
+    inits = {(s, advance(0, letter)) for letter, s in aut.first.items()}
+    letter_of = aut.letter_of
     edges = {}
 
     def succ(n):
         # reach asks once per node, so this records every edge once
         s, pr = n
-        edges[n] = tuple((t, advance(pr, t.letter)) for t in aut.successors(s))
+        edges[n] = tuple((t, advance(pr, letter_of[t])) for t in aut.successors(s))
         return edges[n]
 
     reach(inits, succ)
@@ -104,7 +93,6 @@ def d_category(p, w, label="D"):
     if not is_string(p, w):
         raise PreconditionError("d_category needs a string")
     aut = automaton(p)
-    q = p.quiver
     objects = {w.base}
     arrows = set()
     if w.letters:
@@ -114,18 +102,16 @@ def d_category(p, w, label="D"):
             for m in succ:
                 rev[m].append(n)
         for s, _pr in reach([n for n in edges if n[1] is None], rev.__getitem__):
-            sv, tv = letter_ends(q, s.letter)
-            objects.update((sv, tv))
+            objects.update(aut.ends_of[s])
             arrows.add(s.arrow)
-        objects.update(walk_vertices(q, w))
+        objects.update(walk_vertices(p.quiver, w))
         arrows.update(walk_arrows(w))
     else:
         touch = aut.states_at.get(w.base, ())
         fwd = reach(touch, aut.successors)
         bwd = reach(touch, aut.predecessors.__getitem__)
         for s in fwd | bwd:
-            sv, tv = letter_ends(q, s.letter)
-            objects.update((sv, tv))
+            objects.update(aut.ends_of[s])
             arrows.add(s.arrow)
     return Subcategory(label, frozenset(objects), frozenset(arrows))
 
@@ -191,8 +177,7 @@ def _straddle_support(p, side_parts):
                     work.append((t, m & masks[t]))
         return store
 
-    starts = [aut.initial_state(f(a)) for a in sorted(q.arrow) for f in (direct, inverse)]
-    fwd = minimal_masks(starts, aut.successors)
+    fwd = minimal_masks(aut.first.values(), aut.successors)
     bwd = minimal_masks(aut.states, aut.predecessors.__getitem__)
 
     in_some_part = set().union(*(part.objects for part in side_parts))
@@ -200,8 +185,7 @@ def _straddle_support(p, side_parts):
     arrows = set()
     for s in aut.states:
         if any(m1 & m2 == 0 for m1 in fwd[s] for m2 in bwd[s]):
-            sv, tv = letter_ends(q, s.letter)
-            objects.update((sv, tv))
+            objects.update(aut.ends_of[s])
             arrows.add(s.arrow)
     return objects, arrows
 
@@ -403,15 +387,9 @@ def support_cover_check(p, max_len, decomposition=None):
             vertex_mask[v] = vertex_mask.get(v, 0) | 1 << i
         for n in part.arrows:
             arrow_mask[n] = arrow_mask.get(n, 0) | 1 << i
-    held = {
-        s: arrow_mask.get(s.arrow, 0) & vertex_mask.get(aut.state_vertex(s), 0)
-        for s in aut.states
-    }
-    roots = {}
-    for a in q.arrows:
-        for letter in (direct(a.name), inverse(a.name)):
-            s = aut.initial_state(letter)
-            roots[s] = vertex_mask.get(letter_ends(q, letter)[0], 0) & held[s]
+    ends_of = aut.ends_of
+    held = {s: arrow_mask.get(s.arrow, 0) & vertex_mask.get(ends_of[s][1], 0) for s in aut.states}
+    roots = {s: vertex_mask.get(ends_of[s][0], 0) & held[s] for s in aut.first.values()}
     covered = all(vertex_mask.get(v, 0) for v in q.vertices)
     pairs = _mask_pairs(work, max_len, roots, held)
     return covered and all(m for _s, m in pairs)

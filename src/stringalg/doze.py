@@ -361,7 +361,8 @@ def _assemble_witness(p, aut, g, q, par1, target, par2):
         s = aut.step(s, l)
     if s != q:
         raise CorruptPresentationError("primitive root does not stabilize its state")
-    band = make_cyclic(quiver, Walk(aut.state_vertex(q), tuple(root)))
+    # the root starts with a letter leaving q, at q's end vertex
+    band = make_cyclic(quiver, Walk(letter_ends(quiver, root[0])[0], tuple(root)))
     path = aut.path_letters(par2, f)
     m = len(g2)
     pad = 0

@@ -7,7 +7,8 @@ and plain quivers.  Only the part reachable from the start nodes is
 visited.  All loops are iterative, so depth is bounded by memory and not
 by the recursion limit.  Strongly connected components are Tarjan's
 (1972) single pass; simple cycles are Johnson's (1975) circuit search,
-run on one strongly connected component at a time.
+run on one strongly connected component at a time, except that a
+component that is a single simple cycle is read off directly.
 """
 
 
@@ -111,20 +112,25 @@ def component_cycles(comps, succ):
     """Every simple cycle of the given strongly connected components
     (as `sccs` lists them) once, as the node list of a closed path.
 
-    Johnson: the circuits through one chosen node of a component are
-    listed with blocking, then that node is removed and the rest of the
+    A component in which every node has one successor inside it is one
+    simple cycle, read off by following those successors from its first
+    node: the list Johnson's search would yield there.  On any other
+    component, Johnson: the circuits through its first node are listed
+    with blocking, then that node is removed and the rest of the
     component split again.
     """
     todo = list(comps)
     while todo:
         comp = todo.pop()
-        if len(comp) == 1:
-            if is_cyclic(comp, succ):
-                yield list(comp)
-            continue
         members = set(comp)
         adj = {v: [w for w in succ(v) if w in members] for v in comp}
         start = comp[0]
+        if all(len(ws) == 1 for ws in adj.values()):
+            cycle = [start]
+            while (v := adj[cycle[-1]][0]) != start:
+                cycle.append(v)
+            yield cycle
+            continue
         yield from _circuits(start, adj)
         rest = [v for v in comp if v != start]
         todo.extend(sccs(rest, lambda v: [w for w in adj[v] if w != start]))

@@ -1,10 +1,11 @@
 import gc
 import importlib
+import tracemalloc
 import weakref
 
 import pytest
 
-from stringalg import fixtures, graph, stringhom
+from stringalg import cli, fixtures, graph, stringhom, textio
 from stringalg.automaton import (
     automaton,
     band_census,
@@ -187,6 +188,25 @@ def test_walk_cap_counts_every_visited_string(monkeypatch, skew6):
     for run in runs:
         with pytest.raises(SearchBudgetExceeded, match="string enumeration exceeded the walk cap"):
             run()
+
+
+def test_cost_follows_the_walk_not_the_max_len(tmp_path, capsys):
+    """A loop a with a a = 0 has two strings, a and its inverse: asking
+    for every length up to a million walks those two, in a few MB."""
+    p = Presentation.build(["1"], [("a", "1", "1")], zeros=[["a", "a"]])
+    tracemalloc.start()
+    try:
+        got = enumerate_strings(p, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert got == enumerate_strings(p, 10)
+    path = tmp_path / "loop.alg"
+    path.write_text(textio.serialize("loop", p))
+    for command in ("strings", "scan", "bands"):
+        assert cli.main([command, str(path), "--max-len", str(10**6)]) == 0
+    capsys.readouterr()
 
 
 def test_enumerate_bands_thirteen(thirteen):

@@ -4,6 +4,12 @@ kept as differential oracles.
 - `stepped_build`: the string automaton built by `reach` over
   `stepped` from every candidate letter, edges sorted, then
   `completions` asked of every state.
+- `stepped_initial_state`: a one-letter state from one matcher step,
+  where the automaton now reads its `first` table; `letter_ends` of a
+  state's letter, where it reads `ends_of`.
+- `johnson_cycles`: Johnson's circuit search on every component,
+  including those that are one simple cycle, which `component_cycles`
+  now reads off directly.
 - `runs_is_string`: reducedness, then each maximal same-direction run
   read as an oriented path and searched with `has_window`.
 - `restricted_double_zero`: build the full subpresentation on a set of
@@ -79,7 +85,15 @@ from stringalg.errors import (
     InfiniteDimensionalError,
     SearchBudgetExceeded,
 )
-from stringalg.graph import component_cycles, cycle_entry, reach, topological_order
+from stringalg.graph import (
+    _circuits,
+    component_cycles,
+    cycle_entry,
+    is_cyclic,
+    reach,
+    sccs,
+    topological_order,
+)
 from stringalg.presentation import (
     Presentation,
     Quiver,
@@ -130,12 +144,21 @@ def corpus():
 # --- the replaced routes ------------------------------------------------------
 
 
+def stepped_initial_state(aut, letter):
+    """State after a one-letter walk, from one matcher step."""
+    ac = aut.acr if letter.inverse else aut.acf
+    node, hit = ac.advance(0, letter.arrow)
+    if hit is not None:
+        raise CorruptPresentationError("single arrow lies in the ideal")
+    return AutoState(letter.arrow, letter.inverse, node)
+
+
 def stepped(aut, s, letter):
     """State s extended by one letter, from the matchers alone; None when
     the extension is not a string."""
     if letter.arrow == s.arrow and letter.inverse != s.inverse:
         return None
-    if letter_ends(aut.quiver, letter)[0] != aut.state_vertex(s):
+    if letter_ends(aut.quiver, letter)[0] != letter_ends(aut.quiver, s.letter)[1]:
         return None
     ac = aut.acr if letter.inverse else aut.acf
     node, hit = ac.advance(s.node if letter.inverse == s.inverse else 0, letter.arrow)
@@ -146,7 +169,7 @@ def completions(aut, s):
     """Direct letters that would complete a generator occurrence after
     state s, as (generator index, arrow name) pairs."""
     out = []
-    for a in aut.quiver.out_arrows(aut.state_vertex(s)):
+    for a in aut.quiver.out_arrows(letter_ends(aut.quiver, s.letter)[1]):
         if s.inverse and a.name == s.arrow:
             continue
         _node, hit = aut.acf.advance(0 if s.inverse else s.node, a.name)
@@ -174,7 +197,8 @@ def stepped_build(p):
         edges[s] = tuple(sorted(t for t in steps if t is not None))
         return edges[s]
 
-    reach([aut.initial_state(f(a.name)) for a in q.arrows for f in (direct, inverse)], succ)
+    firsts = [stepped_initial_state(aut, f(a.name)) for a in q.arrows for f in (direct, inverse)]
+    reach(firsts, succ)
     states = tuple(sorted(edges))
     return states, edges, {s: c for s in states if (c := completions(aut, s))}
 
@@ -314,13 +338,33 @@ def enumerated_cover(p, max_len, dec):
     return True
 
 
+def johnson_cycles(comps, succ):
+    """Every simple cycle of the strongly connected components, each
+    searched with Johnson's blocking from its first node, that node then
+    removed and the rest split again."""
+    todo = list(comps)
+    while todo:
+        comp = todo.pop()
+        if len(comp) == 1:
+            if is_cyclic(comp, succ):
+                yield list(comp)
+            continue
+        members = set(comp)
+        adj = {v: [w for w in succ(v) if w in members] for v in comp}
+        start = comp[0]
+        yield from _circuits(start, adj)
+        rest = [v for v in comp if v != start]
+        todo.extend(sccs(rest, lambda v: [w for w in adj[v] if w != start]))
+
+
 def every_cycle_census(p):
     aut = automaton(p)
     found = set()
-    for cycle in component_cycles(aut.cyclic_components, aut.successors):
+    for cycle in johnson_cycles(aut.cyclic_components, aut.successors):
         letters = [s.letter for s in cycle[1:]] + [cycle[0].letter]
         root = primitive_root(letters)
-        c = make_cyclic(p.quiver, Walk(aut.state_vertex(cycle[0]), tuple(root)))
+        base = letter_ends(p.quiver, cycle[0].letter)[1]
+        c = make_cyclic(p.quiver, Walk(base, tuple(root)))
         if not is_band(p, c):
             raise CorruptPresentationError("automaton cycle did not yield a band")
         found.add(canonical_band(p.quiver, c))
@@ -367,6 +411,27 @@ def test_table_build_matches_the_stepped_build(corpus):
             for letter in _candidate_letters(p.quiver, s):
                 assert aut.step(s, letter) == stepped(aut, s, letter)
     assert completing > 100
+
+
+def test_state_tables_match_the_matcher_steps(corpus500):
+    """The one-letter states and end vertices the automaton records,
+    against one matcher step and `letter_ends` per letter and state."""
+    quotients = [monomial_form(p) for p in special_biserial_corpus(1, 200)]
+    letters = 0
+    for p in _fixtures() + [monomial_form(p) for p in corpus500] + quotients:
+        aut = automaton(p)
+        q = p.quiver
+        for a in q.arrows:
+            for letter in (direct(a.name), inverse(a.name)):
+                assert aut.initial_state(letter) == stepped_initial_state(aut, letter)
+                letters += 1
+        assert len(aut.first) == 2 * len(q.arrows)
+        for s in aut.states:
+            assert aut.ends_of[s] == letter_ends(q, s.letter)
+            assert aut.state_vertex(s) == letter_ends(q, s.letter)[1]
+    assert letters > 5000
+    with pytest.raises(KeyError):
+        automaton(fixtures.thirteen()).initial_state(direct("no such arrow"))
 
 
 # A loop, generators of lengths 2 and 3, one through the loop, and a
@@ -824,6 +889,29 @@ def test_band_searches_match_the_every_cycle_routes(corpus500):
         assert enumerate_bands(p, 6) == every_walk_bands(p, 6)
         with_bands += bool(census)
     assert with_bands > 100
+
+
+def test_single_cycle_read_matches_johnson(corpus500):
+    """`component_cycles` yields Johnson's lists, in the same order and
+    rotation, on every cyclic component of the fixtures, corpus500 and
+    the NotLaura draws of another seed, one simple cycle or not."""
+    not_laura = [p for p in string_corpus(7, 500) if classify(p).verdict == NOT_LAURA]
+    instances = _fixtures() + [monomial_form(p) for p in corpus500] + not_laura
+    simple = other = 0
+    for p in instances:
+        aut = automaton(p)
+        succ = aut.successors
+        comps = aut.cyclic_components
+        for comp in comps:
+            got = list(component_cycles([comp], succ))
+            assert got == list(johnson_cycles([comp], succ))
+            if len(got) == 1 and len(got[0]) == len(comp):
+                simple += 1
+            else:
+                other += 1
+        assert list(component_cycles(comps, succ)) == list(johnson_cycles(comps, succ))
+    assert simple > 800
+    assert other > 250
 
 
 def test_band_checks_are_invariant_under_rotation_and_inversion(corpus500):
