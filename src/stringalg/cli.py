@@ -4,7 +4,8 @@ Reads an algebra file, runs one analysis, and reports as text or JSON
 (schema version 1).  Exit codes: 0 success; 1 unreadable file, parse or
 semantic error; 2 precondition violation or invalid argument (such as a
 negative length); 3 analysis failure (corrupted presentation or an
-exhausted search budget).  Output is byte-identical across runs.
+exhausted search budget); 141 stdout closed before the output ended.
+Output is byte-identical across runs.
 
 A process loads only the layers its command runs, since start-up is most
 of a command's wall time.  Every command loads the package core
@@ -17,6 +18,7 @@ algebra.
 """
 
 import argparse
+import os
 import sys
 
 from .automaton import band_census, enumerate_bands, enumerate_strings
@@ -222,6 +224,8 @@ def cmd_dozed(p, args):
     w = find_doze(work)
     if w is None:
         raise PreconditionError("the algebra has no interlaced double-zero")
+    if args.n * len(w.band.walk.letters) > 10**6:  # a letter budget, as n is unbounded
+        raise SearchBudgetExceeded(f"pumping the band {args.n} times exceeds 1,000,000 letters")
     sigma = dozed_module_string(work, w, args.n)
     dims, _ = string_entries(work, sigma)
     total = sum(dims.values())
@@ -339,13 +343,16 @@ def main(argv=None):
 
         payload = {"schema": 1, "algebra": name, "command": args.command}
         payload.update(data)
-        if args.command == "scan":
-            for w in data["witnesses"]:
-                print(json.dumps({"witness": w}, sort_keys=True))
-        print(json.dumps(payload, sort_keys=True))
-    else:
+        witnesses = data["witnesses"] if args.command == "scan" else []
+        text = [json.dumps({"witness": w}, sort_keys=True) for w in witnesses]
+        text.append(json.dumps(payload, sort_keys=True))
+    try:
         for line in text:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:  # closed early: the final flush goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

@@ -6,12 +6,13 @@ with only entering arrows a left side part B_j, and the middle part C
 collects the support of every string not contained in a single side part.
 The structural consequences (fullness, no entering arrows, convexity,
 unique cycle, finite middle, double-zero-free sides) are verified
-mechanically, on the string automaton the classification built: a side
-part's double-zeros are decided on the states whose arrow lies in the
-part, with no subalgebra built, and the support cover is decided on
-(automaton state, part-mask) pairs, where a string's mask is the bitmask
-of the parts holding it: each pair is visited once, however many strings
-reach it.
+mechanically, on the string automaton the classification built.  Each
+side-part pass reads per-state labels, the few parts holding a state's
+arrow, and costs the states times the parts holding each: the middle
+part is what unlabelled states and label-changing edges reach, one pass
+decides every side part's double-zeros, and the support cover visits
+each (automaton state, part-mask) pair once, its masks as wide as the
+most side parts sharing a vertex.
 """
 
 from ._ac import AhoCorasick
@@ -19,7 +20,7 @@ from ._value import Value
 from .automaton import _mask_pairs, automaton, band_census
 from .doze import STRICT_LAURA_OR_TILTED, _double_zero_over, classify
 from .errors import CorruptPresentationError, PreconditionError
-from .graph import reach, sccs, topological_order
+from .graph import reach, topological_order
 from .presentation import monomial_form
 from .walks import is_string, trivial_walk, walk_arrows, walk_vertices
 
@@ -93,27 +94,29 @@ def d_category(p, w, label="D"):
     if not is_string(p, w):
         raise PreconditionError("d_category needs a string")
     aut = automaton(p)
-    objects = {w.base}
-    arrows = set()
     if w.letters:
         edges = _product_nodes(aut, w.letters)
         rev = {n: [] for n in edges}
         for n, succ in edges.items():
             for m in succ:
                 rev[m].append(n)
-        for s, _pr in reach([n for n in edges if n[1] is None], rev.__getitem__):
-            objects.update(aut.ends_of[s])
-            arrows.add(s.arrow)
-        objects.update(walk_vertices(p.quiver, w))
+        on = [s for s, _pr in reach([n for n in edges if n[1] is None], rev.__getitem__)]
+        objects, arrows = _support(aut, on, walk_vertices(p.quiver, w))
         arrows.update(walk_arrows(w))
     else:
         touch = aut.states_at.get(w.base, ())
-        fwd = reach(touch, aut.successors)
-        bwd = reach(touch, aut.predecessors.__getitem__)
-        for s in fwd | bwd:
-            objects.update(aut.ends_of[s])
-            arrows.add(s.arrow)
+        on = reach(touch, aut.successors) | reach(touch, aut.predecessors.__getitem__)
+        objects, arrows = _support(aut, on, [w.base])
     return Subcategory(label, frozenset(objects), frozenset(arrows))
+
+
+def _support(aut, states, objects):
+    """The given objects plus the ends and arrows of the states' letters."""
+    objects, arrows = set(objects), set()
+    for s in states:
+        objects.update(aut.ends_of[s])
+        arrows.add(s.arrow)
+    return objects, arrows
 
 
 def choose_anchor(p, band, side="out"):
@@ -143,51 +146,62 @@ def _eligible_anchors(p, band, side):
 def _straddle_support(p, side_parts):
     """Vertices and arrows on strings not contained in a single side part.
 
-    Tracks, per automaton state, the antichain of minimal part-masks of
-    walks ending (resp. starting) there; a state lies on a straddling
-    string iff some pair of masks meets in the empty set.
+    A string lies in one side part iff its states share a label, a side
+    part holding the state's arrow with both ends.  With at most one label
+    per state, a string straddles iff it has a state with none or an edge
+    between different labels.  So every state reached from one straddles,
+    and a state before one has a twin with the same arrow and ends after
+    it on the inverse string: the support is that of the states reached.
+    Otherwise each state keeps the antichain of the minimal label sets of
+    the walks ending (resp. starting) there.
     """
     aut = automaton(p)
     q = p.quiver
-    arrow_mask = {}
-    for i, part in enumerate(side_parts):
+    labels = _labels(aut, side_parts)
+    edges, back = aut.edges, aut.predecessors
+    if all(m & (m - 1) == 0 for m in labels.values()):
+        heads = [s for s in aut.states if not labels[s]]
+        heads += [t for s in aut.states for t in edges[s] if not labels[s] & labels[t]]
+        on = reach(heads, aut.successors)
+    else:
+        fwd = _minimal_labels(aut.first.values(), edges, labels)
+        bwd = _minimal_labels(aut.states, back, labels)
+        on = [s for s in aut.states if any(not m1 & m2 for m1 in fwd[s] for m2 in bwd[s])]
+    return _support(aut, on, set(q.vertices).difference(*(part.objects for part in side_parts)))
+
+
+def _labels(aut, parts):
+    """State -> the bitmask of the parts holding its arrow with both ends.
+
+    Parts sharing a vertex get different bits and the others may share
+    one, so a mask is as wide as the most parts at one vertex, and masks
+    of a state and its neighbours compare and meet exactly: every part in
+    either holds the vertex where the two letters meet."""
+    arrow, taken, held = aut.quiver.arrow, {}, {}  # taken: vertex -> bits used there
+    for part in parts:
+        used = 0
+        for v in part.objects:
+            used |= taken.get(v, 0)
+        bit = ~used & (used + 1)  # the lowest bit free at every vertex of the part
+        for v in part.objects:
+            taken[v] = taken.get(v, 0) | bit
         for name in part.arrows:
-            a = q.arrow[name]
-            if a.source in part.objects and a.target in part.objects:
-                arrow_mask[name] = arrow_mask.get(name, 0) | 1 << i
-    masks = {s: arrow_mask.get(s.arrow, 0) for s in aut.states}
+            a = arrow.get(name)
+            if a and a.source in part.objects and a.target in part.objects:
+                held[name] = held.get(name, 0) | bit
+    return {s: held.get(s.arrow, 0) for s in aut.states}
 
-    def add(store, s, m):
-        have = store[s]
-        for e in have:
-            if e & m == e:
-                return False
-        store[s] = [e for e in have if not (m & e == m)] + [m]
-        return True
 
-    def minimal_masks(starts, succ):
-        """Per state, the antichain of minimal masks of the walks that
-        follow succ from a start state to it."""
-        store = {s: [] for s in aut.states}
-        work = [(s, masks[s]) for s in starts if add(store, s, masks[s])]
-        while work:
-            s, m = work.pop()
-            for t in succ(s):
-                if add(store, t, m & masks[t]):
-                    work.append((t, m & masks[t]))
-        return store
-
-    fwd = minimal_masks(aut.first.values(), aut.successors)
-    bwd = minimal_masks(aut.states, aut.predecessors.__getitem__)
-
-    in_some_part = set().union(*(part.objects for part in side_parts))
-    objects = {v for v in q.vertices if v not in in_some_part}
-    arrows = set()
-    for s in aut.states:
-        if any(m1 & m2 == 0 for m1 in fwd[s] for m2 in bwd[s]):
-            objects.update(aut.ends_of[s])
-            arrows.add(s.arrow)
-    return objects, arrows
+def _minimal_labels(starts, nbrs, labels):
+    """Per state, the minimal label sets of the walks along nbrs from a start to it."""
+    store = {s: [] for s in labels}
+    work = [(s, labels[s]) for s in starts]
+    while work:
+        s, m = work.pop()
+        if not any(e & m == e for e in store[s]):
+            store[s] = [e for e in store[s] if e & m != m] + [m]
+            work += [(t, m & labels[t]) for t in nbrs[s]]
+    return store
 
 
 def decompose(p):
@@ -279,69 +293,63 @@ def check_structure(p, decomposition=None):
     details = []
     order = {a.name: i for i, a in enumerate(q.arrows)}
 
-    def incident(part, side):
-        """Arrows starting (side "out") or ending ("in") at an object of
-        the part, in quiver order."""
-        found = [
-            a
-            for v in part.objects
-            if q.has_vertex(v)
-            for a in (q.out_arrows(v) if side == "out" else q.in_arrows(v))
-        ]
+    def incident(arrows_at, part):
+        """The arrows at the part's objects, in quiver order."""
+        found = [a for v in part.objects if q.has_vertex(v) for a in arrows_at(v)]
         return sorted(found, key=lambda a: order[a.name])
 
-    out_of = {part: incident(part, "out") for part in dec.side_parts}
-    into = {part: incident(part, "in") for part in dec.side_parts}
+    sides = dec.side_parts
+    out_of, into = ([incident(at, part) for part in sides] for at in (q.out_arrows, q.in_arrows))
+    leave = [[a for a in out if a.target not in part.objects] for part, out in zip(sides, out_of)]
+    enter = [[a for a in in_ if a.source not in part.objects] for part, in_ in zip(sides, into)]
 
     full = True
-    for part in dec.side_parts:
-        for a in out_of[part]:
+    for part, arrows in zip(sides, out_of):
+        for a in arrows:
             if a.target in part.objects and a.name not in part.arrows:
                 full = False
                 details.append(f"full: arrow {a.name} between {part.label}-objects is missing")
 
     no_entry = True
-    for part in dec.a_parts:
-        for a in into[part]:
-            if a.source not in part.objects:
-                no_entry = False
-                details.append(f"no_entry: arrow {a.name} enters {part.label}")
-    for part in dec.b_parts:
-        for a in out_of[part]:
-            if a.target not in part.objects:
-                no_entry = False
-                details.append(f"no_entry: arrow {a.name} leaves {part.label}")
+    for i, part in enumerate(sides):
+        a_side = i < len(dec.a_parts)
+        for a in enter[i] if a_side else leave[i]:
+            no_entry = False
+            way = "enters" if a_side else "leaves"
+            details.append(f"no_entry: arrow {a.name} {way} {part.label}")
 
     convex = True
-    for part in dec.side_parts:
-        leave = [a.target for a in out_of[part] if a.target not in part.objects]
-        outside = reach(
-            leave,
+    for i, part in enumerate(sides):
+        outside = enter[i] and reach(
+            [a.target for a in leave[i]],
             lambda v: [a.target for a in q.out_arrows(v) if a.target not in part.objects],
         )
-        for a in into[part]:
+        for a in enter[i]:
             if a.source in outside:
                 convex = False
                 details.append(f"convex: {part.label} is re-entered through {a.name}")
 
     unique_cycle = True
-    for part in dec.side_parts:
-        part_arrows = sorted(
-            (q.arrow[n] for n in part.arrows if n in q.arrow), key=lambda a: order[a.name]
-        )
+    for part in sides:
+        part_arrows = [q.arrow[n] for n in sorted(part.arrows & q.arrow.keys(), key=order.get)]
         stray = [a.name for a in part_arrows if not {a.source, a.target} <= part.objects]
         for name in stray:
             unique_cycle = False
             details.append(f"unique_cycle: {part.label} lists arrow {name} with an end outside it")
         if stray:
             continue
-        succ = {v: [] for v in part.objects}
-        pred = {v: [] for v in part.objects}
+        # union-find: an arrow whose ends are already joined closes a cycle
+        root, succ = {v: v for v in part.objects}, {v: [] for v in part.objects}
+        cyclomatic = 0
         for a in part_arrows:
+            r, s = a.source, a.target
+            while root[r] != r:
+                root[r] = r = root[root[r]]
+            while root[s] != s:
+                root[s] = s = root[root[s]]
+            root[r] = s
+            cyclomatic += r == s
             succ[a.source].append(a.target)
-            pred[a.target].append(a.source)
-        ncomp = len(sccs(part.objects, lambda v: succ[v] + pred[v]))
-        cyclomatic = len(part_arrows) - len(part.objects) + ncomp
         if cyclomatic != 1:
             unique_cycle = False
             details.append(f"unique_cycle: {part.label} has cyclomatic number {cyclomatic}")
@@ -351,16 +359,19 @@ def check_structure(p, decomposition=None):
 
     middle_finite = True
     for band in band_census(work):
-        support_ok = set(walk_vertices(q, band.walk)) <= dec.middle.objects and walk_arrows(
-            band.walk
-        ) <= dec.middle.arrows
-        if support_ok:
+        vertices, arrows = set(walk_vertices(q, band.walk)), walk_arrows(band.walk)
+        if vertices <= dec.middle.objects and arrows <= dec.middle.arrows:
             middle_finite = False
             details.append("middle_finite: the middle part contains a band")
 
+    parts_of = {}
+    for i, part in enumerate(sides):
+        for name in part.arrows:
+            parts_of[name] = parts_of.get(name, ()) + (i,)
+    doubled = _double_zero_over(work, parts_of)
     sides_clean = True
-    for part in dec.side_parts:
-        if _double_zero_over(work, part.arrows):
+    for i, part in enumerate(sides):
+        if i in doubled:
             sides_clean = False
             details.append(f"sides_double_zero_free: {part.label} contains a double-zero")
 
@@ -373,23 +384,16 @@ def support_cover_check(p, max_len, decomposition=None):
     """Every string of bounded length is supported inside a single part.
 
     Every vertex must lie in a part (the trivial walks), and no string of
-    length 1..max_len may reach mask 0, where a string's mask is the
-    bitmask of the parts holding its base and every letter's arrow and
-    end.  The masks are decided on (automaton state, mask) pairs by
-    `_mask_pairs`, which runs to the end past a failure, so the visit
-    budget is spent alike on every answer."""
+    length 1..max_len may reach mask 0, a string's mask being the parts
+    holding its base and every letter's arrow and end: each of them holds
+    every letter with both ends, so the mask meets its states' `_labels`.
+    `_mask_pairs` decides the masks on (automaton state, mask) pairs and
+    runs to the end past a failure, so the visit budget is spent alike on
+    every answer."""
     dec, work = _with_decomposition(p, decomposition)
-    q = work.quiver
     aut = automaton(work)
-    vertex_mask, arrow_mask = {}, {}
-    for i, part in enumerate(dec.parts):
-        for v in part.objects:
-            vertex_mask[v] = vertex_mask.get(v, 0) | 1 << i
-        for n in part.arrows:
-            arrow_mask[n] = arrow_mask.get(n, 0) | 1 << i
-    ends_of = aut.ends_of
-    held = {s: arrow_mask.get(s.arrow, 0) & vertex_mask.get(ends_of[s][1], 0) for s in aut.states}
-    roots = {s: vertex_mask.get(ends_of[s][0], 0) & held[s] for s in aut.first.values()}
-    covered = all(vertex_mask.get(v, 0) for v in q.vertices)
+    held = _labels(aut, dec.parts)
+    roots = {s: held[s] for s in aut.first.values()}
     pairs = _mask_pairs(work, max_len, roots, held)
+    covered = set(work.quiver.vertices) <= set().union(*(part.objects for part in dec.parts))
     return covered and all(m for _s, m in pairs)

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     SearchBudgetExceeded,
 )
-from .graph import is_cyclic, reach, sccs
+from .graph import reach
 from .presentation import (
     _contains_subpath,
     monomial_form,
@@ -261,56 +261,45 @@ def has_double_zero(p):
     """Exact decision, not length-bounded; see `_double_zero_over`."""
     if not p.is_monomial:
         raise PreconditionError("has_double_zero needs a monomial presentation")
-    return _double_zero_over(p)
+    return bool(_double_zero_over(p, dict.fromkeys(p.quiver.arrow, (0,))))
 
 
-def _double_zero_over(p, arrows=None):
-    """Whether p has a double-zero using only the given arrows (all of
-    them when None), read off p's own string automaton.
+def _double_zero_over(p, parts_of):
+    """The parts holding a double-zero over their own arrows, read off p's
+    own string automaton; `parts_of` maps an arrow to the parts it lies in.
 
-    The states whose arrow lies in the set carry the automaton of the
-    full subpresentation on it: its strings are p's strings over those
-    arrows, its generators p's generators inside them.  One pass over
-    their strongly connected components, each after every one it
-    reaches, finds need[s]: how many more letters a path from s needs
-    before it completes some rho2 disjoint from rho1 (len(rho2) - 1 in
-    all), None if it completes none; on a cycle it needs none.  g starts
-    a double-zero iff the state after g[1:] needs none."""
+    The states whose arrow lies in part k, with the edges between them,
+    carry the automaton of the full subpresentation on the part.  need[s,
+    k] is how many more letters a path from s in part k needs before it
+    completes some rho2 disjoint from rho1 (len(rho2) - 1 in all), unset
+    if it completes none; on a cycle it needs none.  One backward pass
+    from the completing states lowers need[s, k] to max(need[t, k] - 1, 0)
+    along each edge s -> t in part k, each pair at most once per letter
+    of the longest generator.  g starts a double-zero in part k iff the
+    state after g[1:] needs none there."""
     aut = automaton(p)
-    if arrows is None:
-        arrows = aut.quiver.arrow
-    states_of, starts = _double_zero_index(p)
-    completing = aut.completing
     gens = p.zero_paths
-    states = [s for a in sorted(arrows) for s in states_of.get(a, ())]
-    adj = {s: [t for t in aut.edges[s] if t.arrow in arrows] for s in states}
     need = {}
-    for comp in sccs(states, adj.__getitem__):
-        lacks = [len(gens[i]) - 1 for s in comp for i, x in completing.get(s, ()) if x in arrows]
-        lacks += [max(need[t] - 1, 0) for s in comp for t in adj[s] if need.get(t) is not None]
-        least = min(lacks, default=None)
-        if least is not None and is_cyclic(comp, adj.__getitem__):
-            least = 0
-        need.update(dict.fromkeys(comp, least))
-    return any(
-        need[s] == 0 and any(all(n in arrows for n in g) for g in starts.get(s, ()))
-        for s in states
-    )
-
-
-def _double_zero_index(p):
-    """(arrow -> its states, state after g[1:] -> the generators g)."""
-
-    def make():
-        aut = automaton(p)
-        states_of, starts = {}, {}
-        for s in aut.states:
-            states_of.setdefault(s.arrow, []).append(s)
-        for g in p.zero_paths:
-            starts.setdefault(aut.state_after_direct_path(g[1:]), []).append(g)
-        return states_of, starts
-
-    return p.cached("double_zero_index", make)
+    for s, done in aut.completing.items():
+        for k in parts_of.get(s.arrow, ()):
+            lacks = [len(gens[i]) - 1 for i, x in done if k in parts_of.get(x, ())]
+            if lacks:
+                need[s, k] = min(lacks)
+    work = list(need)
+    while work:
+        t, k = work.pop()
+        least = max(need[t, k] - 1, 0)
+        for s in aut.predecessors[t]:
+            if k in parts_of.get(s.arrow, ()) and need.get((s, k), least + 1) > least:
+                need[s, k] = least
+                work.append((s, k))
+    return {
+        k
+        for g in gens
+        for k in parts_of.get(g[0], ())
+        if all(k in parts_of.get(n, ()) for n in g)
+        and need.get((aut.state_after_direct_path(g[1:]), k)) == 0
+    }
 
 
 def find_doze(p):

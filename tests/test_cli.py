@@ -223,6 +223,44 @@ def test_dozed_golden_stdout(capsys, form):
     assert _transcript(capsys, runs) == DOZED_SHA256[form]
 
 
+# SHA-256 of `dozed --n 640` on skew6, recorded before the letter budget.
+DOZED_640_SHA256 = {
+    (): "6e9614ad9a70ebb1158dc64a974f062a74b484fc67b9241c4f2d4a1ecb4e0c50",
+    ("--json",): "851a173efbdbefe0435667fb48b0e427664d4379d97da5b0a2f6866b5e076ac2",
+}
+
+
+@pytest.mark.parametrize("form", sorted(DOZED_640_SHA256), ids=["text", "json"])
+def test_dozed_under_the_letter_budget_is_unchanged(capsys, form):
+    runs = [("dozed", SKEW6, "--n", "640", *form)]
+    assert _transcript(capsys, runs) == DOZED_640_SHA256[form]
+
+
+def test_dozed_beyond_the_letter_budget_exits_3_before_pumping(capsys):
+    code, out, err = run(capsys, "dozed", SKEW6, "--n", str(10**7))
+    assert (code, out) == (3, "")
+    assert err == "analysis failed: pumping the band 10000000 times exceeds 1,000,000 letters\n"
+
+
+@pytest.mark.parametrize("form", [(), ("--json",)], ids=["text", "json"])
+def test_closed_stdout_ends_quietly(form):
+    # the output (about 6 MB) outgrows the pipe, so the reader closes it
+    # while the command is still writing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stringalg.cli", "strings", THIRTEEN, "--max-len", "400", *form],
+        cwd=ROOT, env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    if form:
+        proc.stdout.read(1)  # the JSON is one line
+    else:
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""  # no traceback, nor anything else
+
+
 # SHA-256 of `bands` on the four fixtures, as the census and as the
 # enumeration up to length 8, recorded before the band search verified
 # each rotation class once.

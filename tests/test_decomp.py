@@ -177,6 +177,25 @@ def test_corrupted_quiver_fails_no_entry(thirteen):
     assert any("intruder" in d for d in report.details)
 
 
+def test_side_parts_left_and_re_entered_fail_convexity(thirteen):
+    # A1 = {8, 10, 11} is left through away and re-entered through back,
+    # B1 = {1, 2, 5} left through out and re-entered through in
+    dec = decompose(thirteen)
+    q = thirteen.quiver
+    arrows = [(a.name, a.source, a.target) for a in q.arrows]
+    arrows += [("away", "11", "x"), ("back", "x", "10"), ("out", "2", "y"), ("in", "y", "1")]
+    zeros = [list(g) for g in thirteen.zero_paths]
+    corrupted = Presentation.build(list(q.vertices) + ["x", "y"], arrows, zeros=zeros)
+    report = check_structure(corrupted, dec)
+    assert (report.full, report.no_entry, report.convex) == (True, False, False)
+    assert report.details == (
+        "no_entry: arrow back enters A1",
+        "no_entry: arrow out leaves B1",
+        "convex: A1 is re-entered through back",
+        "convex: B1 is re-entered through in",
+    )
+
+
 def test_side_part_with_a_stray_arrow_fails_unique_cycle(thirteen):
     # gamma1: 8 -> 7 starts in A1 but ends outside it
     dec = decompose(thirteen)

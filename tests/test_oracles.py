@@ -20,6 +20,11 @@ kept as differential oracles.
   state it reaches, until one reaches a completion.
 - `enumerated_cover`: list the canonical strings and test each one's
   vertices and arrows against every part holding its base.
+- `antichain_straddle`, `condensed_double_zero` and `wide_mask_cover`:
+  the side-part passes with one mask bit per part, numbered in part
+  order: per-state antichains of minimal masks for the middle part, one
+  Tarjan condensation per side part for its double-zeros, and the
+  support cover on those wide masks.
 - `every_cycle_census` and `every_walk_bands`: the band census and the
   bounded band enumeration verifying and canonicalizing every automaton
   cycle and every closed walk, with no skip of the rotations and the
@@ -38,7 +43,8 @@ kept as differential oracles.
 The full `bfs` is also the oracle of the bounded one `find_doze` and
 `shortest_cycle_at` use.  They run on the seeded corpora 1, 2 and 101,
 on random full subquivers of their members, on random letter sequences
-and on random bound quivers.
+and on random bound quivers; the side-part passes also on corpora 1, 2,
+3 and 20260809 and on connected chains of thirteen.
 """
 
 import importlib
@@ -54,6 +60,7 @@ from stringalg import fixtures, rep
 from stringalg.automaton import (
     AutoState,
     StringAutomaton,
+    _mask_pairs,
     _walk_tree,
     automaton,
     band_census,
@@ -64,6 +71,8 @@ from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.decomp import (
     Decomposition,
     Subcategory,
+    _straddle_support,
+    check_structure,
     decompose,
     support_cover_check,
 )
@@ -338,6 +347,97 @@ def enumerated_cover(p, max_len, dec):
     return True
 
 
+def antichain_straddle(p, side_parts):
+    """Vertices and arrows on strings not contained in a single side
+    part, from per-state antichains of minimal part-masks (one bit per
+    side part) of the walks ending, resp. starting, at the state."""
+    aut = automaton(p)
+    q = p.quiver
+    arrow_mask = {}
+    for i, part in enumerate(side_parts):
+        for name in part.arrows:
+            a = q.arrow[name]
+            if a.source in part.objects and a.target in part.objects:
+                arrow_mask[name] = arrow_mask.get(name, 0) | 1 << i
+    masks = {s: arrow_mask.get(s.arrow, 0) for s in aut.states}
+
+    def add(store, s, m):
+        have = store[s]
+        for e in have:
+            if e & m == e:
+                return False
+        store[s] = [e for e in have if not (m & e == m)] + [m]
+        return True
+
+    def minimal_masks(starts, succ):
+        store = {s: [] for s in aut.states}
+        work = [(s, masks[s]) for s in starts if add(store, s, masks[s])]
+        while work:
+            s, m = work.pop()
+            for t in succ(s):
+                if add(store, t, m & masks[t]):
+                    work.append((t, m & masks[t]))
+        return store
+
+    fwd = minimal_masks(aut.first.values(), aut.successors)
+    bwd = minimal_masks(aut.states, aut.predecessors.__getitem__)
+    in_some_part = set().union(*(part.objects for part in side_parts))
+    objects = {v for v in q.vertices if v not in in_some_part}
+    arrows = set()
+    for s in aut.states:
+        if any(m1 & m2 == 0 for m1 in fwd[s] for m2 in bwd[s]):
+            objects.update(aut.ends_of[s])
+            arrows.add(s.arrow)
+    return objects, arrows
+
+
+def condensed_double_zero(p, arrows):
+    """Whether p has a double-zero over one set of arrows: Tarjan's
+    condensation of the states whose arrow lies in the set, each
+    component after every one it reaches, finds how many more letters a
+    path needs to complete a generator, none on a cycle."""
+    aut = automaton(p)
+    gens = p.zero_paths
+    starts = {}
+    for g in gens:
+        starts.setdefault(aut.state_after_direct_path(g[1:]), []).append(g)
+    states = [s for s in aut.states if s.arrow in arrows]
+    adj = {s: [t for t in aut.edges[s] if t.arrow in arrows] for s in states}
+    need = {}
+    for comp in sccs(states, adj.__getitem__):
+        lacks = [
+            len(gens[i]) - 1 for s in comp for i, x in aut.completing.get(s, ()) if x in arrows
+        ]
+        lacks += [max(need[t] - 1, 0) for s in comp for t in adj[s] if need.get(t) is not None]
+        least = min(lacks, default=None)
+        if least is not None and is_cyclic(comp, adj.__getitem__):
+            least = 0
+        need.update(dict.fromkeys(comp, least))
+    return any(
+        need[s] == 0 and any(all(n in arrows for n in g) for g in starts.get(s, ()))
+        for s in states
+    )
+
+
+def wide_mask_cover(p, max_len, dec):
+    """The support cover with one mask bit per part, in part order: a
+    state's mask is the parts holding its arrow and the vertex it ends
+    at, a first state's also the vertex it starts at."""
+    aut = automaton(p)
+    vertex_mask, arrow_mask = {}, {}
+    for i, part in enumerate(dec.parts):
+        for v in part.objects:
+            vertex_mask[v] = vertex_mask.get(v, 0) | 1 << i
+        for n in part.arrows:
+            arrow_mask[n] = arrow_mask.get(n, 0) | 1 << i
+    ends_of = aut.ends_of
+    held = {s: arrow_mask.get(s.arrow, 0) & vertex_mask.get(ends_of[s][1], 0) for s in aut.states}
+    roots = {s: vertex_mask.get(ends_of[s][0], 0) & held[s] for s in aut.first.values()}
+    covered = all(vertex_mask.get(v, 0) for v in p.quiver.vertices)
+    pairs = _mask_pairs(p, max_len, roots, held)
+    return covered and all(m for _s, m in pairs)
+
+
 def johnson_cycles(comps, succ):
     """Every simple cycle of the strongly connected components, each
     searched with Johnson's blocking from its first node, that node then
@@ -530,7 +630,8 @@ def test_part_decision_matches_the_restricted_automaton(corpus):
             objects = {v for v in q.vertices if rng.random() < 0.7}
             arrows = {a.name for a in q.arrows if a.source in objects and a.target in objects}
             want = restricted_double_zero(restrict(p, objects, arrows))
-            assert _double_zero_over(p, frozenset(arrows)) == want, (p.quiver.arrows, arrows)
+            got = _double_zero_over(p, dict.fromkeys(arrows, (0,)))
+            assert got == ({0} if want else set()), (p.quiver.arrows, arrows)
             agree += 1
             positive += want
     assert agree == SUBQUIVERS * len(corpus)
@@ -548,7 +649,8 @@ def test_side_part_decisions_match_the_restricted_automaton(corpus, thirteen):
             continue  # the side part depends on the anchor (a known defect)
         for part in dec.side_parts:
             sub = restrict(p, part.objects, part.arrows)
-            assert _double_zero_over(p, part.arrows) == restricted_double_zero(sub)
+            got = _double_zero_over(p, dict.fromkeys(part.arrows, (0,)))
+            assert got == ({0} if restricted_double_zero(sub) else set())
             checked += 1
     assert checked > 50
 
@@ -874,6 +976,132 @@ def test_support_cover_spends_the_same_budget(monkeypatch, thirteen):
     assert answers == {True, False, "budget"}
     # the cover answered where the enumeration of the strings ran out
     assert (False, True) in enumerated
+
+
+# --- side-part passes -----------------------------------------------------------
+
+SIDE_PART_SEEDS = (1, 2, 3, 20260809)
+# members of string_corpus(seed, 2000) with an arrow in two side parts
+SHARED_ARROW = {1: (4, 1222, 1831), 20260809: (362, 1273)}
+
+
+def _shares_an_arrow(dec):
+    q = dec.analyzed.quiver
+    held = [
+        n
+        for part in dec.side_parts
+        for n in part.arrows
+        if {q.arrow[n].source, q.arrow[n].target} <= part.objects
+    ]
+    return len(held) > len(set(held))
+
+
+def _side_parts_agree(p, dec, lengths=(1, 3, 8)):
+    """The straddle, the side parts' double-zeros and the support cover
+    answer as the routes they replaced."""
+    work = monomial_form(p)
+    sides = dec.side_parts
+    assert _straddle_support(work, sides) == antichain_straddle(work, sides)
+    doubled = [part.label for part in sides if condensed_double_zero(work, part.arrows)]
+    report = check_structure(p, dec)
+    found = [d.split()[1] for d in report.details if d.startswith("sides_double_zero_free")]
+    assert found == doubled
+    for n in lengths:
+        assert _outcome(support_cover_check, p, n, dec) == _outcome(wide_mask_cover, work, n, dec)
+
+
+def test_side_part_passes_match_the_replaced_routes_on_the_corpora():
+    checked = shared = 0
+    for seed in SIDE_PART_SEEDS:
+        strings = string_corpus(seed, 2000 if seed in SHARED_ARROW else 500)
+        named = [strings[i] for i in SHARED_ARROW.get(seed, ())]
+        for p in strings[:500] + named[1:] + special_biserial_corpus(seed, 100):
+            if classify(p).verdict != STRICT_LAURA_OR_TILTED:
+                continue
+            try:
+                dec = decompose(p)
+            except CorruptPresentationError:
+                continue  # the side part depends on the anchor (a known defect)
+            _side_parts_agree(p, dec)
+            checked += 1
+            shared += _shares_an_arrow(dec)
+        for p in named:
+            assert _shares_an_arrow(decompose(p))
+    assert checked > 500 and shared == 5
+
+
+def _chain_decompositions():
+    """Each chain of thirteens up to 64 copies, with its decomposition; a
+    NotLaura chain gets its strict twin's side parts and the middle the
+    straddle finds for them."""
+    from tests.test_properties import NOT_LAURA_JOIN, STRICT_JOIN, chain_copies
+
+    thirteen = fixtures.thirteen()
+    for k in (1, 2, 3, 8, 64):
+        strict, _ = chain_copies(thirteen, k, STRICT_JOIN)
+        dec = decompose(strict)
+        yield strict, dec
+        loose, _ = chain_copies(thirteen, k, NOT_LAURA_JOIN)
+        objects, arrows = _straddle_support(loose, dec.side_parts)
+        middle = Subcategory("C", frozenset(objects), frozenset(arrows))
+        yield loose, Decomposition(dec.a_parts, dec.b_parts, middle, dec.notes, loose)
+
+
+def test_side_part_passes_match_the_replaced_routes_on_the_chain():
+    verdicts = set()
+    for p, dec in _chain_decompositions():
+        _side_parts_agree(p, dec, lengths=(1, 8))
+        verdicts.add(classify(p).verdict)
+    assert verdicts == {STRICT_LAURA_OR_TILTED, NOT_LAURA}
+
+
+def test_side_part_passes_match_the_replaced_routes_on_altered_decompositions(corpus):
+    kinds = set()
+    for p, dec, kind in _decompositions(corpus):
+        _side_parts_agree(p, dec)
+        for part in dec.side_parts[:1]:
+            _side_parts_agree(p, _shrunk(dec, part, objects={min(part.objects)}))
+        kinds.add(kind)
+    assert kinds == {"intact", "middle", "side"}
+
+
+def test_straddle_matches_the_antichain_route_on_random_parts(corpus):
+    """Random full subquivers as side parts, some sharing arrows, so both
+    the label-change route and the antichain route run."""
+    rng = random.Random(11)
+    routes = set()
+    for p in corpus:
+        q = p.quiver
+        for _ in range(3):
+            parts = []
+            for i in range(rng.randint(1, 4)):
+                objects = frozenset(v for v in q.vertices if rng.random() < 0.5)
+                inside = [a.name for a in q.arrows if {a.source, a.target} <= objects]
+                arrows = frozenset(n for n in inside if rng.random() < 0.9)
+                parts.append(Subcategory(f"A{i + 1}", objects, arrows))
+            assert _straddle_support(p, parts) == antichain_straddle(p, parts)
+            held = [n for part in parts for n in part.arrows]
+            routes.add(len(held) > len(set(held)))
+    assert routes == {False, True}
+
+
+def test_one_pass_decides_every_parts_double_zeros(corpus):
+    """Random arrows in three parts, some of them in two, decided in one
+    pass, against one condensation per part."""
+    from tests.test_properties import NOT_LAURA_JOIN, chain_copies
+
+    rng = random.Random(16)
+    chains = [chain_copies(fixtures.thirteen(), k, NOT_LAURA_JOIN)[0] for k in (2, 4)]
+    answers = set()
+    for p in corpus + chains:
+        names = [a.name for a in p.quiver.arrows]
+        for _ in range(4):
+            parts_of = {n: tuple(rng.sample(range(3), rng.choice((0, 1, 1, 2)))) for n in names}
+            arrows = [{n for n, ks in parts_of.items() if i in ks} for i in range(3)]
+            want = {i for i in range(3) if condensed_double_zero(p, arrows[i])}
+            assert _double_zero_over(p, parts_of) == want
+            answers.add(len(want))
+    assert answers >= {0, 1, 2}
 
 
 def test_band_searches_match_the_every_cycle_routes(corpus500):

@@ -25,6 +25,7 @@ from stringalg.presentation import Presentation, minimalize
 automaton_module = importlib.import_module("stringalg.automaton")
 doze_module = importlib.import_module("stringalg.doze")
 presentation_module = importlib.import_module("stringalg.presentation")
+decomp_module = importlib.import_module("stringalg.decomp")
 from stringalg.walks import (
     Walk,
     band_boundary,
@@ -326,6 +327,30 @@ def disjoint_copies(p, k):
     return Presentation.build(vertices, arrows, zeros=zeros), back
 
 
+# Joins for `chain_copies` of thirteen: e_i : 9_i -> 5_{i+1} with the zero
+# relations delta2_i e_i and e_i alpha1_{i+1} keeps it StrictLauraOrTilted;
+# a bare e_i : 5_i -> 8_{i+1} makes it NotLaura from two copies on.
+STRICT_JOIN = ("9", "5", "delta2", "alpha1")
+NOT_LAURA_JOIN = ("5", "8", None, None)
+
+
+def chain_copies(p, k, join):
+    """k copies of p, renamed as by `disjoint_copies`, joined into one
+    connected chain: join = (source, target, before, after) adds an arrow
+    e_i : source_i -> target_{i+1} for each i < k - 1, with the zero
+    relations before_i e_i and e_i after_{i+1} where those are given."""
+    copies, back = disjoint_copies(p, k)
+    source, target, before, after = join
+    q = copies.quiver
+    arrows = [(a.name, a.source, a.target) for a in q.arrows]
+    zeros = [list(g) for g in copies.zero_paths]
+    for i in range(k - 1):
+        arrows.append((f"e_{i}", f"{source}_{i}", f"{target}_{i + 1}"))
+        zeros += [[f"{before}_{i}", f"e_{i}"]] if before else []
+        zeros += [[f"e_{i}", f"{after}_{i + 1}"]] if after else []
+    return Presentation.build(list(q.vertices), arrows, zeros=zeros), back
+
+
 def _mapped(part, back):
     """The part as (copy, old objects, old arrows); it must lie in one copy."""
     (copy,) = {back[n][0] for n in part.objects | part.arrows}
@@ -393,9 +418,89 @@ def test_analysis_pass_derives_each_fact_once(thirteen, monkeypatch):
     assert len(seen["minimalize"]) <= len(seen["built"])
 
 
+class _CountedTable(dict):
+    """A neighbour table that reports how many entries are read from it."""
+
+    def __init__(self, table, on_read):
+        super().__init__(table)
+        self.on_read = on_read
+
+    def __getitem__(self, key):
+        value = dict.__getitem__(self, key)
+        self.on_read(len(value))
+        return value
+
+
+def _width(mask):
+    """Part labels in a mask: its bits for an int, else its members."""
+    return mask.bit_length() if isinstance(mask, int) else len(mask)
+
+
+@pytest.mark.parametrize("k", [4, 16, 64])
+def test_decomposition_stages_work_linearly_on_the_chain(thirteen, k, monkeypatch):
+    """decompose -> check_structure -> support_cover_check on the
+    connected chain of k thirteens.  Per stage, the automaton neighbours
+    read, the states the anchors' `d_category` and the straddle reach, and
+    the part labels the straddle's and the cover's masks carry (the bits a
+    mask spans, as an AND costs) stay under a constant times the states.
+    The double-zero pass reads a state's predecessors once per lowering."""
+    p, _ = chain_copies(thirteen, k, STRICT_JOIN)
+    aut = automaton(classify(p).analyzed)
+    stage, count = [None], Counter()
+
+    def on_read(n):
+        count[stage[-1], "neighbours read"] += n
+
+    aut.edges = _CountedTable(aut.edges, on_read)
+    aut.__dict__["predecessors"] = _CountedTable(aut.predecessors, on_read)
+
+    def within(name, real):
+        def wrapper(*args):
+            stage.append(name)
+            try:
+                return real(*args)
+            finally:
+                stage.pop()
+
+        return wrapper
+
+    def counted(kind, real, sizes):
+        def wrapper(*args):
+            found = real(*args)
+            count[stage[-1], kind] += sizes(found, *args)
+            return found
+
+        return wrapper
+
+    def mask_sizes(pairs, _p, _max_len, _roots, held):
+        return sum(map(_width, held.values())) + sum(_width(m) for _s, m in pairs)
+
+    for name, kind, sizes in (
+        ("reach", "states reached", lambda found, *_: len(found)),
+        ("_labels", "labels", lambda found, *_: sum(map(_width, found.values()))),
+        ("_mask_pairs", "labels", mask_sizes),
+    ):
+        real = getattr(decomp_module, name, None)
+        monkeypatch.setattr(decomp_module, name, counted(kind, real, sizes), raising=False)
+    for name, key in (
+        ("d_category", "d_category"),
+        ("_straddle_support", "straddle"),
+        ("_double_zero_over", "double-zeros"),
+        ("support_cover_check", "cover"),
+    ):
+        monkeypatch.setattr(decomp_module, name, within(key, getattr(decomp_module, name)))
+
+    dec = decomp_module.decompose(p)
+    assert decomp_module.check_structure(p, dec).all_pass
+    assert decomp_module.support_cover_check(p, 8, dec)
+    states = len(aut)
+    assert {key for key, _kind in count} >= {"d_category", "straddle", "double-zeros", "cover"}
+    assert count["cover", "labels"] <= 8 * states, count
+    for (key, kind), n in count.items():
+        assert n <= 16 * states, (key, kind, n, states)
+
 # --- value classes -------------------------------------------------------------
 
-decomp_module = importlib.import_module("stringalg.decomp")
 stringhom_module = importlib.import_module("stringalg.stringhom")
 walks_module = importlib.import_module("stringalg.walks")
 
