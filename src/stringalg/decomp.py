@@ -7,12 +7,12 @@ collects the support of every string not contained in a single side part.
 The structural consequences (fullness, no entering arrows, convexity,
 unique cycle, finite middle, double-zero-free sides) are verified
 mechanically, on the string automaton the classification built.  Each
-side-part pass reads per-state labels, the few parts holding a state's
-arrow, and costs the states times the parts holding each: the middle
-part is what unlabelled states and label-changing edges reach, one pass
-decides every side part's double-zeros, and the support cover visits
-each (automaton state, part-mask) pair once, its masks as wide as the
-most side parts sharing a vertex.
+side-part pass reads, per automaton state, only the side parts holding
+its arrow, so it costs the states times the parts holding each: the
+middle part keeps per state the minimal sets of parts holding the walks
+into and out of it, one backward pass decides every side part's
+double-zeros, and the support cover visits each (state, part set) pair
+once.  Part sets are bitmasks as wide as the most parts at one vertex.
 """
 
 from ._ac import AhoCorasick
@@ -147,27 +147,16 @@ def _straddle_support(p, side_parts):
     """Vertices and arrows on strings not contained in a single side part.
 
     A string lies in one side part iff its states share a label, a side
-    part holding the state's arrow with both ends.  With at most one label
-    per state, a string straddles iff it has a state with none or an edge
-    between different labels.  So every state reached from one straddles,
-    and a state before one has a twin with the same arrow and ends after
-    it on the inverse string: the support is that of the states reached.
-    Otherwise each state keeps the antichain of the minimal label sets of
-    the walks ending (resp. starting) there.
-    """
+    part holding the state's arrow with both ends.  Each state keeps the
+    antichain of the minimal label sets of the walks ending (resp.
+    starting) there; a state in at most one part keeps its label or 0."""
     aut = automaton(p)
-    q = p.quiver
     labels = _labels(aut, side_parts)
-    edges, back = aut.edges, aut.predecessors
-    if all(m & (m - 1) == 0 for m in labels.values()):
-        heads = [s for s in aut.states if not labels[s]]
-        heads += [t for s in aut.states for t in edges[s] if not labels[s] & labels[t]]
-        on = reach(heads, aut.successors)
-    else:
-        fwd = _minimal_labels(aut.first.values(), edges, labels)
-        bwd = _minimal_labels(aut.states, back, labels)
-        on = [s for s in aut.states if any(not m1 & m2 for m1 in fwd[s] for m2 in bwd[s])]
-    return _support(aut, on, set(q.vertices).difference(*(part.objects for part in side_parts)))
+    fwd = _minimal_labels(aut.first.values(), aut.edges, labels)
+    bwd = _minimal_labels(aut.states, aut.predecessors, labels)
+    on = {s for s in aut.states for m1 in fwd[s] for m2 in bwd[s] if not m1 & m2}
+    bare = set(p.quiver.vertices).difference(*(part.objects for part in side_parts))
+    return _support(aut, on, bare)
 
 
 def _labels(aut, parts):
@@ -194,12 +183,16 @@ def _labels(aut, parts):
 
 def _minimal_labels(starts, nbrs, labels):
     """Per state, the minimal label sets of the walks along nbrs from a start to it."""
-    store = {s: [] for s in labels}
+    store = dict.fromkeys(labels, ())
     work = [(s, labels[s]) for s in starts]
     while work:
         s, m = work.pop()
-        if not any(e & m == e for e in store[s]):
-            store[s] = [e for e in store[s] if e & m != m] + [m]
+        kept = store[s]
+        for e in kept:
+            if e & m == e:
+                break
+        else:
+            store[s] = (m, *[e for e in kept if e & m != m])
             work += [(t, m & labels[t]) for t in nbrs[s]]
     return store
 
@@ -299,7 +292,8 @@ def check_structure(p, decomposition=None):
         return sorted(found, key=lambda a: order[a.name])
 
     sides = dec.side_parts
-    out_of, into = ([incident(at, part) for part in sides] for at in (q.out_arrows, q.in_arrows))
+    out_of = [incident(q.out_arrows, part) for part in sides]
+    into = [incident(q.in_arrows, part) for part in sides]
     leave = [[a for a in out if a.target not in part.objects] for part, out in zip(sides, out_of)]
     enter = [[a for a in in_ if a.source not in part.objects] for part, in_ in zip(sides, into)]
 
@@ -311,12 +305,14 @@ def check_structure(p, decomposition=None):
                 details.append(f"full: arrow {a.name} between {part.label}-objects is missing")
 
     no_entry = True
-    for i, part in enumerate(sides):
-        a_side = i < len(dec.a_parts)
-        for a in enter[i] if a_side else leave[i]:
+    for part, arrows in zip(dec.a_parts, enter):
+        for a in arrows:
             no_entry = False
-            way = "enters" if a_side else "leaves"
-            details.append(f"no_entry: arrow {a.name} {way} {part.label}")
+            details.append(f"no_entry: arrow {a.name} enters {part.label}")
+    for part, arrows in zip(dec.b_parts, leave[len(dec.a_parts) :]):
+        for a in arrows:
+            no_entry = False
+            details.append(f"no_entry: arrow {a.name} leaves {part.label}")
 
     convex = True
     for i, part in enumerate(sides):
@@ -331,7 +327,9 @@ def check_structure(p, decomposition=None):
 
     unique_cycle = True
     for part in sides:
-        part_arrows = [q.arrow[n] for n in sorted(part.arrows & q.arrow.keys(), key=order.get)]
+        part_arrows = sorted(
+            (q.arrow[n] for n in part.arrows if n in q.arrow), key=lambda a: order[a.name]
+        )
         stray = [a.name for a in part_arrows if not {a.source, a.target} <= part.objects]
         for name in stray:
             unique_cycle = False
@@ -359,8 +357,10 @@ def check_structure(p, decomposition=None):
 
     middle_finite = True
     for band in band_census(work):
-        vertices, arrows = set(walk_vertices(q, band.walk)), walk_arrows(band.walk)
-        if vertices <= dec.middle.objects and arrows <= dec.middle.arrows:
+        support_ok = set(walk_vertices(q, band.walk)) <= dec.middle.objects and walk_arrows(
+            band.walk
+        ) <= dec.middle.arrows
+        if support_ok:
             middle_finite = False
             details.append("middle_finite: the middle part contains a band")
 

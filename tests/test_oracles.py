@@ -1066,10 +1066,10 @@ def test_side_part_passes_match_the_replaced_routes_on_altered_decompositions(co
 
 
 def test_straddle_matches_the_antichain_route_on_random_parts(corpus):
-    """Random full subquivers as side parts, some sharing arrows, so both
-    the label-change route and the antichain route run."""
+    """Random full subquivers as side parts, some sharing arrows, so some
+    states carry two labels and others one."""
     rng = random.Random(11)
-    routes = set()
+    shared = set()
     for p in corpus:
         q = p.quiver
         for _ in range(3):
@@ -1081,8 +1081,8 @@ def test_straddle_matches_the_antichain_route_on_random_parts(corpus):
                 parts.append(Subcategory(f"A{i + 1}", objects, arrows))
             assert _straddle_support(p, parts) == antichain_straddle(p, parts)
             held = [n for part in parts for n in part.arrows]
-            routes.add(len(held) > len(set(held)))
-    assert routes == {False, True}
+            shared.add(len(held) > len(set(held)))
+    assert shared == {False, True}
 
 
 def test_one_pass_decides_every_parts_double_zeros(corpus):

@@ -440,9 +440,9 @@ def _width(mask):
 def test_decomposition_stages_work_linearly_on_the_chain(thirteen, k, monkeypatch):
     """decompose -> check_structure -> support_cover_check on the
     connected chain of k thirteens.  Per stage, the automaton neighbours
-    read, the states the anchors' `d_category` and the straddle reach, and
-    the part labels the straddle's and the cover's masks carry (the bits a
-    mask spans, as an AND costs) stay under a constant times the states.
+    read, the states the anchors' `d_category` reaches, and the part labels
+    the straddle's antichains and the cover's masks carry (the bits a mask
+    spans, as an AND costs) stay under a constant times the states.
     The double-zero pass reads a state's predecessors once per lowering."""
     p, _ = chain_copies(thirteen, k, STRICT_JOIN)
     aut = automaton(classify(p).analyzed)
@@ -472,12 +472,16 @@ def test_decomposition_stages_work_linearly_on_the_chain(thirteen, k, monkeypatc
 
         return wrapper
 
+    def antichain_sizes(store, *_):
+        return sum(_width(m) for kept in store.values() for m in kept)
+
     def mask_sizes(pairs, _p, _max_len, _roots, held):
         return sum(map(_width, held.values())) + sum(_width(m) for _s, m in pairs)
 
     for name, kind, sizes in (
         ("reach", "states reached", lambda found, *_: len(found)),
         ("_labels", "labels", lambda found, *_: sum(map(_width, found.values()))),
+        ("_minimal_labels", "labels", antichain_sizes),
         ("_mask_pairs", "labels", mask_sizes),
     ):
         real = getattr(decomp_module, name, None)
