@@ -10,6 +10,8 @@ One declaration per line; `#` starts a comment:
 
 Compositions read left to right.  Parse errors carry 1-based line and
 column; the canonical serializer round-trips through parse exactly.
+Lines are split into tokens and never scanned for positions: a column is
+computed only for the token an error names.
 """
 
 import re
@@ -20,109 +22,105 @@ from .presentation import Commutativity, Presentation, Quiver, ZeroRelation
 _ID = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-def _tokens(line):
-    """(token, 1-based column) pairs up to the first token that begins
-    with `#`; a `#` inside a token does not start a comment."""
-    out = []
-    col = 0
-    for tok in line.split():
-        if tok.startswith("#"):
-            break
-        col = line.find(tok, col)
-        out.append((tok, col + 1))
-        col += len(tok)
-    return out
+def _column(line, i):
+    """1-based column of the i-th token of a line, each token found after
+    the end of the one before it."""
+    end = 0
+    for tok in line.split()[: i + 1]:
+        start = line.find(tok, end)
+        end = start + len(tok)
+    return start + 1
 
 
-def _check_id(tok, lineno, col):
-    if not _ID.match(tok):
-        raise ParseError(f"invalid identifier {tok!r}", lineno, col)
-    return tok
+def _first_unknown(toks, known, lineno, line):
+    """The error for the first arrow after the head that is not known."""
+    i = next(i for i, tok in enumerate(toks) if i and tok not in known)
+    return SemanticError(f"unknown arrow {toks[i]!r}", lineno, _column(line, i))
 
 
 def parse(text):
     """Parse the declaration format; returns (name, Presentation)."""
     name = None
     vertices = []
-    vertex_seen = {}
     arrows = []
-    arrow_seen = {}
+    vertex_seen = set()
+    arrow_seen = set()
     zero_decls = []
     comm_decls = []
+    is_id = _ID.match
     for lineno, line in enumerate(text.splitlines(), start=1):
-        toks = _tokens(line)
+        toks = line.split()
+        if "#" in line:
+            # a token that begins with `#` starts a comment; one inside a token does not
+            for i, tok in enumerate(toks):
+                if tok[0] == "#":
+                    del toks[i:]
+                    break
         if not toks:
             continue
-        head, col = toks[0]
-        rest = toks[1:]
+        head, *rest = toks
         if head == "algebra":
             if len(rest) != 1:
-                raise ParseError("expected 'algebra <name>'", lineno, col)
+                raise ParseError("expected 'algebra <name>'", lineno, _column(line, 0))
             if name is not None:
-                raise ParseError("duplicate 'algebra' line", lineno, col)
-            name = rest[0][0]
+                raise ParseError("duplicate 'algebra' line", lineno, _column(line, 0))
+            name = rest[0]
         elif head == "vertex":
             if not rest:
-                raise ParseError("'vertex' needs at least one id", lineno, col)
-            for tok, c in rest:
-                _check_id(tok, lineno, c)
+                raise ParseError("'vertex' needs at least one id", lineno, _column(line, 0))
+            for i, tok in enumerate(rest, start=1):
+                if not is_id(tok):
+                    raise ParseError(f"invalid identifier {tok!r}", lineno, _column(line, i))
                 if tok in vertex_seen:
-                    raise ParseError(f"duplicate vertex {tok!r}", lineno, c)
-                vertex_seen[tok] = (lineno, c)
-                vertices.append(tok)
+                    raise ParseError(f"duplicate vertex {tok!r}", lineno, _column(line, i))
+                vertex_seen.add(tok)
+            vertices += rest
         elif head == "arrow":
-            if (
-                len(rest) != 5
-                or rest[1][0] != ":"
-                or rest[3][0] != "->"
-            ):
-                raise ParseError("expected 'arrow <id> : <src> -> <tgt>'", lineno, col)
-            aid, acol = rest[0]
-            src, scol = rest[2]
-            tgt, tcol = rest[4]
-            _check_id(aid, lineno, acol)
+            if len(rest) != 5 or rest[1] != ":" or rest[3] != "->":
+                raise ParseError("expected 'arrow <id> : <src> -> <tgt>'", lineno, _column(line, 0))
+            aid, _, src, _, tgt = rest
+            if not is_id(aid):
+                raise ParseError(f"invalid identifier {aid!r}", lineno, _column(line, 1))
             if aid in arrow_seen:
-                raise ParseError(f"duplicate arrow {aid!r}", lineno, acol)
-            arrow_seen[aid] = (lineno, acol)
-            for v, c in ((src, scol), (tgt, tcol)):
-                if v not in vertex_seen:
-                    raise SemanticError(f"unknown vertex {v!r}", lineno, c)
+                raise ParseError(f"duplicate arrow {aid!r}", lineno, _column(line, 1))
+            arrow_seen.add(aid)
+            for i in (3, 5):
+                if toks[i] not in vertex_seen:
+                    raise SemanticError(f"unknown vertex {toks[i]!r}", lineno, _column(line, i))
             arrows.append((aid, src, tgt))
         elif head == "zero":
             if len(rest) < 2:
-                raise ParseError("'zero' needs at least two arrows", lineno, col)
-            zero_decls.append(([t for t, _ in rest], lineno, rest[0][1]))
-            for tok, c in rest:
-                if tok not in arrow_seen:
-                    raise SemanticError(f"unknown arrow {tok!r}", lineno, c)
+                raise ParseError("'zero' needs at least two arrows", lineno, _column(line, 0))
+            if not arrow_seen.issuperset(rest):
+                raise _first_unknown(toks, arrow_seen, lineno, line)
+            zero_decls.append((rest, lineno, line))
         elif head == "comm":
-            names = [t for t, _ in rest]
-            if "=" not in names:
-                raise ParseError("'comm' needs an '=' between the two sides", lineno, col)
-            cut = names.index("=")
-            left, right = names[:cut], names[cut + 1 :]
+            if "=" not in rest:
+                raise ParseError("'comm' needs an '=' between the two sides", lineno, _column(line, 0))
+            cut = rest.index("=")
+            left, right = rest[:cut], rest[cut + 1 :]
             if not left or not right:
-                raise ParseError("'comm' sides must both be nonempty", lineno, col)
-            for tok, c in rest:
-                if tok != "=" and tok not in arrow_seen:
-                    raise SemanticError(f"unknown arrow {tok!r}", lineno, c)
-            comm_decls.append((left, right, lineno, rest[0][1]))
+                raise ParseError("'comm' sides must both be nonempty", lineno, _column(line, 0))
+            known = arrow_seen | {"="}
+            if not known.issuperset(rest):
+                raise _first_unknown(toks, known, lineno, line)
+            comm_decls.append((left, right, lineno, line))
         else:
-            raise ParseError(f"unknown declaration {head!r}", lineno, col)
+            raise ParseError(f"unknown declaration {head!r}", lineno, _column(line, 0))
     if name is None:
         raise ParseError("missing 'algebra <name>' line", 1, 1)
     quiver = Quiver(vertices, arrows)
     relations = []
-    for names, lineno, col in zero_decls:
+    for names, lineno, line in zero_decls:
         try:
             relations.append(ZeroRelation(quiver.path(names)))
         except SemanticError as e:
-            raise SemanticError(str(e), lineno, col) from None
-    for left, right, lineno, col in comm_decls:
+            raise SemanticError(str(e), lineno, _column(line, 1)) from None
+    for left, right, lineno, line in comm_decls:
         try:
             relations.append(Commutativity(quiver.path(left), quiver.path(right)))
         except SemanticError as e:
-            raise SemanticError(str(e), lineno, col) from None
+            raise SemanticError(str(e), lineno, _column(line, 1)) from None
     try:
         presentation = Presentation(quiver, relations)
     except StringAlgError as e:
