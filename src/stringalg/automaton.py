@@ -17,12 +17,16 @@ complete a generator; `initial_state` reads `first` and `step` reads
 `edges`.  Two tables are computed once on first use: `letter_of`, each
 state's last letter, and `ends_of`, that letter's (source, target),
 which `state_vertex`, `states_at`, the walk tree and `decomp` read.
+`generator_state` memoizes, per zero generator, the state after its tail
+that `doze` starts from, read off the forward matcher on first use.
 
 Cycles in the state graph are exactly the source of bands: pumping any
 cycle yields arbitrarily long strings, and the primitive root of its
 letter sequence is a band.  The one condensation, `cyclic_components`,
 is shared by `cycle_states`, `doze.find_doze`, `band_census`
-(`graph.component_cycles` runs on it) and `exists_band`.
+(`graph.component_cycles` runs on it) and `exists_band`.  A band's
+canonical form is the least letter tuple among its rotations and its
+inverse's (`walks.canonical_band`), with one `CyclicWalk` built for it.
 """
 
 from collections import namedtuple
@@ -61,6 +65,7 @@ class StringAutomaton:
         gens = p.zero_paths
         self.acf = AhoCorasick(gens)
         self.acr = AhoCorasick([tuple(reversed(g)) for g in gens])
+        self._generator_states = [None] * len(gens)
         self.edges = edges = {}
         self.completing = completing = {}
         # ends[inverse][arrow] is the vertex a letter ends at; first[letter]
@@ -163,21 +168,27 @@ class StringAutomaton:
         """Simulate a walk; agrees with walks.is_string by construction."""
         if not w.letters:
             return self.quiver.has_vertex(w.base)
-        start = letter_ends(self.quiver, w.letters[0])[0]
-        return start == w.base and self._consume(w.letters) is not None
-
-    def state_after_direct_path(self, names):
-        """Feed an oriented path as direct letters from scratch."""
-        return self._consume([direct(n) for n in names])
-
-    def _consume(self, letters):
-        """State after reading the letters from scratch; None when there
-        are none or they are not a string."""
-        s = None
-        for l in letters:
-            s = self.initial_state(l) if s is None else self.step(s, l)
+        if letter_ends(self.quiver, w.letters[0])[0] != w.base:
+            return False
+        s = self.initial_state(w.letters[0])
+        for l in w.letters[1:]:
+            s = self.step(s, l)
             if s is None:
-                return None
+                return False
+        return True
+
+    def generator_state(self, i):
+        """State after the i-th zero generator but its first arrow, read
+        from scratch; memoized.  A minimal generator's tail is a string of
+        one direct run, so its state is (last arrow, direct, forward
+        matcher node)."""
+        s = self._generator_states[i]
+        if s is None:
+            g = self.acf.patterns[i]
+            node = 0
+            for a in g[1:]:
+                node = self.acf.advance(node, a)[0]
+            s = self._generator_states[i] = AutoState(g[-1], False, node)
         return s
 
     @cached_property

@@ -295,10 +295,10 @@ def _double_zero_over(p, parts_of):
                 work.append((s, k))
     return {
         k
-        for g in gens
+        for i, g in enumerate(gens)
         for k in parts_of.get(g[0], ())
         if all(k in parts_of.get(n, ()) for n in g)
-        and need.get((aut.state_after_direct_path(g[1:]), k)) == 0
+        and need.get((aut.generator_state(i), k)) == 0
     }
 
 
@@ -326,8 +326,8 @@ def find_doze(p):
     completing = aut.completing
     hot = cyc & reach(completing, back)
     leads = reach(hot, back)
-    for g in gens:
-        s0 = aut.state_after_direct_path(g[1:])
+    for i, g in enumerate(gens):
+        s0 = aut.generator_state(i)
         if s0 not in leads:
             continue
         dist1, par1 = aut.bfs([s0], hot)

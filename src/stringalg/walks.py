@@ -184,28 +184,24 @@ def make_cyclic(quiver, walk):
     return CyclicWalk(walk)
 
 
-def rotations(quiver, c):
-    """All rotations of a cyclic walk, starting one at c itself."""
-    letters = c.letters
-    out = []
-    for i in range(len(letters)):
-        rot = letters[i:] + letters[:i]
-        base = letter_ends(quiver, rot[0])[0]
-        out.append(CyclicWalk(Walk(base, rot)))
-    return out or [c]
-
-
 def cyclic_power(quiver, c, n):
     """The walk traversing the cycle n times (n = 0 gives the trivial walk)."""
     return Walk(c.base, c.letters * n)
 
 
 def canonical_band(quiver, c):
-    """Minimum over all rotations of both orientations."""
-    cands = rotations(quiver, c)
-    inv = make_cyclic(quiver, inverse_walk(quiver, c.walk))
-    cands += rotations(quiver, inv)
-    return min(cands, key=lambda r: r.walk.key())
+    """The least rotation of either orientation of a cyclic walk, by
+    `Walk.key`.  The rotations all have the same length, and each one's
+    base is where its first letter starts, so the least letter tuple
+    decides; one `CyclicWalk` is built, for it."""
+    if walk_end(quiver, c.walk) != c.base:
+        raise SemanticError("walk is not cyclic")
+    letters = c.letters
+    if not letters:
+        return c
+    inv = tuple(l.inverted() for l in reversed(letters))
+    least = min(w[i:] + w[:i] for w in (letters, inv) for i in range(len(w)))
+    return CyclicWalk(Walk(letter_ends(quiver, least[0])[0], least))
 
 
 def primitive_root(letters):

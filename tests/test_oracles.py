@@ -4,6 +4,9 @@ kept as differential oracles.
 - `stepped_build`: the string automaton built by `reach` over
   `stepped` from every candidate letter, edges sorted, then
   `completions` asked of every state.
+- `state_after_direct_path`: a generator's tail stepped along the
+  automaton's edges, where `generator_state` reads the forward matcher
+  once per generator.
 - `stepped_initial_state`: a one-letter state from one matcher step,
   where the automaton now reads its `first` table; `letter_ends` of a
   state's letter, where it reads `ends_of`.
@@ -29,6 +32,10 @@ kept as differential oracles.
   bounded band enumeration verifying and canonicalizing every automaton
   cycle and every closed walk, with no skip of the rotations and the
   inverse of a band already found.
+- `object_canonical_band`: a band's canonical form as the least
+  `Walk.key` over a `CyclicWalk` built for every rotation of both
+  orientations (`rotations`), where `canonical_band` takes the least
+  letter tuple and builds one.
 - `double_zero_witness_check`: the band, then `w.double_zero(n)` for
   n = 1, 2, 3, each re-validating both generators.
 - `product_search_finite`: the construction-time finiteness check without
@@ -124,7 +131,6 @@ from stringalg.walks import (
     make_cyclic,
     parse_walk,
     primitive_root,
-    rotations,
     walk_arrows,
     walk_end,
     walk_vertices,
@@ -151,6 +157,17 @@ def corpus():
 
 
 # --- the replaced routes ------------------------------------------------------
+
+
+def state_after_direct_path(aut, names):
+    """State after an oriented path read as direct letters from scratch,
+    stepped along the automaton's edges; None when it is not a string."""
+    s = None
+    for n in names:
+        s = aut.initial_state(direct(n)) if s is None else aut.step(s, direct(n))
+        if s is None:
+            return None
+    return s
 
 
 def stepped_initial_state(aut, letter):
@@ -257,7 +274,7 @@ def restricted_double_zero(p):
     gens = p.zero_paths
     cyc = aut.cycle_states()
     for g in gens:
-        s0 = aut.state_after_direct_path(g[1:])
+        s0 = state_after_direct_path(aut, g[1:])
         if s0 is None:
             continue
         after = reach([s0], aut.successors)
@@ -288,7 +305,7 @@ def bfs_find_doze(p):
     gens = p.zero_paths
     cyc = aut.cycle_states()
     for g in gens:
-        s0 = aut.state_after_direct_path(g[1:])
+        s0 = state_after_direct_path(aut, g[1:])
         if s0 is None:
             continue
         dist1, par1 = aut.bfs([s0])
@@ -400,7 +417,7 @@ def condensed_double_zero(p, arrows):
     gens = p.zero_paths
     starts = {}
     for g in gens:
-        starts.setdefault(aut.state_after_direct_path(g[1:]), []).append(g)
+        starts.setdefault(state_after_direct_path(aut, g[1:]), []).append(g)
     states = [s for s in aut.states if s.arrow in arrows]
     adj = {s: [t for t in aut.edges[s] if t.arrow in arrows] for s in states}
     need = {}
@@ -457,6 +474,25 @@ def johnson_cycles(comps, succ):
         todo.extend(sccs(rest, lambda v: [w for w in adj[v] if w != start]))
 
 
+def rotations(quiver, c):
+    """All rotations of a cyclic walk, starting one at c itself."""
+    letters = c.letters
+    out = []
+    for i in range(len(letters)):
+        rot = letters[i:] + letters[:i]
+        base = letter_ends(quiver, rot[0])[0]
+        out.append(CyclicWalk(Walk(base, rot)))
+    return out or [c]
+
+
+def object_canonical_band(quiver, c):
+    """Minimum over all rotations of both orientations."""
+    cands = rotations(quiver, c)
+    inv = make_cyclic(quiver, inverse_walk(quiver, c.walk))
+    cands += rotations(quiver, inv)
+    return min(cands, key=lambda r: r.walk.key())
+
+
 def every_cycle_census(p):
     aut = automaton(p)
     found = set()
@@ -467,7 +503,7 @@ def every_cycle_census(p):
         c = make_cyclic(p.quiver, Walk(base, tuple(root)))
         if not is_band(p, c):
             raise CorruptPresentationError("automaton cycle did not yield a band")
-        found.add(canonical_band(p.quiver, c))
+        found.add(object_canonical_band(p.quiver, c))
     return sorted(found, key=lambda c: c.walk.key())
 
 
@@ -479,7 +515,7 @@ def every_walk_bands(p, max_len):
             continue
         c = CyclicWalk(Walk(base, tuple(letters)))
         if is_band(p, c):
-            found.add(canonical_band(q, c))
+            found.add(object_canonical_band(q, c))
     return sorted(found, key=lambda c: c.walk.key())
 
 
@@ -653,6 +689,20 @@ def test_side_part_decisions_match_the_restricted_automaton(corpus, thirteen):
             assert got == ({0} if restricted_double_zero(sub) else set())
             checked += 1
     assert checked > 50
+
+
+def test_generator_states_match_the_stepped_route(corpus):
+    """The memoized matcher read against stepping each generator's tail
+    along the automaton's edges, asked twice so the memo is read too."""
+    checked = 0
+    for p in _fixtures() + corpus:
+        aut = automaton(p)
+        for _ in range(2):
+            for i, g in enumerate(p.zero_paths):
+                s = aut.generator_state(i)
+                assert s == state_after_direct_path(aut, g[1:]) and s in aut.edges
+                checked += 1
+    assert checked > 2000
 
 
 def test_find_doze_matches_the_bfs_route(corpus, skew6):
@@ -1117,6 +1167,26 @@ def test_band_searches_match_the_every_cycle_routes(corpus500):
         assert enumerate_bands(p, 6) == every_walk_bands(p, 6)
         with_bands += bool(census)
     assert with_bands > 100
+
+
+def test_tuple_canonical_band_matches_the_object_route(corpus500):
+    """`canonical_band` against `object_canonical_band` on every rotation
+    of both orientations of every census band of the fixtures and of
+    corpora 1, 2 and 20260809."""
+    instances = _fixtures() + [
+        monomial_form(p) for p in string_corpus(1, 200) + string_corpus(2, 200) + corpus500
+    ]
+    checked = 0
+    for p in instances:
+        q = p.quiver
+        for band in band_census(p):
+            inv = make_cyclic(q, inverse_walk(q, band.walk))
+            for c in rotations(q, band) + rotations(q, inv):
+                assert canonical_band(q, c) == object_canonical_band(q, c) == band
+                checked += 1
+    assert checked > 2000
+    trivial = CyclicWalk(Walk(p.quiver.vertices[0], ()))
+    assert canonical_band(p.quiver, trivial) == object_canonical_band(p.quiver, trivial)
 
 
 def test_single_cycle_read_matches_johnson(corpus500):

@@ -17,7 +17,6 @@ from stringalg.walks import (
     make_walk,
     parse_band,
     parse_walk,
-    rotations,
     serialize_band,
     serialize_walk,
     trivial_walk,
@@ -136,6 +135,8 @@ def test_proper_power_is_not_band(thirteen):
 
 
 def test_band_invariant_under_rotation_and_inversion(skew6):
+    from tests.test_oracles import rotations
+
     q = skew6.quiver
     b = band_of(skew6, "band: x4: gamma1 gamma2^-1 beta2^-1 beta1")
     canon = canonical_band(q, b)
