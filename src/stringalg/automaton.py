@@ -276,6 +276,11 @@ def exists_band(p):
 # grows exponentially with their length, and of `check-structure`.
 _WALK_CAP = 200_000
 
+# Letters of the strings `strings` and `scan` keep, and of the walk `dozed`
+# pumps: their output grows with the square of the length asked for, or
+# with n, before any visit count binds.
+LETTER_CAP = 1_000_000
+
 
 def _largest(lengths):
     """max(lengths, default=0), with a range read off its ends."""
@@ -383,14 +388,18 @@ def strings_of_length(p, lengths):
     orientations (see `_walk_tree`), and builds a `Walk` only for the
     strings it returns: time and memory follow the strings visited, not
     the lengths asked for.  Raises SearchBudgetExceeded after `_WALK_CAP`
-    visits.
+    visits, or once the strings kept hold more than `LETTER_CAP` letters.
     """
     q = p.quiver
     by_length = {}
     if 0 in lengths:
         by_length[0] = [trivial_walk(q, v) for v in sorted(q.vertices)]
+    kept = 0
     for base, letters in _walk_tree(p, lengths):
         if _below_inverse(letters):
+            kept += len(letters)
+            if kept > LETTER_CAP:
+                raise SearchBudgetExceeded(f"string enumeration exceeded {LETTER_CAP:,} letters")
             by_length.setdefault(len(letters), []).append(Walk(base, tuple(letters)))
     return [w for n in sorted(by_length) for w in by_length[n]]
 

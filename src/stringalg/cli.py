@@ -21,7 +21,7 @@ import argparse
 import os
 import sys
 
-from .automaton import band_census, enumerate_bands, enumerate_strings
+from .automaton import LETTER_CAP, band_census, enumerate_bands, enumerate_strings
 from .doze import classify, find_doze, find_doze_bruteforce
 from .errors import (
     CorruptPresentationError,
@@ -224,8 +224,10 @@ def cmd_dozed(p, args):
     w = find_doze(work)
     if w is None:
         raise PreconditionError("the algebra has no interlaced double-zero")
-    if args.n * len(w.band.walk.letters) > 10**6:  # a letter budget, as n is unbounded
-        raise SearchBudgetExceeded(f"pumping the band {args.n} times exceeds 1,000,000 letters")
+    if args.n * len(w.band.walk.letters) > LETTER_CAP:  # n is unbounded
+        raise SearchBudgetExceeded(
+            f"pumping the band {args.n} times exceeds {LETTER_CAP:,} letters"
+        )
     sigma = dozed_module_string(work, w, args.n)
     dims, _ = string_entries(work, sigma)
     total = sum(dims.values())

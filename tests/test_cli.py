@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringalg import cli
 from stringalg.cli import main
@@ -240,6 +244,18 @@ def test_dozed_beyond_the_letter_budget_exits_3_before_pumping(capsys):
     code, out, err = run(capsys, "dozed", SKEW6, "--n", str(10**7))
     assert (code, out) == (3, "")
     assert err == "analysis failed: pumping the band 10000000 times exceeds 1,000,000 letters\n"
+
+
+@pytest.mark.parametrize("command,max_len", [("strings", 5000), ("scan", 100000)])
+def test_long_listings_exit_3_on_the_letter_budget(command, max_len):
+    # thirteen keeps about ten strings per length, so these would hold
+    # about 10^8 letters; the budget stops them after 10^6, in seconds
+    proc = subprocess.run(
+        [sys.executable, "-m", "stringalg.cli", command, THIRTEEN, "--max-len", str(max_len)],
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "analysis failed: string enumeration exceeded 1,000,000 letters\n"
 
 
 @pytest.mark.parametrize("form", [(), ("--json",)], ids=["text", "json"])
@@ -599,3 +615,81 @@ def test_fresh_processes_match_in_process_runs(capsys):
         fresh.append((proc.returncode, out, err))
     for argv, result in zip(LAZY_PATHS, fresh):
         assert result == run(capsys, *argv), argv
+
+
+# --- the no-traceback rule, fuzzed ----------------------------------------------
+
+FUZZ_FORMS = [
+    ("validate",), ("classify",), ("doze",), ("bands",), ("bands", "--max-len", "6"),
+    ("strings", "--max-len", "6"), ("decompose",), ("check-structure",), ("dozed", "--n", "1"),
+    ("scan", "--max-len", "6"), ("oracle-doze", "--max-len", "6"),
+]
+FUZZ_TOKENS = ["=", ":", "->", "#", "#x", "a#b", "b^", "^-1", "-", "x9", "1", "algebra", "vertex",
+               "arrow", "zero", "comm", "\t", "é"]
+
+
+def _fixture_text(path):
+    with open(ROOT / path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A fixture's text after up to four edits: a token replaced, dropped
+    or duplicated, or a line inserted or deleted."""
+    text = _fixture_text(draw(st.sampled_from([SKEW6, THIRTEEN, NINE, SQUARE])))
+    lines = text.splitlines()
+    pool = sorted(set(text.split())) + FUZZ_TOKENS
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["replace", "drop", "duplicate", "insert", "delete"]))
+        if op == "insert" or not lines:
+            lines.insert(i, draw(st.sampled_from(lines + pool)))
+            continue
+        i = min(i, len(lines) - 1)
+        toks = lines[i].split(" ")
+        j = draw(st.integers(0, len(toks) - 1))
+        if op == "replace":
+            toks[j] = draw(st.sampled_from(pool))
+        elif op == "drop":
+            del toks[j]
+        elif op == "duplicate":
+            toks.insert(j, toks[j])
+        else:
+            del lines[i]
+            continue
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def walk_texts(draw):
+    """`module --string` text: a base, a colon and letters, or either part
+    missing or garbled."""
+    names = ["x1", "x2", "x4", "2", "5", "alpha", "beta1", "gamma2", "rho1", "a", "d", "zz", ""]
+    letters = draw(st.lists(st.tuples(st.sampled_from(names), st.booleans()), max_size=6))
+    body = " ".join(n + ("^-1" if inv else "") for n, inv in letters)
+    return draw(st.sampled_from(names)) + draw(st.sampled_from([": ", ":", " ", "::"])) + body
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(text=mutated_fixtures(), form=st.sampled_from(FUZZ_FORMS + [("module",)]), walk=walk_texts())
+def test_no_input_ends_in_a_traceback(fuzz_dir, text, form, walk):
+    path = fuzz_dir / "fuzz.alg"
+    path.write_text(text, encoding="utf-8")
+    argv = [form[0], str(path), *form[1:]]
+    if form == ("module",):
+        argv += ["--string", walk]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse rejecting the arguments
+            code = e.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
