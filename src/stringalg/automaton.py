@@ -17,16 +17,15 @@ complete a generator; `initial_state` reads `first` and `step` reads
 `edges`.  Two tables are computed once on first use: `letter_of`, each
 state's last letter, and `ends_of`, that letter's (source, target),
 which `state_vertex`, `states_at`, the walk tree and `decomp` read.
-`generator_state` memoizes, per zero generator, the state after its tail
-that `doze` starts from, read off the forward matcher on first use.
+`generator_state` memoizes the state after each zero generator's tail,
+where the `doze` searches start.
 
 Cycles in the state graph are exactly the source of bands: pumping any
 cycle yields arbitrarily long strings, and the primitive root of its
 letter sequence is a band.  The one condensation, `cyclic_components`,
 is shared by `cycle_states`, `doze.find_doze`, `band_census`
 (`graph.component_cycles` runs on it) and `exists_band`.  A band's
-canonical form is the least letter tuple among its rotations and its
-inverse's (`walks.canonical_band`), with one `CyclicWalk` built for it.
+canonical form is its least rotation as a letter tuple, either way round.
 """
 
 from collections import namedtuple
@@ -178,10 +177,9 @@ class StringAutomaton:
         return True
 
     def generator_state(self, i):
-        """State after the i-th zero generator but its first arrow, read
-        from scratch; memoized.  A minimal generator's tail is a string of
-        one direct run, so its state is (last arrow, direct, forward
-        matcher node)."""
+        """State after the i-th zero generator's tail (all but its first
+        arrow), memoized: a minimal generator's tail is one direct run, so
+        its state is (last arrow, direct, forward matcher node)."""
         s = self._generator_states[i]
         if s is None:
             g = self.acf.patterns[i]

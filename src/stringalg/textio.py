@@ -10,8 +10,7 @@ One declaration per line; `#` starts a comment:
 
 Compositions read left to right.  Parse errors carry 1-based line and
 column; the canonical serializer round-trips through parse exactly.
-Lines are split into tokens and never scanned for positions: a column is
-computed only for the token an error names.
+Lines are split, never scanned: only an error's token gets a column.
 """
 
 import re
@@ -47,7 +46,6 @@ def parse(text):
     arrow_seen = set()
     zero_decls = []
     comm_decls = []
-    is_id = _ID.match
     for lineno, line in enumerate(text.splitlines(), start=1):
         toks = line.split()
         if "#" in line:
@@ -69,7 +67,7 @@ def parse(text):
             if not rest:
                 raise ParseError("'vertex' needs at least one id", lineno, _column(line, 0))
             for i, tok in enumerate(rest, start=1):
-                if not is_id(tok):
+                if not _ID.match(tok):
                     raise ParseError(f"invalid identifier {tok!r}", lineno, _column(line, i))
                 if tok in vertex_seen:
                     raise ParseError(f"duplicate vertex {tok!r}", lineno, _column(line, i))
@@ -79,7 +77,7 @@ def parse(text):
             if len(rest) != 5 or rest[1] != ":" or rest[3] != "->":
                 raise ParseError("expected 'arrow <id> : <src> -> <tgt>'", lineno, _column(line, 0))
             aid, _, src, _, tgt = rest
-            if not is_id(aid):
+            if not _ID.match(aid):
                 raise ParseError(f"invalid identifier {aid!r}", lineno, _column(line, 1))
             if aid in arrow_seen:
                 raise ParseError(f"duplicate arrow {aid!r}", lineno, _column(line, 1))

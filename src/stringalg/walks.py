@@ -190,10 +190,9 @@ def cyclic_power(quiver, c, n):
 
 
 def canonical_band(quiver, c):
-    """The least rotation of either orientation of a cyclic walk, by
-    `Walk.key`.  The rotations all have the same length, and each one's
-    base is where its first letter starts, so the least letter tuple
-    decides; one `CyclicWalk` is built, for it."""
+    """The least rotation of either orientation of a cyclic walk by
+    `Walk.key`: all have one length, and a rotation's base is where its
+    first letter starts, so the least letter tuple decides."""
     if walk_end(quiver, c.walk) != c.base:
         raise SemanticError("walk is not cyclic")
     letters = c.letters
