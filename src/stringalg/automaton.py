@@ -178,15 +178,15 @@ class StringAutomaton:
 
     def generator_state(self, i):
         """State after the i-th zero generator's tail (all but its first
-        arrow), memoized: a minimal generator's tail is one direct run, so
-        its state is (last arrow, direct, forward matcher node)."""
+        arrow), stepped along the edges once and memoized; the tail of a
+        minimal generator is a string, so every step exists."""
         s = self._generator_states[i]
         if s is None:
-            g = self.acf.patterns[i]
-            node = 0
-            for a in g[1:]:
-                node = self.acf.advance(node, a)[0]
-            s = self._generator_states[i] = AutoState(g[-1], False, node)
+            tail = self.acf.patterns[i][1:]
+            s = self.first[direct(tail[0])]
+            for a in tail[1:]:
+                s = self.step(s, direct(a))
+            self._generator_states[i] = s
         return s
 
     @cached_property

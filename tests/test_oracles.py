@@ -4,9 +4,9 @@ kept as differential oracles.
 - `stepped_build`: the string automaton built by `reach` over
   `stepped` from every candidate letter, edges sorted, then
   `completions` asked of every state.
-- `state_after_direct_path`: a generator's tail stepped along the
-  automaton's edges, where `generator_state` reads the forward matcher
-  once per generator.
+- `state_after_direct_path`: a path's state stepped along the
+  automaton's edges on every call, where `generator_state` steps each
+  generator's tail once and memoizes it.
 - `stepped_initial_state`: a one-letter state from one matcher step,
   where the automaton now reads its `first` table; `letter_ends` of a
   state's letter, where it reads `ends_of`.
@@ -691,16 +691,21 @@ def test_side_part_decisions_match_the_restricted_automaton(corpus, thirteen):
     assert checked > 50
 
 
-def test_generator_states_match_the_stepped_route(corpus):
-    """The memoized matcher read against stepping each generator's tail
-    along the automaton's edges, asked twice so the memo is read too."""
+def test_generator_states_match_the_matcher(corpus):
+    """The memoized state after each generator's tail against (last arrow,
+    direct, forward matcher node after the tail), asked twice so the memo
+    is read too."""
     checked = 0
     for p in _fixtures() + corpus:
         aut = automaton(p)
         for _ in range(2):
             for i, g in enumerate(p.zero_paths):
+                node = 0
+                for a in g[1:]:
+                    node = aut.acf.advance(node, a)[0]
                 s = aut.generator_state(i)
-                assert s == state_after_direct_path(aut, g[1:]) and s in aut.edges
+                assert s == AutoState(g[-1], False, node) == state_after_direct_path(aut, g[1:])
+                assert s in aut.edges
                 checked += 1
     assert checked > 2000
 
