@@ -248,7 +248,7 @@ def test_dozed_beyond_the_letter_budget_exits_3_before_pumping(capsys):
 
 @pytest.mark.parametrize("command,max_len", [("strings", 5000), ("scan", 100000)])
 def test_long_listings_exit_3_on_the_letter_budget(command, max_len):
-    # thirteen keeps about ten strings per length, so these would hold
+    # thirteen has about twelve strings per length, so these would keep
     # about 10^8 letters; the budget stops them after 10^6, in seconds
     proc = subprocess.run(
         [sys.executable, "-m", "stringalg.cli", command, THIRTEEN, "--max-len", str(max_len)],
@@ -647,17 +647,17 @@ def mutated_fixtures(draw):
             lines.insert(i, draw(st.sampled_from(lines + pool)))
             continue
         i = min(i, len(lines) - 1)
+        if op == "delete":
+            del lines[i]
+            continue
         toks = lines[i].split(" ")
         j = draw(st.integers(0, len(toks) - 1))
         if op == "replace":
             toks[j] = draw(st.sampled_from(pool))
         elif op == "drop":
             del toks[j]
-        elif op == "duplicate":
-            toks.insert(j, toks[j])
         else:
-            del lines[i]
-            continue
+            toks.insert(j, toks[j])
         lines[i] = " ".join(toks)
     return "\n".join(lines) + "\n"
 

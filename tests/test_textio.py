@@ -242,33 +242,36 @@ _SPARE_TOKENS = ["=", ":", "->", "#", "#x", "a#b", "b^", "-", "x9", "1", "algebr
                  "arrow", "zero", "comm"]
 
 
+_EDITS = ("replace", "drop", "duplicate", "insert", "delete", "tab")
+
+
 def _mutated(text, rng):
     """The text after one to three random edits: a token replaced, dropped
-    or duplicated, a line inserted or deleted, or a space turned into a
-    tab."""
+    or duplicated, a line inserted or deleted, or a line's spaces turned
+    into tabs."""
     lines = text.splitlines()
     pool = text.split() + _SPARE_TOKENS
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(lines) + 1)
-        op = rng.randrange(6)
-        if op == 3:
+        edit = _EDITS[rng.randrange(len(_EDITS))]
+        if edit == "insert":
             lines.insert(i, rng.choice(lines + _SPARE_TOKENS))
             continue
         i = min(i, len(lines) - 1)
-        if op == 4:
+        if edit == "delete":
             del lines[i]
             if not lines:
                 break
             continue
         toks = lines[i].split(" ")
         j = rng.randrange(len(toks))
-        if op == 0:
+        if edit == "replace":
             toks[j] = rng.choice(pool)
-        elif op == 1:
+        elif edit == "drop":
             del toks[j]
-        elif op == 2:
+        elif edit == "duplicate":
             toks.insert(j, toks[j])
-        lines[i] = ("\t" if op == 5 else " ").join(toks)
+        lines[i] = ("\t" if edit == "tab" else " ").join(toks)
     return "\n".join(lines) + "\n"
 
 
