@@ -1,9 +1,10 @@
 """Side and middle decomposition of a DOZE-free string algebra.
 
 Each band with only exiting arrows contributes a right side part A_i (the
-two-sided string closure of a trivial walk at an anchor vertex), each band
-with only entering arrows a left side part B_j, and the middle part C
-collects the support of every string not contained in a single side part.
+two-sided string closures of the trivial walks at its anchor vertices,
+intersected), each band with only entering arrows a left side part B_j,
+and the middle part C collects the support of every string not contained
+in a single side part.
 The structural consequences (fullness, no entering arrows, convexity,
 unique cycle, finite middle, double-zero-free sides) are verified
 mechanically, on the string automaton the classification built.  Each
@@ -200,9 +201,10 @@ def _minimal_labels(starts, nbrs, labels):
 def decompose(p):
     """Side parts per one-sided band plus the middle part.
 
-    Defined exactly when classify(p) says StrictLauraOrTilted; the side
-    part around a band is independent of the anchor choice, which is
-    verified over every eligible anchor.
+    Defined exactly when classify(p) says StrictLauraOrTilted.  The side
+    part around a band is the intersection, over its eligible anchors, of
+    the anchors' two-sided string closures; where the anchors agree it is
+    that closure.  The reported anchor is the least eligible one.
     """
     report = classify(p)
     if report.verdict != STRICT_LAURA_OR_TILTED:
@@ -222,13 +224,10 @@ def decompose(p):
         if not anchors:
             raise CorruptPresentationError(f"band {info.band} has no {side}-anchor")
         cats = [d_category(work, trivial_walk(work.quiver, v)) for v in anchors]
-        base = cats[0]
-        if any((c.objects, c.arrows) != (base.objects, base.arrows) for c in cats[1:]):
-            raise CorruptPresentationError("side part depends on the anchor choice")
+        objects = frozenset.intersection(*(c.objects for c in cats))
+        arrows = frozenset.intersection(*(c.arrows for c in cats))
         label = f"{prefix}{len(bucket) + 1}"
-        bucket.append(
-            Subcategory(label, base.objects, base.arrows, anchor=anchors[0], band=info.band)
-        )
+        bucket.append(Subcategory(label, objects, arrows, anchor=anchors[0], band=info.band))
     objects, arrows = _straddle_support(work, a_parts + b_parts)
     middle = Subcategory("C", frozenset(objects), frozenset(arrows))
     notes.append(

@@ -4,6 +4,11 @@ Matrices are lists of rows; entries are ints or fractions.Fraction and
 all arithmetic is exact.  Everything here is desk-scale: dimensions stay
 in the low hundreds, so straightforward Gaussian elimination with
 zero-skipping is plenty.
+
+The subspace bases come out of one echelon form each and are the
+identity at known coordinates: `kernel_basis` at the free columns,
+`span` at the pivot coordinates.  A vector of the subspace is read in
+such a basis by its entries at those coordinates, with no solve.
 """
 
 from fractions import Fraction
@@ -81,21 +86,23 @@ def rank(a):
 
 
 def kernel_basis(a, ncols=None):
-    """Basis of the right kernel, one vector per free column."""
+    """(basis, free): a basis of the right kernel, one vector per free
+    column, 1 at its own free column and 0 at the others, so a kernel
+    vector's coordinates are its entries at `free`.  Entries stay ints
+    where the elimination divided by nothing."""
     if ncols is None:
         ncols = len(a[0]) if a else 0
     rows, pivots = rref(a, ncols)
     pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -Fraction(rows[r][free])
+            v[pc] = -rows[r][f]
         basis.append(v)
-    return basis
+    return basis, free
 
 
 def solve_matrix(a, b_cols, ncols=None):
@@ -119,36 +126,33 @@ def solve_matrix(a, b_cols, ncols=None):
     return out
 
 
-def independent_columns(a, ncols=None):
-    """Indices of a maximal independent subset of columns (leftmost)."""
-    return rref(a, ncols)[1]
+def span(cols, n):
+    """(basis, coords): a basis of the span of cols in k^n that is the
+    identity at the coordinates `coords`, so a vector of the span is the
+    combination of the basis with its own entries there.
+
+    One rref of the columns with their coordinates read right to left, so
+    each reduced row has its last nonzero at a pivot coordinate t, with a
+    1 there and 0 at every other pivot.
+    """
+    rows, pivots = rref([c[::-1] for c in cols], n)
+    return [row[::-1] for row in rows[: len(pivots)]], [n - 1 - c for c in pivots]
 
 
 def complement(cols, n):
     """Split k^n into the span of cols and the coordinates outside it.
 
-    One rref of the columns with their coordinates read right to left, so
-    each reduced row has its last nonzero at a pivot coordinate t, with a
-    1 there and 0 at every other pivot.  Returns (free, proj): `free` is
-    every other coordinate, the unit vectors a leftmost extension of a
+    Returns (free, proj): `free` is every coordinate but the pivot
+    coordinates of `span`, the unit vectors a leftmost extension of a
     basis of the span picks, and `proj` (one row per free coordinate)
     projects k^n onto them along the span: the identity on `free`, and
     -row_t at each pivot t.
     """
-    rows, pivots = rref([c[::-1] for c in cols], n)
-    pivot_rows = {n - 1 - c: row[::-1] for c, row in zip(pivots, rows)}
+    basis, coords = span(cols, n)
+    pivot_rows = dict(zip(coords, basis))
     free = [i for i in range(n) if i not in pivot_rows]
     proj = [
         [-pivot_rows[i][f] if i in pivot_rows else int(i == f) for i in range(n)]
         for f in free
     ]
     return free, proj
-
-
-def column_space_basis(cols):
-    """Subset of the given columns forming a basis of their span."""
-    if not cols:
-        return []
-    mat = [[col[i] for col in cols] for i in range(len(cols[0]))]
-    keep = independent_columns(mat, len(cols))
-    return [cols[i] for i in keep]

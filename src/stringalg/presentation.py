@@ -4,9 +4,10 @@ A presentation is a finite quiver together with zero relations (monomial
 generators) and commutativity relations (pairs of parallel paths that are
 identified).  Zero generators are minimalized on load and the presented
 algebra is required to be finite dimensional: an oriented cycle all of
-whose traversals avoid the ideal is rejected (an acyclic quiver after
-one depth-first pass, with no matcher built).  Both validators read one
-cached scan of the vertex-degree and unique-continuation axioms.
+whose traversals avoid the ideal is rejected, by one depth-first search
+over (vertex, matcher-progress) pairs on every quiver, acyclic or not.
+Both validators read one cached scan of the vertex-degree and
+unique-continuation axioms.
 
 Arrows are `collections.namedtuple` subclasses; paths, relations and
 validation reports are frozen `_value.Value` classes, each with its own
@@ -194,11 +195,8 @@ def _assert_finite_dimensional(quiver, gens):
 
     Searches the (vertex, matcher-progress) graph of ideal-avoiding
     oriented paths; a cycle there means such paths are unbounded, i.e.
-    the algebra is infinite dimensional.  Such a cycle lies over an
-    oriented cycle of the quiver, so an acyclic quiver needs no search.
+    the algebra is infinite dimensional.
     """
-    if cycle_entry(quiver.vertices, lambda v: [a.target for a in quiver.out_arrows(v)]) is None:
-        return
     ac = AhoCorasick(gens) if gens else None
 
     def succ(state):

@@ -13,7 +13,9 @@ Quotients, tops, cokernels and covers come from one echelon form per
 vertex (`exactla.complement`): a quotient's basis is the unit vectors
 the subspace leaves free, and the projective cover is one projective per
 top basis vector, lifted into M as that unit vector (Assem-Simson-
-Skowronski I, I.5).  Sub-representations solve for each arrow's matrix.
+Skowronski I, I.5).  Sub-modules are read off the same echelon forms
+(`exactla.span`, `exactla.kernel_basis`): their bases are the identity at
+known coordinates, so an arrow's matrix is its images' entries there.
 
 The injective side is built by duality: D = Hom(-, k) sends injective
 A-modules to projective A^op-modules (Assem-Simson-Skowronski I, I.5), so
@@ -67,10 +69,9 @@ class Representation:
 
     def path_matrix(self, names):
         """Composite matrix of an oriented path, first arrow applied first."""
-        q = self.p.quiver
-        start = self.dims[q.arrow[names[0]].source]
-        m = la.identity(start)
-        for n in names:
+        start = self.dims[self.p.quiver.arrow[names[0]].source]
+        m = self.maps[names[0]]
+        for n in names[1:]:
             m = la.matmul(self.maps[n], m, ncols=start)
         return m
 
@@ -179,32 +180,22 @@ def projective(p, x):
     return _projective_data(p, x)[0]
 
 
-def _sub_representation(M, vectors):
-    """(subrep, inclusion) spanned by per-vertex column lists."""
-    p = M.p
-    q = p.quiver
-    dims = {v: len(vectors.get(v, [])) for v in q.vertices}
-    incl_blocks = {}
-    for v in q.vertices:
-        cols = vectors.get(v, [])
-        incl_blocks[v] = (
-            [[c[i] for c in cols] for i in range(M.dims[v])] if cols else la.zeros(M.dims[v], 0)
-        )
+def _sub_representation(M, spans):
+    """(subrep, inclusion) spanned per vertex by (basis, coords), a basis
+    that is the identity at the coordinates `coords`.  An arrow's matrix is
+    its images of the source's basis read at the target's coordinates, and
+    each image must equal its recomposition from those entries."""
+    q = M.p.quiver
+    incl = {v: _transposed(spans[v][0], M.dims[v]) for v in q.vertices}
     maps = {}
     for a in q.arrows:
-        src_cols = vectors.get(a.source, [])
-        images = [la.matvec(M.maps[a.name], c) for c in src_cols]
-        tgt = incl_blocks[a.target]
-        sol = la.solve_matrix(tgt, images, ncols=dims[a.target])
-        if sol is None:
+        d = len(spans[a.source][0])
+        images = la.matmul(M.maps[a.name], incl[a.source], ncols=d)
+        maps[a.name] = [images[t] for t in spans[a.target][1]]
+        if la.matmul(incl[a.target], maps[a.name], ncols=d) != images:
             raise CorruptPresentationError("sub-representation is not arrow-closed")
-        maps[a.name] = (
-            [[sol[j][i] for j in range(len(sol))] for i in range(dims[a.target])]
-            if sol
-            else la.zeros(dims[a.target], 0)
-        )
-    sub = Representation(p, dims, maps)
-    return sub, ModuleMap(sub, M, incl_blocks)
+    sub = Representation(M.p, {v: len(basis) for v, (basis, _) in spans.items()}, maps)
+    return sub, ModuleMap(sub, M, incl)
 
 
 def _quotient_representation(M, vectors):
@@ -237,8 +228,8 @@ def _arrow_images(M):
 
 def radical(M):
     """(rad M, inclusion): the sum of all arrow images."""
-    basis = {v: la.column_space_basis(cols) for v, cols in _arrow_images(M).items()}
-    return _sub_representation(M, basis)
+    spans = {v: la.span(cols, M.dims[v]) for v, cols in _arrow_images(M).items()}
+    return _sub_representation(M, spans)
 
 
 def top(M):
@@ -249,25 +240,18 @@ def top(M):
 def socle(M):
     """(soc M, inclusion): the joint kernel of all outgoing arrows."""
     q = M.p.quiver
-    vectors = {}
+    spans = {}
     for v in q.vertices:
-        stacked = []
-        for a in q.out_arrows(v):
-            stacked.extend(M.maps[a.name])
-        if stacked:
-            vectors[v] = la.kernel_basis(stacked, ncols=M.dims[v])
-        else:
-            vectors[v] = la.identity(M.dims[v])
-    return _sub_representation(M, vectors)
+        stacked = [row for a in q.out_arrows(v) for row in M.maps[a.name]]
+        spans[v] = la.kernel_basis(stacked, ncols=M.dims[v])
+    return _sub_representation(M, spans)
 
 
 def kernel(f):
     """(ker f, inclusion) of a module map."""
     M = f.source
-    vectors = {
-        v: la.kernel_basis(f.blocks[v], ncols=M.dims[v]) for v in M.p.quiver.vertices
-    }
-    return _sub_representation(M, vectors)
+    spans = {v: la.kernel_basis(f.blocks[v], ncols=M.dims[v]) for v in M.p.quiver.vertices}
+    return _sub_representation(M, spans)
 
 
 def cokernel(f):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from stringalg import cli
 from stringalg.cli import main
-from stringalg.errors import SearchBudgetExceeded
+from stringalg.errors import CorruptPresentationError, SearchBudgetExceeded
 
 SKEW6 = "fixtures/skew6.alg"
 THIRTEEN = "fixtures/thirteen.alg"
@@ -375,9 +375,9 @@ def test_unreadable_file_exit_code(tmp_path, capsys, kind):
     assert "Traceback" not in err
 
 
-# The known anchor-choice defect of `decompose` (special biserial corpus,
-# seed 20260809, instance 99): the side part of one band differs between
-# its eligible anchors.
+# Special biserial corpus, seed 20260809, instance 99: the string closures
+# of one band's eligible anchors differ, and `decompose` raised before it
+# took the side part as their intersection.
 ANCHOR_DEFECT = """algebra sb99
 vertex v0 v1 v2 v3 v4 v5 v6
 arrow a0 : v0 -> v6
@@ -392,13 +392,26 @@ comm a3 a2 a1 = a5 a0
 """
 
 
-def test_corrupt_presentation_exit_code(tmp_path, capsys):
+def test_anchor_disagreement_decomposes(tmp_path, capsys):
     path = tmp_path / "sb99.alg"
     path.write_text(ANCHOR_DEFECT)
     code, out, err = run(capsys, "decompose", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("A1: anchor=v2 objects={v0, v2, v4} arrows={a2, a3, a5}\n")
+    code, out, err = run(capsys, "check-structure", str(path))
+    assert (code, err) == (0, "")
+    assert out.count(": pass\n") == 7
+
+
+def test_corrupt_presentation_exit_code(monkeypatch, capsys):
+    def corrupt(p):
+        raise CorruptPresentationError("decomposition does not cover every vertex")
+
+    monkeypatch.setattr(importlib.import_module("stringalg.decomp"), "decompose", corrupt)
+    code, out, err = run(capsys, "decompose", SKEW6)
     assert code == 3
     assert out == ""
-    assert err == "analysis failed: side part depends on the anchor choice\n"
+    assert err == "analysis failed: decomposition does not cover every vertex\n"
 
 
 def test_search_budget_exit_code(monkeypatch, capsys):

@@ -3,10 +3,11 @@ import hashlib
 import pytest
 
 from stringalg.automaton import band_census, enumerate_bands
-from stringalg.corpus import special_biserial_corpus
+from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.decomp import (
     Decomposition,
     Subcategory,
+    _eligible_anchors,
     check_structure,
     choose_anchor,
     d_category,
@@ -270,14 +271,45 @@ def test_decompose_special_biserial_through_the_quotient():
     assert support_cover_check(p, 8, dec)
 
 
+# The corpus draws (corpus, seed, indices) in which one band's eligible
+# anchors have different string closures.
+ANCHOR_DISAGREEMENTS = [
+    (string_corpus, 101, (775,)),
+    (string_corpus, 102, (1678,)),
+    (special_biserial_corpus, 101, (191, 414)),
+    (special_biserial_corpus, 102, (19, 264, 450)),
+    (special_biserial_corpus, 103, (19,)),
+]
+
+
+def test_side_part_is_inside_every_anchor_closure():
+    disagreeing = 0
+    for corpus, seed, indices in ANCHOR_DISAGREEMENTS:
+        draws = corpus(seed, max(indices) + 1)
+        for p in (draws[i] for i in indices):
+            dec = decompose(p)
+            work = dec.analyzed
+            for part in dec.side_parts:
+                side = "in" if part in dec.b_parts else "out"
+                anchors = _eligible_anchors(work, part.band, side)
+                cats = [d_category(work, trivial_walk(work.quiver, v)) for v in anchors]
+                assert part.anchor == anchors[0]
+                assert all(part.objects <= c.objects and part.arrows <= c.arrows for c in cats)
+                disagreeing += len({(c.objects, c.arrows) for c in cats}) > 1
+            assert check_structure(p, dec).all_pass
+            assert support_cover_check(p, 8, dec)
+    assert disagreeing == 8
+
+
 # --- analysis outputs pinned --------------------------------------------------
 
 # SHA-256 of the census, the bounded band enumeration, the decomposition,
 # the structure report and the support cover on corpus500 plus
-# special_biserial_corpus(1, 200), recorded before the automaton kept its
-# one-letter states and end vertices as tables.  A raise (the known
-# anchor-choice defect among them) is part of the pinned data.
-ANALYSIS_SHA256 = "7afbd9dbb0fda0774e68f45239116e54dbec47205c99c86b2e41902a3ccad45f"
+# special_biserial_corpus(1, 200), recorded when side parts became the
+# intersection over their anchors; against the digest before, only the
+# three lines of special_biserial_corpus(1, 200)[103] changed, from a
+# raise to an answer.  A raise is part of the pinned data.
+ANALYSIS_SHA256 = "8b018542fb92a8a31044c08220556111471b6375ec4b613dbc9b633d42b5141f"
 
 
 def _pinned(call, *args):
@@ -316,5 +348,5 @@ def test_analysis_outputs_are_pinned(corpus500):
             report,
             str(_pinned(support_cover_check, p, 8)),
         ]
-    assert sum("anchor choice" in line for line in lines) > 0
+    assert sum("anchor choice" in line for line in lines) == 0
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ANALYSIS_SHA256

@@ -25,17 +25,21 @@ def test_rank():
 
 
 def test_kernel_basis():
-    ker = la.kernel_basis([[1, 2], [2, 4]])
-    assert len(ker) == 1
-    assert ker[0] == [Fraction(-2), Fraction(1)]
-    assert la.kernel_basis([[1, 0], [0, 1]]) == []
-    assert len(la.kernel_basis([], ncols=3)) == 3
+    ker, free = la.kernel_basis([[1, 2], [2, 4]])
+    assert ker == [[-2, 1]] and free == [1]
+    assert all(type(x) is int for x in ker[0])
+    assert la.kernel_basis([[1, 0], [0, 1]]) == ([], [])
+    assert la.kernel_basis([], ncols=3) == (la.identity(3), [0, 1, 2])
+    ker, free = la.kernel_basis([[2, 1]])
+    assert ker == [[Fraction(-1, 2), 1]] and free == [1]
 
 
 def test_kernel_vectors_annihilate():
     m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    for v in la.kernel_basis(m):
+    ker, free = la.kernel_basis(m)
+    for v in ker:
         assert la.matvec(m, v) == [0, 0, 0]
+    assert [[v[f] for f in free] for v in ker] == la.identity(len(free))
 
 
 def test_solve_matrix_batches():
@@ -49,18 +53,6 @@ def test_matmul_keeps_empty_shapes():
     b = la.zeros(0, 1)
     assert la.matmul(a, b, ncols=1) == [[0]]
     assert la.matmul([[1, 2]], [[3], [4]]) == [[11]]
-
-
-def test_independent_columns_prefers_leftmost():
-    m = [[1, 2, 1], [0, 0, 1]]
-    assert la.independent_columns(m) == [0, 2]
-
-
-def test_column_space_basis():
-    cols = [[1, 0], [2, 0], [0, 1]]
-    basis = la.column_space_basis(cols)
-    assert basis == [[1, 0], [0, 1]]
-    assert la.column_space_basis([]) == []
 
 
 def _column_sets():
@@ -92,5 +84,16 @@ def test_complement_projects_onto_the_leftmost_free_coordinates():
             assert la.matvec(proj, c) == [0] * len(free)
         assert [[row[j] for j in free] for row in proj] == la.identity(len(free))
         stacked = [[c[i] for c in cols] + row for i, row in enumerate(la.identity(n))]
-        chosen = la.independent_columns(stacked, ncols=len(cols) + n)
+        chosen = la.rref(stacked, ncols=len(cols) + n)[1]
         assert free == [j - len(cols) for j in chosen if j >= len(cols)], (cols, n)
+
+
+def test_span_is_the_identity_at_its_coordinates():
+    for cols, n in _column_sets():
+        basis, coords = la.span(cols, n)
+        mat = [[c[i] for c in cols] for i in range(n)]
+        assert len(basis) == len(coords) == (la.rank(mat) if cols else 0)
+        assert [[b[t] for t in coords] for b in basis] == la.identity(len(coords))
+        for c in cols:
+            recomposed = [sum(c[t] * b[i] for t, b in zip(coords, basis)) for i in range(n)]
+            assert recomposed == c, (cols, n)

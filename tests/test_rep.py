@@ -9,7 +9,7 @@ from stringalg import fixtures, rep, stringhom
 from stringalg.automaton import strings_of_length
 from stringalg.corpus import random_monomial_presentation, special_biserial_corpus, string_corpus
 from stringalg.doze import find_doze
-from stringalg.errors import DozedStringAnomaly, PreconditionError
+from stringalg.errors import CorruptPresentationError, DozedStringAnomaly, PreconditionError
 from stringalg.fixtures import linear_a3
 from stringalg.presentation import Presentation, quotient_by_J, validate_string_algebra
 from stringalg.walks import (
@@ -151,6 +151,48 @@ def test_top_of_band_module_by_rank(skew6):
     # deep points: the final x4 passage and the x5 passage
     assert soc.total_dim == 2
     assert {v: d for v, d in soc.dims.items() if d} == {"x4": 1, "x5": 1}
+
+
+def _kills(a, incl, ncols):
+    return not any(any(row) for row in la.matmul(a, incl, ncols=ncols))
+
+
+@pytest.mark.parametrize("make", [fixtures.skew6, fixtures.thirteen], ids=["skew6", "thirteen"])
+def test_sub_modules_of_string_modules(make):
+    """At every vertex of every string module up to length 4: the radical's
+    image is the span of the arrow images, the socle's the joint kernel of
+    the arrows out, kernel(cover)'s the kernel of the cover's block, each
+    inclusion is injective, and dim rad + dim top = dim M."""
+    p = make()
+    q = p.quiver
+    for w in strings_of_length(p, range(5)):
+        M = rep.string_module(p, w)
+        R, to_rad = rep.radical(M)
+        T, _ = rep.top(M)
+        S, to_soc = rep.socle(M)
+        P, cover = rep.projective_cover(p, M)
+        K, to_ker = rep.kernel(cover)
+        assert to_rad.is_injective() and to_soc.is_injective() and to_ker.is_injective()
+        for v in q.vertices:
+            n = M.dims[v]
+            assert R.dims[v] + T.dims[v] == n, (w, v)
+            images = [[x for a in q.in_arrows(v) for x in M.maps[a.name][i]] for i in range(n)]
+            joined = [r + s for r, s in zip(to_rad.blocks[v], images)]
+            assert la.rank(to_rad.blocks[v]) == la.rank(images) == la.rank(joined), (w, v)
+            stacked = [row for a in q.out_arrows(v) for row in M.maps[a.name]]
+            assert la.rank(to_soc.blocks[v]) == n - la.rank(stacked), (w, v)
+            assert _kills(stacked, to_soc.blocks[v], S.dims[v]), (w, v)
+            assert la.rank(to_ker.blocks[v]) == P.dims[v] - la.rank(cover.blocks[v]), (w, v)
+            assert _kills(cover.blocks[v], to_ker.blocks[v], K.dims[v]), (w, v)
+
+
+def test_sub_representation_must_be_arrow_closed(skew6):
+    P = rep.projective(skew6, "x4")
+    assert P.dims["x4"] == 1 and P.dims["x5"] == 1
+    spans = {v: ([], []) for v in skew6.quiver.vertices}
+    spans["x4"] = ([[1]], [0])  # the top vector alone: its image at x5 is left out
+    with pytest.raises(CorruptPresentationError, match="sub-representation is not arrow-closed"):
+        rep._sub_representation(P, spans)
 
 
 # --- covers, envelopes, syzygies ---------------------------------------------
@@ -433,7 +475,7 @@ def test_string_route_matches_exact_route_in_pumped_window(thirteen):
 
 
 def test_string_route_matches_exact_route_on_corpus(corpus500):
-    assert sum(assert_routes_agree(p, range(5)) for p in corpus500[:40]) == 1020
+    assert sum(assert_routes_agree(p, range(5)) for p in corpus500[:60]) == 1525
 
 
 def test_string_route_matches_exact_route_on_j_quotients():
