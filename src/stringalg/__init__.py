@@ -5,11 +5,9 @@ exact string-module homology."""
 
 from .presentation import (
     Arrow,
-    Commutativity,
     OrientedPath,
     Presentation,
     Quiver,
-    ZeroRelation,
     path_in_ideal,
     quotient_by_J,
     validate_special_biserial,

@@ -1,11 +1,11 @@
 """Multi-pattern matcher over any alphabet (Aho-Corasick).
 
-Patterns are tuples of symbols, which may be any hashable: arrow ids for
-the relation generators, letters (arrows with a direction) for the one
-walk `decomp.d_category` looks for.  The caller guarantees the pattern
-set is an antichain under contiguous containment (relation generators
-are minimalized on load, and one pattern is one trivially), so at most
-one pattern can end at any position.
+Patterns are tuples of arrow ids: the relation generators, read forwards
+or reversed.  The caller guarantees the pattern set is an antichain
+under contiguous containment (relation generators are minimalized on
+load), so at most one pattern can end at any position.  A node's
+failure link is a strictly shallower node, found by breadth-first
+order.
 """
 
 from collections import deque
@@ -54,8 +54,6 @@ class AhoCorasick:
                 while f and sym not in self._goto[f]:
                     f = self._fail[f]
                 self._fail[child] = self._goto[f].get(sym, 0)
-                if self._fail[child] == child:
-                    self._fail[child] = 0
                 queue.append(child)
 
     def advance(self, state, symbol):

@@ -13,10 +13,11 @@ letters.  A letter that changes direction leads to its one-letter state;
 one that continues the run takes one matcher step.  The build records
 `first`, each letter's one-letter state (the only matcher steps from
 scratch), `edges`, and `completing`, the direct letters that would
-complete a generator; `initial_state` reads `first` and `step` reads
-`edges`.  Two tables are computed once on first use: `letter_of`, each
+complete a generator; `step` reads `edges`, and callers read the tables
+themselves: `first[letter]` raises KeyError for an arrow not in the
+quiver.  Two tables are computed once on first use: `letter_of`, each
 state's last letter, and `ends_of`, that letter's (source, target),
-which `state_vertex`, `states_at`, the walk tree and `decomp` read.
+which `states_at`, the walk tree and `decomp` read.
 `generator_state` memoizes the state after each zero generator's tail,
 where the `doze` searches start.
 
@@ -112,14 +113,6 @@ class StringAutomaton:
         reach([first for letters in leaving.values() for _a, _i, first in letters], succ)
         self.states = tuple(sorted(edges))
 
-    def initial_state(self, letter):
-        """State after a one-letter walk; KeyError for a letter whose
-        arrow is not in the quiver."""
-        return self.first[letter]
-
-    def state_vertex(self, s):
-        return self.ends_of[s][1]
-
     def step(self, s, letter):
         """Extend state s by one letter along its recorded edge; None when
         the extension is not a string."""
@@ -127,9 +120,6 @@ class StringAutomaton:
             if t.arrow == letter.arrow and t.inverse == letter.inverse:
                 return t
         return None
-
-    def successors(self, s):
-        return self.edges[s]
 
     @cached_property
     def letter_of(self):
@@ -169,7 +159,7 @@ class StringAutomaton:
             return self.quiver.has_vertex(w.base)
         if letter_ends(self.quiver, w.letters[0])[0] != w.base:
             return False
-        s = self.initial_state(w.letters[0])
+        s = self.first[w.letters[0]]
         for l in w.letters[1:]:
             s = self.step(s, l)
             if s is None:
@@ -238,13 +228,10 @@ class StringAutomaton:
         """Letter sequence of a minimal cycle through q, or None."""
         best = None
         for s in self.edges[q]:
-            if s == q:
-                cand = [s.letter]
-            else:
-                dist, parent = self.bfs([s], {q})
-                if q not in dist:
-                    continue
-                cand = [s.letter] + self.path_letters(parent, q)
+            dist, parent = self.bfs([s], {q})
+            if q not in dist:
+                continue
+            cand = [s.letter] + self.path_letters(parent, q)
             key = (len(cand), cand)
             if best is None or key < best[0]:
                 best = (key, cand)
@@ -307,7 +294,7 @@ def _walk_tree(p, wanted):
     q = p.quiver
     letter_of = aut.letter_of
     edges = aut.edges
-    roots = [aut.initial_state(f(a)) for a in sorted(q.arrow) for f in (direct, inverse)]
+    roots = [aut.first[f(a)] for a in sorted(q.arrow) for f in (direct, inverse)]
     stack = [(s, 1) for s in reversed(roots)]
     letters = []
     nodes = 0
@@ -476,7 +463,7 @@ def _band_census(p):
     aut = automaton(p)
 
     def roots():
-        for n, cycle in enumerate(component_cycles(aut.cyclic_components, aut.successors)):
+        for n, cycle in enumerate(component_cycles(aut.cyclic_components, aut.edges.__getitem__)):
             if n >= _CENSUS_CAP:
                 raise SearchBudgetExceeded("band census exceeded the cycle cap")
             letters = tuple(map(aut.letter_of.__getitem__, cycle))

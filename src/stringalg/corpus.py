@@ -10,10 +10,8 @@ import random
 
 from .errors import InfiniteDimensionalError, SemanticError
 from .presentation import (
-    Commutativity,
     Presentation,
     Quiver,
-    ZeroRelation,
     validate_special_biserial,
     validate_string_algebra,
 )
@@ -122,9 +120,7 @@ def random_string_presentation(
         if len(zeros) > max_relations:
             continue
         try:
-            p = Presentation(
-                quiver, [ZeroRelation(quiver.path(z)) for z in sorted(zeros)]
-            )
+            p = Presentation(quiver, [quiver.path(z) for z in sorted(zeros)])
         except (InfiniteDimensionalError, SemanticError):
             continue
         if validate_string_algebra(p).is_valid:
@@ -146,9 +142,7 @@ def random_monomial_presentation(
         if len(zeros) > max_relations:
             continue
         try:
-            return Presentation(
-                quiver, [ZeroRelation(quiver.path(z)) for z in sorted(zeros)]
-            )
+            return Presentation(quiver, [quiver.path(z) for z in sorted(zeros)])
         except (InfiniteDimensionalError, SemanticError):
             continue
     return None
@@ -195,8 +189,8 @@ def random_special_biserial(rng, max_vertices=8, max_arrows=12, attempts=400):
         try:
             p = Presentation(
                 quiver,
-                [ZeroRelation(quiver.path(z)) for z in sorted(zeros)]
-                + [Commutativity(quiver.path(left), quiver.path(right))],
+                [quiver.path(z) for z in sorted(zeros)],
+                [(quiver.path(left), quiver.path(right))],
             )
         except (InfiniteDimensionalError, SemanticError):
             continue

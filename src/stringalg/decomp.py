@@ -4,7 +4,10 @@ Each band with only exiting arrows contributes a right side part A_i (the
 two-sided string closures of the trivial walks at its anchor vertices,
 intersected), each band with only entering arrows a left side part B_j,
 and the middle part C collects the support of every string not contained
-in a single side part.
+in a single side part.  A string closure, `d_category`, reads the
+automaton's tables alone: it reaches both ways from the states at a
+vertex, or, for a nonempty string, from the states where the string can
+start and end, found by stepping it along the edges.
 The structural consequences (fullness, no entering arrows, convexity,
 unique cycle, finite middle, double-zero-free sides) are verified
 mechanically, on the string automaton the classification built.  Each
@@ -16,7 +19,6 @@ double-zeros, and the support cover visits each (state, part set) pair
 once.  Part sets are bitmasks as wide as the most parts at one vertex.
 """
 
-from ._ac import AhoCorasick
 from ._value import Value
 from .automaton import _mask_pairs, automaton, band_census
 from .doze import STRICT_LAURA_OR_TILTED, _double_zero_over, classify
@@ -57,56 +59,38 @@ class Decomposition(Value):
         return self.a_parts + self.b_parts
 
 
-def _product_nodes(aut, pat):
-    """Forward-reachable (state, pattern-progress) nodes and their edges.
-
-    Progress is a state of the pattern's matcher over letters, and None,
-    absorbing, once the pattern has occurred.
-    """
-    ac = AhoCorasick([pat])
-
-    def advance(pr, letter):
-        if pr is None:
-            return None
-        pr, hit = ac.advance(pr, letter)
-        return pr if hit is None else None
-
-    inits = {(s, advance(0, letter)) for letter, s in aut.first.items()}
-    letter_of = aut.letter_of
-    edges = {}
-
-    def succ(n):
-        # reach asks once per node, so this records every edge once
-        s, pr = n
-        edges[n] = tuple((t, advance(pr, letter_of[t])) for t in aut.successors(s))
-        return edges[n]
-
-    reach(inits, succ)
-    return edges
-
-
 def d_category(p, w, label="D"):
     """Support of all two-sided string extensions of a string.
 
     Objects and arrows touched by any string containing the given walk,
     computed exactly on the string automaton (finitely many states, so
-    the exploration terminates even though extensions pump bands).
+    the exploration terminates even though extensions pump bands).  Such
+    a string is a walk into a state of w's first letter (a head), the rest
+    of w stepped from there, and a walk on from where that ends (a tail).
     """
     if not is_string(p, w):
         raise PreconditionError("d_category needs a string")
     aut = automaton(p)
     if w.letters:
-        edges = _product_nodes(aut, w.letters)
-        rev = {n: [] for n in edges}
-        for n, succ in edges.items():
-            for m in succ:
-                rev[m].append(n)
-        on = [s for s, _pr in reach([n for n in edges if n[1] is None], rev.__getitem__)]
+        first, rest = w.letters[0], w.letters[1:]
+        heads, tails = [], []
+        for s, letter in aut.letter_of.items():
+            if letter != first:
+                continue
+            t = s
+            for l in rest:
+                t = aut.step(t, l)
+                if t is None:
+                    break
+            else:
+                heads.append(s)
+                tails.append(t)
+        on = reach(heads, aut.predecessors.__getitem__) | reach(tails, aut.edges.__getitem__)
         objects, arrows = _support(aut, on, walk_vertices(p.quiver, w))
         arrows.update(walk_arrows(w))
     else:
         touch = aut.states_at.get(w.base, ())
-        on = reach(touch, aut.successors) | reach(touch, aut.predecessors.__getitem__)
+        on = reach(touch, aut.edges.__getitem__) | reach(touch, aut.predecessors.__getitem__)
         objects, arrows = _support(aut, on, [w.base])
     return Subcategory(label, frozenset(objects), frozenset(arrows))
 

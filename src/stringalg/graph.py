@@ -2,8 +2,8 @@
 
 Every function takes its start nodes and a successor callable
 `succ(node) -> iterable of nodes`; nodes need only be hashable, so the
-same code walks string automata, their products with a pattern matcher,
-and plain quivers.  Only the part reachable from the start nodes is
+same code walks string automata, plain quivers and a quiver's product
+with a pattern matcher.  Only the part reachable from the start nodes is
 visited.  All loops are iterative, so depth is bounded by memory and not
 by the recursion limit.  Strongly connected components are Tarjan's
 (1972) single pass; simple cycles are Johnson's (1975) circuit search,

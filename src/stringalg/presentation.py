@@ -9,10 +9,14 @@ over (vertex, matcher-progress) pairs on every quiver, acyclic or not.
 Both validators read one cached scan of the vertex-degree and
 unique-continuation axioms.
 
-Arrows are `collections.namedtuple` subclasses; paths, relations and
-validation reports are frozen `_value.Value` classes, each with its own
-`__init__`.  Neither `typing` nor `dataclasses` is imported: either
-would add to the start-up of every `stringalg` process.
+A relation is the `OrientedPath` that `Quiver.path` returns: a zero
+relation is one path, a commutativity relation a pair of parallel paths,
+and the constructor takes the two as separate sequences.
+
+Arrows are `collections.namedtuple` subclasses; paths and validation
+reports are frozen `_value.Value` classes, each with its own `__init__`.
+Neither `typing` nor `dataclasses` is imported: either would add to the
+start-up of every `stringalg` process.
 """
 
 from collections import namedtuple
@@ -51,21 +55,6 @@ class OrientedPath(Value):
 
     def __str__(self):
         return ".".join(self.arrows)
-
-
-class ZeroRelation(Value):
-    _compare = ("path",)
-
-    def __init__(self, path):
-        object.__setattr__(self, "path", path)
-
-
-class Commutativity(Value):
-    _compare = ("left", "right")
-
-    def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Quiver:
@@ -221,20 +210,13 @@ class Presentation:
 
     Zero generators are minimalized; a commutativity relation one of whose
     sides already lies in the monomial ideal degenerates to a pair of zero
-    relations (the two sides are then separately zero).
+    relations (the two sides are then separately zero).  `zeros` is a
+    sequence of `OrientedPath`s and `comms` one of pairs of them, all paths
+    of `quiver`.
     """
 
-    def __init__(self, quiver, relations):
+    def __init__(self, quiver, zeros=(), comms=()):
         self.quiver = quiver
-        zeros = []
-        comms = []
-        for rel in relations:
-            if isinstance(rel, ZeroRelation):
-                zeros.append(rel.path)
-            elif isinstance(rel, Commutativity):
-                comms.append((rel.left, rel.right))
-            else:
-                raise SemanticError(f"unknown relation {rel!r}")
         for p in zeros:
             if len(p) < 2:
                 raise SemanticError(f"zero relation {p} has length < 2")
@@ -270,16 +252,15 @@ class Presentation:
         # minimalize returns its paths sorted by (length, arrows)
         self._zero_paths = tuple(mins)
         self._comm_pairs = tuple(sorted(tuple(sorted([l, r])) for l, r in comm_pairs))
-        self._cache = {}
+        # the last pass indexed exactly the final zero generators
+        self._cache = {"zero_index": index}
         _assert_finite_dimensional(quiver, self.monomial_generators())
 
     @classmethod
     def build(cls, vertices, arrows, zeros=(), comms=()):
         """Convenience constructor from raw ids."""
         q = Quiver(vertices, arrows)
-        rels = [ZeroRelation(q.path(z)) for z in zeros]
-        rels += [Commutativity(q.path(l), q.path(r)) for l, r in comms]
-        return cls(q, rels)
+        return cls(q, [q.path(z) for z in zeros], [(q.path(l), q.path(r)) for l, r in comms])
 
     @property
     def zero_paths(self):
@@ -288,16 +269,6 @@ class Presentation:
     @property
     def comm_pairs(self):
         return self._comm_pairs
-
-    @property
-    def zero_relations(self):
-        q = self.quiver
-        return tuple(ZeroRelation(q.path(p)) for p in self._zero_paths)
-
-    @property
-    def comm_relations(self):
-        q = self.quiver
-        return tuple(Commutativity(q.path(l), q.path(r)) for l, r in self._comm_pairs)
 
     @property
     def is_monomial(self):
@@ -329,12 +300,9 @@ class Presentation:
     def opposite(self):
         """Presentation over the opposite quiver (paths reversed)."""
         q = self.quiver.opposite()
-        rels = [ZeroRelation(q.path(tuple(reversed(p)))) for p in self._zero_paths]
-        rels += [
-            Commutativity(q.path(tuple(reversed(l))), q.path(tuple(reversed(r))))
-            for l, r in self._comm_pairs
-        ]
-        return Presentation(q, rels)
+        zeros = [q.path(p[::-1]) for p in self._zero_paths]
+        comms = [(q.path(l[::-1]), q.path(r[::-1])) for l, r in self._comm_pairs]
+        return Presentation(q, zeros, comms)
 
     def cached(self, key, make):
         if key not in self._cache:

@@ -16,7 +16,7 @@ Lines are split, never scanned: only an error's token gets a column.
 import re
 
 from .errors import ParseError, SemanticError, StringAlgError
-from .presentation import Commutativity, Presentation, Quiver, ZeroRelation
+from .presentation import Presentation, Quiver
 
 _ID = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -108,19 +108,20 @@ def parse(text):
     if name is None:
         raise ParseError("missing 'algebra <name>' line", 1, 1)
     quiver = Quiver(vertices, arrows)
-    relations = []
+    zeros = []
     for names, lineno, line in zero_decls:
         try:
-            relations.append(ZeroRelation(quiver.path(names)))
+            zeros.append(quiver.path(names))
         except SemanticError as e:
             raise SemanticError(str(e), lineno, _column(line, 1)) from None
+    comms = []
     for left, right, lineno, line in comm_decls:
         try:
-            relations.append(Commutativity(quiver.path(left), quiver.path(right)))
+            comms.append((quiver.path(left), quiver.path(right)))
         except SemanticError as e:
             raise SemanticError(str(e), lineno, _column(line, 1)) from None
     try:
-        presentation = Presentation(quiver, relations)
+        presentation = Presentation(quiver, zeros, comms)
     except StringAlgError as e:
         raise SemanticError(str(e)) from None
     return name, presentation

@@ -243,7 +243,7 @@ def test_band_census_matches_enumeration(skew6, thirteen):
 def test_exists_band_agrees_with_cycle_entry(corpus500):
     for p in corpus500:
         aut = automaton(p)
-        assert exists_band(p) == (graph.cycle_entry(aut.states, aut.successors) is not None)
+        assert exists_band(p) == (graph.cycle_entry(aut.states, aut.edges.__getitem__) is not None)
 
 
 def test_classify_condenses_the_automaton_once(monkeypatch):

@@ -223,6 +223,32 @@ def test_side_part_with_two_components_fails_unique_cycle(thirteen):
     assert report.full and report.no_entry and report.convex and report.sides_double_zero_free
 
 
+def _whole_quiver_as_one_side_part(p):
+    q = p.quiver
+    part = Subcategory("A1", frozenset(q.vertices), frozenset(a.name for a in q.arrows))
+    return Decomposition((part,), (), Subcategory("C", frozenset(), frozenset()), ())
+
+
+def test_side_part_with_an_oriented_cycle_fails_unique_cycle():
+    # the 2-cycle a: 1 -> 2, b: 2 -> 1, killed both ways round: one cycle,
+    # but an oriented one
+    p = Presentation.build(
+        ["1", "2"], [("a", "1", "2"), ("b", "2", "1")], zeros=[("a", "b"), ("b", "a")]
+    )
+    report = check_structure(p, _whole_quiver_as_one_side_part(p))
+    assert report.details == ("unique_cycle: A1 contains an oriented cycle",)
+    assert report.as_dict() == {**dict.fromkeys(report._checks, True), "unique_cycle": False}
+
+
+def test_side_part_holding_a_doze_fails_double_zero_free(skew6):
+    report = check_structure(skew6, _whole_quiver_as_one_side_part(skew6))
+    assert report.details == ("sides_double_zero_free: A1 contains a double-zero",)
+    assert report.as_dict() == {
+        **dict.fromkeys(report._checks, True),
+        "sides_double_zero_free": False,
+    }
+
+
 def test_support_cover_check_on_thirteen(thirteen):
     assert support_cover_check(thirteen, 10)
 

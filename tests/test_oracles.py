@@ -38,6 +38,10 @@ kept as differential oracles.
   letter tuple and builds one.
 - `double_zero_witness_check`: the band, then `w.double_zero(n)` for
   n = 1, 2, 3, each re-validating both generators.
+- `product_d_category`: the string closure D(w) of a nonempty string as
+  the states of the product of the automaton with a matcher for w's
+  letters that reach a node where w has occurred, where `d_category`
+  steps w through the automaton and reaches both ways from its ends.
 - `naturality_envelope`: the injective envelope as one solution of the
   naturality system that extends the socle matching, into injectives
   whose bases are the ideal-avoiding paths ending at each socle vertex;
@@ -63,6 +67,7 @@ from hypothesis import strategies as st
 
 from stringalg import exactla as la
 from stringalg import fixtures, rep
+from stringalg._ac import AhoCorasick
 from stringalg.automaton import (
     AutoState,
     StringAutomaton,
@@ -78,7 +83,9 @@ from stringalg.decomp import (
     Decomposition,
     Subcategory,
     _straddle_support,
+    _support,
     check_structure,
+    d_category,
     decompose,
     support_cover_check,
 )
@@ -110,7 +117,6 @@ from stringalg.graph import (
 from stringalg.presentation import (
     Presentation,
     Quiver,
-    ZeroRelation,
     has_window,
     monomial_form,
 )
@@ -160,7 +166,7 @@ def state_after_direct_path(aut, names):
     stepped along the automaton's edges; None when it is not a string."""
     s = None
     for n in names:
-        s = aut.initial_state(direct(n)) if s is None else aut.step(s, direct(n))
+        s = aut.first[direct(n)] if s is None else aut.step(s, direct(n))
         if s is None:
             return None
     return s
@@ -260,8 +266,7 @@ def restrict(p, objects, arrow_names):
         sorted(objects),
         [(a.name, a.source, a.target) for a in q.arrows if a.name in arrow_names],
     )
-    rels = [ZeroRelation(sub.path(g)) for g in p.zero_paths if set(g) <= arrow_names]
-    return Presentation(sub, rels)
+    return Presentation(sub, [sub.path(g) for g in p.zero_paths if set(g) <= arrow_names])
 
 
 def restricted_double_zero(p):
@@ -273,8 +278,8 @@ def restricted_double_zero(p):
         s0 = state_after_direct_path(aut, g[1:])
         if s0 is None:
             continue
-        after = reach([s0], aut.successors)
-        from_cyc = reach(after & cyc, aut.successors)
+        after = reach([s0], aut.edges.__getitem__)
+        from_cyc = reach(after & cyc, aut.edges.__getitem__)
         longest = _dag_longest_from(aut, s0, after - from_cyc)
         for f in after:
             limit = None if f in from_cyc else longest.get(f, -1)
@@ -287,7 +292,7 @@ def restricted_double_zero(p):
 def _dag_longest_from(aut, s0, dag):
     if s0 not in dag:
         return {}
-    succ = lambda s: [t for t in aut.successors(s) if t in dag]
+    succ = lambda s: [t for t in aut.edges[s] if t in dag]
     longest = {s0: 0}
     for s in topological_order([s0], succ):
         for t in succ(s):
@@ -372,7 +377,7 @@ def antichain_straddle(p, side_parts):
                     work.append((t, m & masks[t]))
         return store
 
-    fwd = minimal_masks(aut.first.values(), aut.successors)
+    fwd = minimal_masks(aut.first.values(), aut.edges.__getitem__)
     bwd = minimal_masks(aut.states, aut.predecessors.__getitem__)
     in_some_part = set().union(*(part.objects for part in side_parts))
     objects = {v for v in q.vertices if v not in in_some_part}
@@ -431,6 +436,49 @@ def wide_mask_cover(p, max_len, dec):
     return covered and all(m for _s, m in pairs)
 
 
+def _product_nodes(aut, pat):
+    """Forward-reachable (state, pattern-progress) nodes and their edges.
+
+    Progress is a state of the pattern's matcher over letters, and None,
+    absorbing, once the pattern has occurred.
+    """
+    ac = AhoCorasick([pat])
+
+    def advance(pr, letter):
+        if pr is None:
+            return None
+        pr, hit = ac.advance(pr, letter)
+        return pr if hit is None else None
+
+    inits = {(s, advance(0, letter)) for letter, s in aut.first.items()}
+    letter_of = aut.letter_of
+    edges = {}
+
+    def succ(n):
+        # reach asks once per node, so this records every edge once
+        s, pr = n
+        edges[n] = tuple((t, advance(pr, letter_of[t])) for t in aut.edges[s])
+        return edges[n]
+
+    reach(inits, succ)
+    return edges
+
+
+def product_d_category(p, w):
+    """(objects, arrows) of D(w) for a nonempty string w: the states of
+    the product nodes that reach an occurrence of w, read backwards."""
+    aut = automaton(p)
+    edges = _product_nodes(aut, w.letters)
+    rev = {n: [] for n in edges}
+    for n, succ in edges.items():
+        for m in succ:
+            rev[m].append(n)
+    on = [s for s, _pr in reach([n for n in edges if n[1] is None], rev.__getitem__)]
+    objects, arrows = _support(aut, on, walk_vertices(p.quiver, w))
+    arrows.update(walk_arrows(w))
+    return objects, arrows
+
+
 def johnson_cycles(comps, succ):
     """Every simple cycle of the strongly connected components, each
     searched with Johnson's blocking from its first node, that node then
@@ -472,7 +520,7 @@ def object_canonical_band(quiver, c):
 def every_cycle_census(p):
     aut = automaton(p)
     found = set()
-    for cycle in johnson_cycles(aut.cyclic_components, aut.successors):
+    for cycle in johnson_cycles(aut.cyclic_components, aut.edges.__getitem__):
         letters = [s.letter for s in cycle[1:]] + [cycle[0].letter]
         root = primitive_root(letters)
         base = letter_ends(p.quiver, cycle[0].letter)[1]
@@ -535,15 +583,14 @@ def test_state_tables_match_the_matcher_steps(corpus500):
         q = p.quiver
         for a in q.arrows:
             for letter in (direct(a.name), inverse(a.name)):
-                assert aut.initial_state(letter) == stepped_initial_state(aut, letter)
+                assert aut.first[letter] == stepped_initial_state(aut, letter)
                 letters += 1
         assert len(aut.first) == 2 * len(q.arrows)
         for s in aut.states:
             assert aut.ends_of[s] == letter_ends(q, s.letter)
-            assert aut.state_vertex(s) == letter_ends(q, s.letter)[1]
     assert letters > 5000
     with pytest.raises(KeyError):
-        automaton(fixtures.thirteen()).initial_state(direct("no such arrow"))
+        automaton(fixtures.thirteen()).first[direct("no such arrow")]
 
 
 # A loop, generators of lengths 2 and 3, one through the loop, and a
@@ -1095,6 +1142,26 @@ def test_side_part_passes_match_the_replaced_routes_on_altered_decompositions(co
     assert kinds == {"intact", "middle", "side"}
 
 
+def test_stepped_d_category_matches_the_product_route(corpus):
+    """D(w) of every nonempty string of length <= 4, both orientations,
+    on the fixtures and a slice of each corpus."""
+    instances = _fixtures() + corpus[:60] + corpus[240:300] + corpus[480:540]
+    checked = grown = 0
+    for p in instances:
+        q = p.quiver
+        for w in enumerate_strings(p, 4):
+            if not w.letters:
+                continue
+            for v in (w, inverse_walk(q, w)):
+                cat = d_category(p, v)
+                objects, arrows = product_d_category(p, v)
+                assert (cat.objects, cat.arrows) == (objects, arrows)
+                checked += 1
+                grown += len(arrows) > len(walk_arrows(v))
+    assert checked > 5000
+    assert grown > checked // 2
+
+
 def test_straddle_matches_the_antichain_route_on_random_parts(corpus):
     """Random full subquivers as side parts, some sharing arrows, so some
     states carry two labels and others one."""
@@ -1178,7 +1245,7 @@ def test_single_cycle_read_matches_johnson(corpus500):
     simple = other = 0
     for p in instances:
         aut = automaton(p)
-        succ = aut.successors
+        succ = aut.edges.__getitem__
         comps = aut.cyclic_components
         for comp in comps:
             got = list(component_cycles([comp], succ))

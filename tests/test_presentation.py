@@ -15,10 +15,8 @@ from stringalg.errors import (
     SemanticError,
 )
 from stringalg.presentation import (
-    Commutativity,
     Presentation,
     Quiver,
-    ZeroRelation,
     _contains_subpath,
     minimalize,
     monomial_form,
@@ -71,8 +69,8 @@ def test_path_composability_enforced():
 
 def test_zero_relation_needs_length_two():
     q = Quiver(["1", "2"], [("a", "1", "2")])
-    with pytest.raises(SemanticError):
-        Presentation(q, [ZeroRelation(q.path(["a"]))])
+    with pytest.raises(SemanticError, match=r"^zero relation a has length < 2$"):
+        Presentation(q, [q.path(["a"])])
 
 
 def test_commutativity_sides_must_be_parallel_and_distinct():
@@ -80,10 +78,12 @@ def test_commutativity_sides_must_be_parallel_and_distinct():
         ["1", "2", "3", "4", "5"],
         [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "5")],
     )
-    with pytest.raises(SemanticError):
-        Presentation(q, [Commutativity(q.path(["a", "b"]), q.path(["c", "d"]))])
-    with pytest.raises(SemanticError):
-        Presentation(q, [Commutativity(q.path(["a", "b"]), q.path(["a", "b"]))])
+    with pytest.raises(SemanticError, match=r"^commutativity a\.b = c\.d: sides not parallel$"):
+        Presentation(q, comms=[(q.path(["a", "b"]), q.path(["c", "d"]))])
+    with pytest.raises(SemanticError, match=r"^commutativity a\.b = a\.b: sides not distinct$"):
+        Presentation(q, comms=[(q.path(["a", "b"]), q.path(["a", "b"]))])
+    with pytest.raises(SemanticError, match=r"sides must have length >= 2$"):
+        Presentation(q, comms=[(q.path(["a", "b"]), q.path(["c"]))])
 
 
 def test_minimalize_drops_containing_generators():
@@ -309,7 +309,7 @@ def test_quotient_output_is_string_algebra_on_random_special_biserial():
             assert path_in_ideal(j, left) and path_in_ideal(j, right)
         # the same presentation as one built, and checked, from its relations
         q = p.quiver
-        built = Presentation(q, [ZeroRelation(q.path(g)) for g in p.monomial_generators()])
+        built = Presentation(q, [q.path(g) for g in p.monomial_generators()])
         assert j == built and vars(j).keys() == vars(built).keys()
 
 
@@ -337,6 +337,22 @@ def test_max_generator_length_reads_the_generators_once():
     p.monomial_generators = lambda: calls.append(1) or generators()
     assert [p.max_generator_length() for _ in range(3)] == [2, 2, 2]
     assert len(calls) == 1
+
+
+def test_zero_index_is_the_constructors_last_index(monkeypatch):
+    """The index the degenerate-commutativity loop built last is the
+    index of the final zero generators, kept rather than built again."""
+    presentations = [square(zeros=[["a", "b"]]), square(), fixtures.thirteen()]
+    presentations += special_biserial_corpus(5, 20)
+    assert presentations[0].zero_paths == (("a", "b"), ("c", "d"))
+    window_index = presentation_module.window_index
+    expected = [window_index(p.zero_paths) for p in presentations]
+
+    def rebuilt(paths):
+        raise AssertionError("zero_index rebuilt its index")
+
+    monkeypatch.setattr(presentation_module, "window_index", rebuilt)
+    assert [p.zero_index() for p in presentations] == expected
 
 
 # --- indexed subpath tests against pairwise scans --------------------------

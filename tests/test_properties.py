@@ -512,8 +512,6 @@ walks_module = importlib.import_module("stringalg.walks")
 #  fields left out of repr, fields that default to None)
 VALUE_CLASSES = [
     (presentation_module.OrientedPath, ("arrows", "source", "target"), (), (), ()),
-    (presentation_module.ZeroRelation, ("path",), (), (), ()),
-    (presentation_module.Commutativity, ("left", "right"), (), (), ()),
     (presentation_module.Violation, ("condition", "site", "kind", "detail"), (), (), ()),
     (presentation_module.ValidationReport, ("violations",), (), (), ()),
     (walks_module.Walk, ("base", "letters"), (), (), ()),
@@ -564,14 +562,12 @@ VALUE_CLASSES = [
 
 def value_example(cls, skew6, thirteen, commsquare):
     """One instance of cls as the library builds it from a fixture."""
-    square = commsquare.comm_relations[0]
+    square = commsquare.quiver.path(commsquare.comm_pairs[0][0])
     witness = find_doze(skew6)
     report = classify(thirteen)
     dec = decompose(thirteen)
     return {
-        "OrientedPath": lambda: square.left,
-        "ZeroRelation": lambda: thirteen.zero_relations[0],
-        "Commutativity": lambda: square,
+        "OrientedPath": lambda: square,
         "Violation": lambda: presentation_module.validate_string_algebra(commsquare).violations[0],
         "ValidationReport": lambda: presentation_module.validate_string_algebra(commsquare),
         "Walk": lambda: witness.band.walk,
