@@ -7,19 +7,24 @@ runs against the reversed generators.  Transitions are the composable,
 reduced continuations that never complete a generator, so every walk the
 automaton accepts is a string and conversely.
 
-The build is table-driven: `graph.reach` asks each state once for its
-successors, read off per-letter end vertices and per-vertex leaving
-letters.  A letter that changes direction leads to its one-letter state;
-one that continues the run takes one matcher step.  The build records
-`first`, each letter's one-letter state (the only matcher steps from
-scratch), `edges`, and `completing`, the direct letters that would
-complete a generator; `step` reads `edges`, and callers read the tables
-themselves: `first[letter]` raises KeyError for an arrow not in the
-quiver.  Two tables are computed once on first use: `letter_of`, each
-state's last letter, and `ends_of`, that letter's (source, target),
-which `states_at`, the walk tree and `decomp` read.
-`generator_state` memoizes the state after each zero generator's tail,
-where the `doze` searches start.
+The build is table-driven: `graph.reach` asks each (arrow, inverse,
+matcher node) key once for its successors, read off per-letter end
+vertices and per-vertex leaving letters.  A letter that changes
+direction leads to its one-letter key; one that continues the run takes
+one matcher step.  The states are then numbered 0…n−1 in the sorted
+order of their keys, and `keys[s]` holds state s's key, so every
+search breaks ties and orders its roots as it would on the keys.  The
+build records, over state numbers, `first`, each letter's one-letter
+state (the only matcher steps from scratch), `edges`, a dict from each
+state to its successors, `completing`, the direct letters that would
+complete a generator, and `letter_of`, each state's last letter, one
+shared `Letter` per arrow and direction; `step` reads `edges`, and
+callers read the tables themselves: `first[letter]` raises KeyError for
+an arrow not in the quiver.  The other per-state tables are lists
+computed once on first use: `ends_of`, each state's letter's (source,
+target), which `states_at`, the walk tree and `decomp` read, and
+`predecessors`.  `generator_state` memoizes the state after each zero
+generator's tail, where the `doze` searches start.
 
 Cycles in the state graph are exactly the source of bands: pumping any
 cycle yields arbitrarily long strings, and the primitive root of its
@@ -29,7 +34,6 @@ is shared by `cycle_states`, `doze.find_doze`, `band_census`
 canonical form is its least rotation as a letter tuple, either way round.
 """
 
-from collections import namedtuple
 from functools import cached_property
 
 from ._ac import AhoCorasick
@@ -49,14 +53,6 @@ from .walks import (
 )
 
 
-class AutoState(namedtuple("AutoState", "arrow inverse node")):
-    __slots__ = ()
-
-    @property
-    def letter(self):
-        return Letter(self.arrow, self.inverse)
-
-
 class StringAutomaton:
     def __init__(self, p):
         if not p.is_monomial:
@@ -66,78 +62,82 @@ class StringAutomaton:
         self.acf = AhoCorasick(gens)
         self.acr = AhoCorasick([tuple(reversed(g)) for g in gens])
         self._generator_states = [None] * len(gens)
-        self.edges = edges = {}
-        self.completing = completing = {}
         # ends[inverse][arrow] is the vertex a letter ends at; first[letter]
-        # is its one-letter state, and leaving[v] holds (arrow, inverse,
-        # one-letter state) for the letters starting at v, in letter order.
-        # A letter that changes direction starts a new run, so it leads to
-        # its one-letter state; one in the same direction steps the run's
-        # matcher, advance[inverse].
+        # is its one-letter key, and leaving[v] holds the one-letter keys of
+        # the letters starting at v, in letter order.  A letter that changes
+        # direction starts a new run, so it leads to its one-letter key; one
+        # in the same direction steps the run's matcher, advance[inverse].
         advance = (self.acf.advance, self.acr.advance)
         ends = ({a.name: a.target for a in q.arrows}, {a.name: a.source for a in q.arrows})
-        self.first = first = {}
+        first = {}
         leaving = {v: [] for v in q.vertices}
         for a in q.arrows:
             for i, v in ((False, a.source), (True, a.target)):
                 node, hit = advance[i](0, a.name)
                 if hit is not None:
                     raise CorruptPresentationError("single arrow lies in the ideal")
-                first[Letter(a.name, i)] = s = AutoState(a.name, i, node)
-                leaving[v].append((a.name, i, s))
+                first[Letter(a.name, i)] = k = (a.name, i, node)
+                leaving[v].append(k)
         for letters in leaving.values():
             letters.sort()
+        out = {}
+        completing = {}
 
-        def succ(s):
-            # reach asks once per state, so this records every edge once;
+        def succ(k):
+            # reach asks once per key, so this records every edge once;
             # the letters come in order, so the edges need no sort
-            arrow, inv, node = s
+            arrow, inv, node = k
             run = advance[inv]
-            out = []
+            nxt = []
             completed = []
-            for a, i, first in leaving[ends[inv][arrow]]:
+            for f in leaving[ends[inv][arrow]]:
+                a, i, _node = f
                 if i != inv:
                     if a != arrow:  # not the last letter's inverse
-                        out.append(first)
+                        nxt.append(f)
                     continue
                 n, hit = run(node, a)
                 if hit is None:
-                    out.append(AutoState(a, i, n))
+                    nxt.append((a, i, n))
                 elif not i:  # a direct letter completing a generator
                     completed.append((hit, a))
             if completed:
-                completing[s] = completed
-            edges[s] = out = tuple(out)
-            return out
+                completing[k] = completed
+            out[k] = nxt
+            return nxt
 
-        reach([first for letters in leaving.values() for _a, _i, first in letters], succ)
-        self.states = tuple(sorted(edges))
+        reach(first.values(), succ)
+        self.keys = keys = tuple(sorted(out))
+        ids = {k: s for s, k in enumerate(keys)}
+        self.states = tuple(range(len(keys)))
+        self.edges = {s: tuple([ids[t] for t in out[k]]) for s, k in enumerate(keys)}
+        self.completing = {ids[k]: c for k, c in sorted(completing.items())}
+        self.first = {l: ids[k] for l, k in first.items()}
+        # one shared Letter per (arrow, inverse): a Letter equals its tuple
+        shared = {l: l for l in first}
+        self.letter_of = [shared[k[:2]] for k in keys]
 
     def step(self, s, letter):
         """Extend state s by one letter along its recorded edge; None when
         the extension is not a string."""
+        letter_of = self.letter_of
         for t in self.edges[s]:
-            if t.arrow == letter.arrow and t.inverse == letter.inverse:
+            if letter_of[t] == letter:
                 return t
         return None
-
-    @cached_property
-    def letter_of(self):
-        """State -> its last letter."""
-        return {s: s.letter for s in self.states}
 
     @cached_property
     def ends_of(self):
         """State -> (source, target) of its last letter."""
         q = self.quiver
-        return {s: letter_ends(q, l) for s, l in self.letter_of.items()}
+        return [letter_ends(q, l) for l in self.letter_of]
 
     @cached_property
     def predecessors(self):
         """State -> states with an edge into it."""
-        rev = {s: [] for s in self.states}
-        for s in self.states:
-            for t in self.edges[s]:
+        rev = [[] for _k in self.keys]
+        for s, ts in self.edges.items():
+            for t in ts:
                 rev[t].append(s)
         return rev
 
@@ -145,9 +145,10 @@ class StringAutomaton:
     def states_at(self):
         """Vertex -> states whose last letter starts or ends there."""
         at = {}
-        for s, ends in self.ends_of.items():
-            for v in set(ends):
-                at.setdefault(v, []).append(s)
+        for s, (v, w) in enumerate(self.ends_of):
+            at.setdefault(v, []).append(s)
+            if w != v:
+                at.setdefault(w, []).append(s)
         return at
 
     def __len__(self):
@@ -218,8 +219,9 @@ class StringAutomaton:
         """Letters along the BFS parent chain ending at target."""
         out = []
         s = target
+        letter_of = self.letter_of
         while parent[s] is not None:
-            out.append(s.letter)
+            out.append(letter_of[s])
             s = parent[s]
         out.reverse()
         return out
@@ -231,7 +233,7 @@ class StringAutomaton:
             dist, parent = self.bfs([s], {q})
             if q not in dist:
                 continue
-            cand = [s.letter] + self.path_letters(parent, q)
+            cand = [self.letter_of[s]] + self.path_letters(parent, q)
             key = (len(cand), cand)
             if best is None or key < best[0]:
                 best = (key, cand)

@@ -74,7 +74,7 @@ def d_category(p, w, label="D"):
     if w.letters:
         first, rest = w.letters[0], w.letters[1:]
         heads, tails = [], []
-        for s, letter in aut.letter_of.items():
+        for s, letter in enumerate(aut.letter_of):
             if letter != first:
                 continue
             t = s
@@ -98,9 +98,10 @@ def d_category(p, w, label="D"):
 def _support(aut, states, objects):
     """The given objects plus the ends and arrows of the states' letters."""
     objects, arrows = set(objects), set()
+    ends_of, keys = aut.ends_of, aut.keys
     for s in states:
-        objects.update(aut.ends_of[s])
-        arrows.add(s.arrow)
+        objects.update(ends_of[s])
+        arrows.add(keys[s][0])
     return objects, arrows
 
 
@@ -163,12 +164,12 @@ def _labels(aut, parts):
             a = arrow.get(name)
             if a and a.source in part.objects and a.target in part.objects:
                 held[name] = held.get(name, 0) | bit
-    return {s: held.get(s.arrow, 0) for s in aut.states}
+    return [held.get(k[0], 0) for k in aut.keys]
 
 
 def _minimal_labels(starts, nbrs, labels):
     """Per state, the minimal label sets of the walks along nbrs from a start to it."""
-    store = dict.fromkeys(labels, ())
+    store = [()] * len(labels)
     work = [(s, labels[s]) for s in starts]
     while work:
         s, m = work.pop()

@@ -278,10 +278,11 @@ def _double_zero_over(p, parts_of):
     of the longest generator.  g starts a double-zero in part k iff the
     state after g[1:] needs none there."""
     aut = automaton(p)
+    keys = aut.keys
     gens = p.zero_paths
     need = {}
     for s, done in aut.completing.items():
-        for k in parts_of.get(s.arrow, ()):
+        for k in parts_of.get(keys[s][0], ()):
             lacks = [len(gens[i]) - 1 for i, x in done if k in parts_of.get(x, ())]
             if lacks:
                 need[s, k] = min(lacks)
@@ -290,7 +291,7 @@ def _double_zero_over(p, parts_of):
         t, k = work.pop()
         least = max(need[t, k] - 1, 0)
         for s in aut.predecessors[t]:
-            if k in parts_of.get(s.arrow, ()) and need.get((s, k), least + 1) > least:
+            if k in parts_of.get(keys[s][0], ()) and need.get((s, k), least + 1) > least:
                 need[s, k] = least
                 work.append((s, k))
     return {

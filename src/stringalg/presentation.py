@@ -5,7 +5,8 @@ generators) and commutativity relations (pairs of parallel paths that are
 identified).  Zero generators are minimalized on load and the presented
 algebra is required to be finite dimensional: an oriented cycle all of
 whose traversals avoid the ideal is rejected, by one depth-first search
-over (vertex, matcher-progress) pairs on every quiver, acyclic or not.
+over (vertex, matcher-progress) pairs at the vertices that reach an
+oriented cycle; an acyclic quiver has none, and no search.
 Both validators read one cached scan of the vertex-degree and
 unique-continuation axioms.
 
@@ -184,13 +185,32 @@ def _assert_finite_dimensional(quiver, gens):
 
     Searches the (vertex, matcher-progress) graph of ideal-avoiding
     oriented paths; a cycle there means such paths are unbounded, i.e.
-    the algebra is infinite dimensional.
+    the algebra is infinite dimensional.  Only the vertices that reach an
+    oriented cycle of the quiver are searched: the others are peeled off
+    first, each once no arrow leads from it into the vertices left.  A
+    peeled vertex leads to peeled vertices alone, so the search, with
+    its roots still in vertex order, re-enters its path first where the
+    unpruned one would.
     """
+    # left[v]: v's arrows into the vertices not peeled yet
+    left = {v: len(quiver.out_arrows(v)) for v in quiver.vertices}
+    peeled = [v for v, n in left.items() if not n]
+    for v in peeled:
+        for a in quiver.in_arrows(v):
+            left[a.source] -= 1
+            if not left[a.source]:
+                peeled.append(a.source)
+    for v in peeled:
+        del left[v]
+    if not left:
+        return
     ac = AhoCorasick(gens) if gens else None
 
     def succ(state):
         v, node = state
         for a in quiver.out_arrows(v):
+            if a.target not in left:
+                continue
             if ac is None:
                 yield (a.target, 0)
             else:
@@ -198,7 +218,7 @@ def _assert_finite_dimensional(quiver, gens):
                 if hit is None:
                     yield (a.target, node2)
 
-    entry = cycle_entry([(x, 0) for x in quiver.vertices], succ)
+    entry = cycle_entry([(x, 0) for x in quiver.vertices if x in left], succ)
     if entry is not None:
         raise InfiniteDimensionalError(
             f"ideal-avoiding oriented cycle through vertex {entry[0]!r}"

@@ -21,6 +21,7 @@ from stringalg.fixtures import linear_a3
 from stringalg.presentation import Presentation
 from stringalg.walks import (
     CyclicWalk,
+    Letter,
     Walk,
     canonical_band,
     canonical_string,
@@ -244,6 +245,26 @@ def test_exists_band_agrees_with_cycle_entry(corpus500):
     for p in corpus500:
         aut = automaton(p)
         assert exists_band(p) == (graph.cycle_entry(aut.states, aut.edges.__getitem__) is not None)
+
+
+def test_states_are_numbered_in_key_order(corpus500):
+    """State s is the s-th (arrow, inverse, matcher node) key in sorted
+    order, every table has one entry per state, and the states of one
+    letter share one `Letter`, which is a key of `first`."""
+    instances = [build() for build in fixtures.ALL.values()] + list(corpus500)
+    for p in [x for x in instances if x.is_monomial]:
+        aut = automaton(p)
+        keys = aut.keys
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(keys) == len(aut) == len(aut.edges) == len(aut.letter_of)
+        assert aut.states == tuple(range(len(keys)))
+        firsts = {letter: letter for letter in aut.first}
+        for s, k in enumerate(keys):
+            letter = aut.letter_of[s]
+            assert type(letter) is Letter and letter == k[:2]
+            assert firsts[letter] is letter
+        for letter, s in aut.first.items():
+            assert keys[s][:2] == letter
 
 
 def test_classify_condenses_the_automaton_once(monkeypatch):

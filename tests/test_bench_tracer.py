@@ -31,13 +31,19 @@ def test_tracer_installs_on_every_traced_name(monkeypatch):
     doze = sys.modules["stringalg.doze"]
     automaton_cls = sys.modules["stringalg.automaton"].StringAutomaton
     originals = (doze.classify, automaton_cls.__dict__["bfs"])
+    p = fixtures.skew6()
     tracer = trace.Tracer()
     tracer.install()
     try:
-        assert doze.classify(fixtures.skew6()).verdict == "NotLaura"
+        assert doze.classify(p).verdict == "NotLaura"
     finally:
         tracer.uninstall()
     assert (doze.classify, automaton_cls.__dict__["bfs"]) == originals
     calls, _self_s = tracer.layer_totals()
     for name in ("doze.classify", "doze.find_doze", "automaton.build", "automaton.bfs"):
         assert calls[name] >= 1, name
+    # the one automaton built, counted as the benchmark reads it
+    assert calls["automaton.build"] == 1
+    aut = sys.modules["stringalg.automaton"].automaton(p)
+    assert tracer.counts["automaton.states"] == len(aut) == len(aut.keys)
+    assert tracer.counts["automaton.edges"] == sum(len(aut.edges[s]) for s in aut.states)

@@ -22,7 +22,7 @@ from stringalg.graph import (
     sccs,
     topological_order,
 )
-from stringalg.walks import Walk, canonical_band, make_cyclic, primitive_root
+from stringalg.walks import Letter, Walk, canonical_band, make_cyclic, primitive_root
 
 SRC = Path(stringalg.__file__).resolve().parents[1]
 
@@ -146,7 +146,7 @@ def test_band_census_is_the_primitive_roots_of_the_oracle_cycles(corpus500):
             continue
         expected = set()
         for cycle in oracle_cycles(aut.states, succ):
-            letters = [s.letter for s in cycle[1:]] + [cycle[0].letter]
+            letters = [Letter(*aut.keys[s][:2]) for s in cycle[1:] + cycle[:1]]
             root = primitive_root(letters)
             walk = Walk(aut.ends_of[cycle[0]][1], tuple(root))
             expected.add(canonical_band(p.quiver, make_cyclic(p.quiver, walk)))

@@ -3,13 +3,15 @@ kept as differential oracles.
 
 - `stepped_build`: the string automaton built by `reach` over
   `stepped` from every candidate letter, edges sorted, then
-  `completions` asked of every state.
+  `completions` asked of every state.  Its states are (arrow, inverse,
+  matcher node) keys built from the matchers; the automaton's numbered
+  states are compared through `keys`.
 - `state_after_direct_path`: a path's state stepped along the
   automaton's edges on every call, where `generator_state` steps each
   generator's tail once and memoizes it.
-- `stepped_initial_state`: a one-letter state from one matcher step,
+- `stepped_initial_state`: a one-letter key from one matcher step,
   where the automaton now reads its `first` table; `letter_ends` of a
-  state's letter, where it reads `ends_of`.
+  key's letter, where it reads `ends_of`.
 - `johnson_cycles`: Johnson's circuit search on every component,
   including those that are one simple cycle, which `component_cycles`
   now reads off directly.
@@ -42,6 +44,9 @@ kept as differential oracles.
   the states of the product of the automaton with a matcher for w's
   letters that reach a node where w has occurred, where `d_category`
   steps w through the automaton and reaches both ways from its ends.
+- `unpruned_finiteness`: the finiteness search over (vertex, matcher
+  progress) pairs from every vertex, where `_assert_finite_dimensional`
+  first peels off the vertices that reach no oriented cycle.
 - `naturality_envelope`: the injective envelope as one solution of the
   naturality system that extends the socle matching, into injectives
   whose bases are the ideal-avoiding paths ending at each socle vertex;
@@ -60,6 +65,7 @@ import hashlib
 import importlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -69,7 +75,6 @@ from stringalg import exactla as la
 from stringalg import fixtures, rep
 from stringalg._ac import AhoCorasick
 from stringalg.automaton import (
-    AutoState,
     StringAutomaton,
     _mask_pairs,
     _walk_tree,
@@ -103,6 +108,7 @@ from stringalg.doze import (
 )
 from stringalg.errors import (
     CorruptPresentationError,
+    InfiniteDimensionalError,
     SearchBudgetExceeded,
 )
 from stringalg.graph import (
@@ -117,11 +123,14 @@ from stringalg.graph import (
 from stringalg.presentation import (
     Presentation,
     Quiver,
+    _assert_finite_dimensional,
     has_window,
+    minimalize,
     monomial_form,
 )
 from stringalg.walks import (
     CyclicWalk,
+    Letter,
     Walk,
     canonical_band,
     direct,
@@ -172,50 +181,58 @@ def state_after_direct_path(aut, names):
     return s
 
 
+def key_letter(k):
+    """The last letter of a state's (arrow, inverse, node) key."""
+    return Letter(k[0], k[1])
+
+
 def stepped_initial_state(aut, letter):
-    """State after a one-letter walk, from one matcher step."""
+    """Key (arrow, inverse, node) after a one-letter walk, from one
+    matcher step."""
     ac = aut.acr if letter.inverse else aut.acf
     node, hit = ac.advance(0, letter.arrow)
     if hit is not None:
         raise CorruptPresentationError("single arrow lies in the ideal")
-    return AutoState(letter.arrow, letter.inverse, node)
+    return (letter.arrow, letter.inverse, node)
 
 
-def stepped(aut, s, letter):
-    """State s extended by one letter, from the matchers alone; None when
+def stepped(aut, k, letter):
+    """Key k extended by one letter, from the matchers alone; None when
     the extension is not a string."""
-    if letter.arrow == s.arrow and letter.inverse != s.inverse:
+    arrow, inv, node = k
+    if letter.arrow == arrow and letter.inverse != inv:
         return None
-    if letter_ends(aut.quiver, letter)[0] != letter_ends(aut.quiver, s.letter)[1]:
+    if letter_ends(aut.quiver, letter)[0] != letter_ends(aut.quiver, key_letter(k))[1]:
         return None
     ac = aut.acr if letter.inverse else aut.acf
-    node, hit = ac.advance(s.node if letter.inverse == s.inverse else 0, letter.arrow)
-    return None if hit is not None else AutoState(letter.arrow, letter.inverse, node)
+    node, hit = ac.advance(node if letter.inverse == inv else 0, letter.arrow)
+    return None if hit is not None else (letter.arrow, letter.inverse, node)
 
 
-def completions(aut, s):
+def completions(aut, k):
     """Direct letters that would complete a generator occurrence after
-    state s, as (generator index, arrow name) pairs."""
+    key k, as (generator index, arrow name) pairs."""
+    arrow, inv, node = k
     out = []
-    for a in aut.quiver.out_arrows(letter_ends(aut.quiver, s.letter)[1]):
-        if s.inverse and a.name == s.arrow:
+    for a in aut.quiver.out_arrows(letter_ends(aut.quiver, key_letter(k))[1]):
+        if inv and a.name == arrow:
             continue
-        _node, hit = aut.acf.advance(0 if s.inverse else s.node, a.name)
+        _node, hit = aut.acf.advance(0 if inv else node, a.name)
         if hit is not None:
             out.append((hit, a.name))
     return out
 
 
-def _candidate_letters(q, s):
-    v = letter_ends(q, s.letter)[1]
+def _candidate_letters(q, k):
+    v = letter_ends(q, key_letter(k))[1]
     letters = [direct(a.name) for a in q.out_arrows(v)]
     letters += [inverse(a.name) for a in q.in_arrows(v)]
     return sorted(letters)
 
 
 def stepped_build(p):
-    """(states, edges, completing) of the automaton, one `stepped` per
-    candidate letter."""
+    """(keys, edges, completing) of the automaton over (arrow, inverse,
+    node) keys, one `stepped` per candidate letter."""
     aut = StringAutomaton(p)
     q = p.quiver
     edges = {}
@@ -283,7 +300,7 @@ def restricted_double_zero(p):
         longest = _dag_longest_from(aut, s0, after - from_cyc)
         for f in after:
             limit = None if f in from_cyc else longest.get(f, -1)
-            for gen_idx, _x in completions(aut, f):
+            for gen_idx, _x in completions(aut, aut.keys[f]):
                 if limit is None or len(gens[gen_idx]) - 1 <= limit:
                     return True
     return False
@@ -313,7 +330,7 @@ def bfs_find_doze(p):
         for q in sorted((s for s in dist1 if s in cyc), key=lambda s: (dist1[s], s)):
             dist2, par2 = aut.bfs([q])
             for f in sorted(dist2, key=lambda s: (dist2[s], s)):
-                comps = completions(aut, f)
+                comps = completions(aut, aut.keys[f])
                 if comps:
                     comps.sort(key=lambda c: (gens[c[0]], c[1]))
                     return _assemble_witness(p, aut, g, q, par1, (f, comps[0]), par2)
@@ -357,7 +374,7 @@ def antichain_straddle(p, side_parts):
             a = q.arrow[name]
             if a.source in part.objects and a.target in part.objects:
                 arrow_mask[name] = arrow_mask.get(name, 0) | 1 << i
-    masks = {s: arrow_mask.get(s.arrow, 0) for s in aut.states}
+    masks = {s: arrow_mask.get(aut.keys[s][0], 0) for s in aut.states}
 
     def add(store, s, m):
         have = store[s]
@@ -385,7 +402,7 @@ def antichain_straddle(p, side_parts):
     for s in aut.states:
         if any(m1 & m2 == 0 for m1 in fwd[s] for m2 in bwd[s]):
             objects.update(aut.ends_of[s])
-            arrows.add(s.arrow)
+            arrows.add(aut.keys[s][0])
     return objects, arrows
 
 
@@ -399,8 +416,9 @@ def condensed_double_zero(p, arrows):
     starts = {}
     for g in gens:
         starts.setdefault(state_after_direct_path(aut, g[1:]), []).append(g)
-    states = [s for s in aut.states if s.arrow in arrows]
-    adj = {s: [t for t in aut.edges[s] if t.arrow in arrows] for s in states}
+    keys = aut.keys
+    states = [s for s in aut.states if keys[s][0] in arrows]
+    adj = {s: [t for t in aut.edges[s] if keys[t][0] in arrows] for s in states}
     need = {}
     for comp in sccs(states, adj.__getitem__):
         lacks = [
@@ -428,8 +446,10 @@ def wide_mask_cover(p, max_len, dec):
             vertex_mask[v] = vertex_mask.get(v, 0) | 1 << i
         for n in part.arrows:
             arrow_mask[n] = arrow_mask.get(n, 0) | 1 << i
-    ends_of = aut.ends_of
-    held = {s: arrow_mask.get(s.arrow, 0) & vertex_mask.get(ends_of[s][1], 0) for s in aut.states}
+    ends_of, keys = aut.ends_of, aut.keys
+    held = {
+        s: arrow_mask.get(keys[s][0], 0) & vertex_mask.get(ends_of[s][1], 0) for s in aut.states
+    }
     roots = {s: vertex_mask.get(ends_of[s][0], 0) & held[s] for s in aut.first.values()}
     covered = all(vertex_mask.get(v, 0) for v in p.quiver.vertices)
     pairs = _mask_pairs(p, max_len, roots, held)
@@ -521,9 +541,9 @@ def every_cycle_census(p):
     aut = automaton(p)
     found = set()
     for cycle in johnson_cycles(aut.cyclic_components, aut.edges.__getitem__):
-        letters = [s.letter for s in cycle[1:]] + [cycle[0].letter]
+        letters = [key_letter(aut.keys[s]) for s in cycle[1:] + cycle[:1]]
         root = primitive_root(letters)
-        base = letter_ends(p.quiver, cycle[0].letter)[1]
+        base = letter_ends(p.quiver, letters[-1])[1]
         c = make_cyclic(p.quiver, Walk(base, tuple(root)))
         if not is_band(p, c):
             raise CorruptPresentationError("automaton cycle did not yield a band")
@@ -561,15 +581,19 @@ def test_table_build_matches_the_stepped_build(corpus):
     completing = 0
     for p in corpus + _fixtures():
         aut = StringAutomaton(p)
-        states, edges, comps = stepped_build(p)
-        assert aut.states == states
-        assert [aut.edges[s] for s in states] == [edges[s] for s in states]
-        assert aut.edges.keys() == edges.keys()
-        assert aut.completing == comps
+        keys, edges, comps = stepped_build(p)
+        assert aut.keys == keys
+        assert aut.states == tuple(range(len(keys)))
+        assert [tuple(aut.keys[t] for t in aut.edges[s]) for s in aut.states] == [
+            edges[k] for k in keys
+        ]
+        assert aut.edges.keys() == set(aut.states)
+        assert {aut.keys[s]: c for s, c in aut.completing.items()} == comps
         completing += len(comps)
-        for s in states:
-            for letter in _candidate_letters(p.quiver, s):
-                assert aut.step(s, letter) == stepped(aut, s, letter)
+        for s, k in enumerate(keys):
+            for letter in _candidate_letters(p.quiver, k):
+                t = aut.step(s, letter)
+                assert (None if t is None else aut.keys[t]) == stepped(aut, k, letter)
     assert completing > 100
 
 
@@ -583,11 +607,11 @@ def test_state_tables_match_the_matcher_steps(corpus500):
         q = p.quiver
         for a in q.arrows:
             for letter in (direct(a.name), inverse(a.name)):
-                assert aut.first[letter] == stepped_initial_state(aut, letter)
+                assert aut.keys[aut.first[letter]] == stepped_initial_state(aut, letter)
                 letters += 1
         assert len(aut.first) == 2 * len(q.arrows)
         for s in aut.states:
-            assert aut.ends_of[s] == letter_ends(q, s.letter)
+            assert aut.ends_of[s] == letter_ends(q, key_letter(aut.keys[s]))
     assert letters > 5000
     with pytest.raises(KeyError):
         automaton(fixtures.thirteen()).first[direct("no such arrow")]
@@ -724,7 +748,8 @@ def test_generator_states_match_the_matcher(corpus):
                 for a in g[1:]:
                     node = aut.acf.advance(node, a)[0]
                 s = aut.generator_state(i)
-                assert s == AutoState(g[-1], False, node) == state_after_direct_path(aut, g[1:])
+                assert aut.keys[s] == (g[-1], False, node)
+                assert s == state_after_direct_path(aut, g[1:])
                 assert s in aut.edges
                 checked += 1
     assert checked > 2000
@@ -920,15 +945,15 @@ def test_witness_check_rejects_as_the_double_zero_route_rejects(witnesses):
 # --- the finiteness check -----------------------------------------------------
 
 
-def _random_bound_quiver(rng):
+def _random_bound_quiver(rng, most_vertices=4, most_arrows=6):
     """Vertices, arrows, zero and commutativity relations by name: loops
     and parallel arrows allowed, acyclic (arrows only up the vertex
     order) half of the time."""
-    n = rng.randint(1, 4)
+    n = rng.randint(1, most_vertices)
     vertices = [str(i) for i in range(1, n + 1)]
     acyclic = rng.random() < 0.5
     arrows = []
-    for i in range(rng.randint(0, 6)):
+    for i in range(rng.randint(0, most_arrows)):
         s, t = rng.randrange(n), rng.randrange(n)
         if acyclic:
             if s == t:
@@ -989,6 +1014,60 @@ def test_construction_outcomes_are_pinned():
     assert (False, "InfiniteDimensionalError", False) in kinds
     assert any(s == t for case in cases for _n, s, t in case[1])
     assert any(len({(s, t) for _n, s, t in case[1]}) < len(case[1]) for case in cases)
+
+
+def unpruned_finiteness(quiver, gens):
+    """The finiteness search from every vertex, with every arrow."""
+    ac = AhoCorasick(gens) if gens else None
+
+    def succ(state):
+        v, node = state
+        for a in quiver.out_arrows(v):
+            if ac is None:
+                yield (a.target, 0)
+            else:
+                node2, hit = ac.advance(node, a.name)
+                if hit is None:
+                    yield (a.target, node2)
+
+    entry = cycle_entry([(x, 0) for x in quiver.vertices], succ)
+    if entry is not None:
+        raise InfiniteDimensionalError(
+            f"ideal-avoiding oriented cycle through vertex {entry[0]!r}"
+        )
+
+
+def _finiteness_outcome(check, quiver, gens):
+    try:
+        check(quiver, gens)
+    except InfiniteDimensionalError as e:
+        return str(e)
+    return None
+
+
+def test_pruned_finiteness_check_matches_the_unpruned_search(corpus500):
+    """Both searches raise, or not, with the same message, on seeded
+    random bound quivers (small ones and larger ones with more of their
+    vertices peeled), the fixtures and corpus500.  A generator set is what
+    `Presentation` passes: the zero relations and both sides of each
+    commutativity relation, minimalized."""
+    rng = random.Random(20261020)
+    cases = []
+    for most in ((4, 6),) * 6000 + ((8, 12),) * 3000:
+        vertices, arrows, zeros, comms = _random_bound_quiver(rng, *most)
+        gens = minimalize(list(zeros) + [side for pair in comms for side in pair])
+        cases.append((Quiver(vertices, arrows), gens))
+    for p in _fixtures() + list(corpus500):
+        cases.append((p.quiver, p.monomial_generators()))
+    kinds = Counter()
+    for q, gens in cases:
+        got = _finiteness_outcome(_assert_finite_dimensional, q, gens)
+        assert got == _finiteness_outcome(unpruned_finiteness, q, gens), (q.arrows, gens)
+        successors = lambda v: [a.target for a in q.out_arrows(v)]
+        peels = any(topological_order([v], successors) is not None for v in q.vertices)
+        kinds[got is not None, peels] += 1
+    # raised and passed, with and without vertices peeled off
+    assert min(kinds[k] for k in itertools.product((False, True), repeat=2)) > 200, kinds
 
 
 # --- support cover ------------------------------------------------------------

@@ -418,17 +418,18 @@ def test_analysis_pass_derives_each_fact_once(thirteen, monkeypatch):
     assert len(seen["minimalize"]) <= len(seen["built"])
 
 
-class _CountedTable(dict):
-    """A neighbour table that reports how many entries are read from it."""
+def _counted_table(table, on_read):
+    """A copy of a neighbour table, a dict or a list, that reports how
+    many entries each `table[state]` read returns."""
+    kind = type(table)
 
-    def __init__(self, table, on_read):
-        super().__init__(table)
-        self.on_read = on_read
+    class _CountedTable(kind):
+        def __getitem__(self, key):
+            value = kind.__getitem__(self, key)
+            on_read(len(value))
+            return value
 
-    def __getitem__(self, key):
-        value = dict.__getitem__(self, key)
-        self.on_read(len(value))
-        return value
+    return _CountedTable(table)
 
 
 def _width(mask):
@@ -451,8 +452,8 @@ def test_decomposition_stages_work_linearly_on_the_chain(thirteen, k, monkeypatc
     def on_read(n):
         count[stage[-1], "neighbours read"] += n
 
-    aut.edges = _CountedTable(aut.edges, on_read)
-    aut.__dict__["predecessors"] = _CountedTable(aut.predecessors, on_read)
+    aut.edges = _counted_table(aut.edges, on_read)
+    aut.__dict__["predecessors"] = _counted_table(aut.predecessors, on_read)
 
     def within(name, real):
         def wrapper(*args):
@@ -473,14 +474,14 @@ def test_decomposition_stages_work_linearly_on_the_chain(thirteen, k, monkeypatc
         return wrapper
 
     def antichain_sizes(store, *_):
-        return sum(_width(m) for kept in store.values() for m in kept)
+        return sum(_width(m) for kept in store for m in kept)
 
     def mask_sizes(pairs, _p, _max_len, _roots, held):
-        return sum(map(_width, held.values())) + sum(_width(m) for _s, m in pairs)
+        return sum(map(_width, held)) + sum(_width(m) for _s, m in pairs)
 
     for name, kind, sizes in (
         ("reach", "states reached", lambda found, *_: len(found)),
-        ("_labels", "labels", lambda found, *_: sum(map(_width, found.values()))),
+        ("_labels", "labels", lambda found, *_: sum(map(_width, found))),
         ("_minimal_labels", "labels", antichain_sizes),
         ("_mask_pairs", "labels", mask_sizes),
     ):
