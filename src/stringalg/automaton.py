@@ -1,22 +1,22 @@
 """Finite automaton accepting exactly the strings of a monomial presentation.
 
 A state is (last letter, run progress) where run progress is the
-multi-pattern matcher state of the current maximal same-direction run:
-direct runs are matched forwards against the zero generators, inverse
-runs against the reversed generators.  Transitions are the composable,
+`presentation.prefix_matcher` node of the current maximal same-direction
+run: its longest tail that is a prefix of a zero generator (direct run)
+or of a reversed one (inverse run).  Transitions are the composable,
 reduced continuations that never complete a generator, so every walk the
 automaton accepts is a string and conversely.
 
 The build is table-driven: `graph.reach` asks each (arrow, inverse,
-matcher node) key once for its successors, read off per-letter end
+prefix node) key once for its successors, read off per-letter end
 vertices and per-vertex leaving letters.  A letter that changes
 direction leads to its one-letter key; one that continues the run takes
-one matcher step.  The states are then numbered 0…n−1 in the sorted
+one prefix-table step.  The states are then numbered 0…n−1 in the sorted
 order of their keys, and `keys[s]` holds state s's key, so every
 search breaks ties and orders its roots as it would on the keys.  The
 build records, over state numbers, `first`, each letter's one-letter
-state (the only matcher steps from scratch), `edges`, a dict from each
-state to its successors, `completing`, the direct letters that would
+state (the only prefix-table steps from scratch), `edges`, a dict from
+each state to its successors, `completing`, the direct letters that would
 complete a generator, and `letter_of`, each state's last letter, one
 shared `Letter` per arrow and direction; `step` reads `edges`, and
 callers read the tables themselves: `first[letter]` raises KeyError for
@@ -36,9 +36,9 @@ canonical form is its least rotation as a letter tuple, either way round.
 
 from functools import cached_property
 
-from ._ac import AhoCorasick
 from .errors import CorruptPresentationError, PreconditionError, SearchBudgetExceeded
 from .graph import component_cycles, is_cyclic, reach, sccs
+from .presentation import prefix_matcher
 from .walks import (
     CyclicWalk,
     Letter,
@@ -58,16 +58,14 @@ class StringAutomaton:
         if not p.is_monomial:
             raise PreconditionError("the string automaton needs a monomial presentation")
         self.quiver = q = p.quiver
-        gens = p.zero_paths
-        self.acf = AhoCorasick(gens)
-        self.acr = AhoCorasick([tuple(reversed(g)) for g in gens])
+        self._generators = gens = p.zero_paths
         self._generator_states = [None] * len(gens)
         # ends[inverse][arrow] is the vertex a letter ends at; first[letter]
         # is its one-letter key, and leaving[v] holds the one-letter keys of
         # the letters starting at v, in letter order.  A letter that changes
         # direction starts a new run, so it leads to its one-letter key; one
-        # in the same direction steps the run's matcher, advance[inverse].
-        advance = (self.acf.advance, self.acr.advance)
+        # in the same direction steps the run's prefix table, advance[inverse].
+        advance = (prefix_matcher(gens), prefix_matcher([g[::-1] for g in gens]))
         ends = ({a.name: a.target for a in q.arrows}, {a.name: a.source for a in q.arrows})
         first = {}
         leaving = {v: [] for v in q.vertices}
@@ -173,7 +171,7 @@ class StringAutomaton:
         minimal generator is a string, so every step exists."""
         s = self._generator_states[i]
         if s is None:
-            tail = self.acf.patterns[i][1:]
+            tail = self._generators[i][1:]
             s = self.first[direct(tail[0])]
             for a in tail[1:]:
                 s = self.step(s, direct(a))
@@ -456,7 +454,10 @@ def band_census(p):
     The automaton holds each band's cycle once per orientation, and each
     band is verified once (see `_verified_bands`).  Enumerating more than `_CENSUS_CAP` cycles
     raises SearchBudgetExceeded.  Computed once per presentation; every
-    call returns a fresh list.
+    call returns a fresh list.  On every input without an interlaced
+    double-zero in the test corpora, each cyclic component is one simple
+    cycle, read off directly: Johnson's search in `component_cycles`
+    serves only `bands` on input with an interlaced double-zero.
     """
     return list(p.cached("band_census", lambda: tuple(_band_census(p))))
 

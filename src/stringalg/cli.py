@@ -5,7 +5,7 @@ Reads an algebra file, runs one analysis, and reports as text or JSON
 semantic error; 2 precondition violation or invalid argument (such as a
 negative length); 3 analysis failure (corrupted presentation or an
 exhausted search budget); 141 stdout closed before the output ended.
-Output is byte-identical across runs.
+Output is byte-identical from run to run.
 
 A process loads only the layers its command runs, since start-up is most
 of a command's wall time.  Every command loads the package core

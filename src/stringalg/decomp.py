@@ -13,10 +13,11 @@ unique cycle, finite middle, double-zero-free sides) are verified
 mechanically, on the string automaton the classification built.  Each
 side-part pass reads, per automaton state, only the side parts holding
 its arrow, so it costs the states times the parts holding each: the
-middle part keeps per state the minimal sets of parts holding the walks
-into and out of it, one backward pass decides every side part's
-double-zeros, and the support cover visits each (state, part set) pair
-once.  Part sets are bitmasks as wide as the most parts at one vertex.
+middle part reaches, forwards and backwards, the (state, part set) pairs
+of the walks into and out of each state, one backward pass decides every
+side part's double-zeros, and the support cover visits each (state, part
+set) pair once.  Part sets are bitmasks as wide as the most parts at one
+vertex.
 """
 
 from ._value import Value
@@ -133,14 +134,25 @@ def _straddle_support(p, side_parts):
     """Vertices and arrows on strings not contained in a single side part.
 
     A string lies in one side part iff its states share a label, a side
-    part holding the state's arrow with both ends.  Each state keeps the
-    antichain of the minimal label sets of the walks ending (resp.
-    starting) there; a state in at most one part keeps its label or 0."""
+    part holding the state's arrow with both ends.  Two `reach` passes
+    collect the (state, label set) pairs of the walks from a first state
+    to each state, and of those from each state on; a state is on such a
+    string iff one set of each kind there meets the other in 0, which
+    holds exactly when it holds for the minimal sets."""
     aut = automaton(p)
     labels = _labels(aut, side_parts)
-    fwd = _minimal_labels(aut.first.values(), aut.edges, labels)
-    bwd = _minimal_labels(aut.states, aut.predecessors, labels)
-    on = {s for s in aut.states for m1 in fwd[s] for m2 in bwd[s] if not m1 & m2}
+
+    def along(nbrs):
+        return lambda n: [(t, n[1] & labels[t]) for t in nbrs[n[0]]]
+
+    into = {}
+    for s, m in reach([(f, labels[f]) for f in aut.first.values()], along(aut.edges)):
+        into.setdefault(s, []).append(m)
+    on = {
+        s
+        for s, m in reach(list(enumerate(labels)), along(aut.predecessors))
+        if any(not m & m1 for m1 in into.get(s, ()))
+    }
     bare = set(p.quiver.vertices).difference(*(part.objects for part in side_parts))
     return _support(aut, on, bare)
 
@@ -165,22 +177,6 @@ def _labels(aut, parts):
             if a and a.source in part.objects and a.target in part.objects:
                 held[name] = held.get(name, 0) | bit
     return [held.get(k[0], 0) for k in aut.keys]
-
-
-def _minimal_labels(starts, nbrs, labels):
-    """Per state, the minimal label sets of the walks along nbrs from a start to it."""
-    store = [()] * len(labels)
-    work = [(s, labels[s]) for s in starts]
-    while work:
-        s, m = work.pop()
-        kept = store[s]
-        for e in kept:
-            if e & m == e:
-                break
-        else:
-            store[s] = (m, *[e for e in kept if e & m != m])
-            work += [(t, m & labels[t]) for t in nbrs[s]]
-    return store
 
 
 def decompose(p):

@@ -138,7 +138,7 @@ class DozeWitness(Value):
         """Whether assembled(n) still satisfies the double-zero invariants.
 
         True for every n >= 1; can legitimately fail at n = 0 when
-        deleting the band merges two runs across a generator.
+        deleting the band merges two runs over a generator.
         """
         try:
             self.double_zero(n)

@@ -2,13 +2,15 @@
 
 Every function takes its start nodes and a successor callable
 `succ(node) -> iterable of nodes`; nodes need only be hashable, so the
-same code walks string automata, plain quivers and a quiver's product
-with a pattern matcher.  Only the part reachable from the start nodes is
-visited.  All loops are iterative, so depth is bounded by memory and not
-by the recursion limit.  Strongly connected components are Tarjan's
-(1972) single pass; simple cycles are Johnson's (1975) circuit search,
-run on one strongly connected component at a time, except that a
-component that is a single simple cycle is read off directly.
+same code walks string automata, plain quivers, a quiver's product
+with a prefix table, the (state, label set) pairs of the side-part
+passes and the (path, vertex) pairs of a projective's basis.  Only the
+part reachable from the start nodes is visited.  All loops are
+iterative, so depth is bounded by memory and not by the recursion
+limit.  Strongly connected components are Tarjan's (1972) single pass;
+simple cycles are Johnson's (1975) circuit search, run on one strongly
+connected component at a time, except that a component that is a
+single simple cycle is read off directly.
 """
 
 

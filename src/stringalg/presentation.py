@@ -5,7 +5,7 @@ generators) and commutativity relations (pairs of parallel paths that are
 identified).  Zero generators are minimalized on load and the presented
 algebra is required to be finite dimensional: an oriented cycle all of
 whose traversals avoid the ideal is rejected, by one depth-first search
-over (vertex, matcher-progress) pairs at the vertices that reach an
+over (vertex, prefix-table node) pairs at the vertices that reach an
 oriented cycle; an acyclic quiver has none, and no search.
 Both validators read one cached scan of the vertex-degree and
 unique-continuation axioms.
@@ -22,7 +22,6 @@ start-up of every `stringalg` process.
 
 from collections import namedtuple
 
-from ._ac import AhoCorasick
 from ._value import Value
 from .errors import (
     CorruptPresentationError,
@@ -163,6 +162,36 @@ def has_window(seq, index):
     )
 
 
+def prefix_matcher(patterns):
+    """Step function `advance(node, arrow) -> (node, index or None)` over
+    the prefixes of a pattern antichain of tuples, such as minimalized
+    generators: how much of a pattern the last arrows read spell.
+
+    Node n is the n-th distinct prefix in the order the patterns list
+    them, 0 the empty one.  `advance` appends the arrow to the node's
+    prefix and trims it from the front until it is a prefix again: the
+    longest suffix that can still grow into a pattern.  In an antichain
+    no pattern ends inside another, so a step completes a pattern exactly
+    when it lands on a whole one, whose index it returns.
+    """
+    node = {(): 0}
+    for pat in patterns:
+        for i in range(1, len(pat) + 1):
+            node.setdefault(pat[:i], len(node))
+    prefix = list(node)
+    ends = [None] * len(prefix)
+    for i, pat in enumerate(patterns):
+        ends[node[pat]] = i
+
+    def advance(n, arrow):
+        seq = prefix[n] + (arrow,)
+        while (n := node.get(seq)) is None:
+            seq = seq[1:]
+        return n, ends[n]
+
+    return advance
+
+
 def minimalize(paths):
     """Drop every path that contains another one as a contiguous subpath.
 
@@ -183,7 +212,7 @@ def minimalize(paths):
 def _assert_finite_dimensional(quiver, gens):
     """Reject oriented cycles avoiding the monomial ideal.
 
-    Searches the (vertex, matcher-progress) graph of ideal-avoiding
+    Searches the (vertex, prefix-table node) graph of ideal-avoiding
     oriented paths; a cycle there means such paths are unbounded, i.e.
     the algebra is infinite dimensional.  Only the vertices that reach an
     oriented cycle of the quiver are searched: the others are peeled off
@@ -204,17 +233,13 @@ def _assert_finite_dimensional(quiver, gens):
         del left[v]
     if not left:
         return
-    ac = AhoCorasick(gens) if gens else None
+    advance = prefix_matcher(gens)
 
     def succ(state):
         v, node = state
         for a in quiver.out_arrows(v):
-            if a.target not in left:
-                continue
-            if ac is None:
-                yield (a.target, 0)
-            else:
-                node2, hit = ac.advance(node, a.name)
+            if a.target in left:
+                node2, hit = advance(node, a.name)
                 if hit is None:
                     yield (a.target, node2)
 

@@ -29,6 +29,7 @@ its test oracle.
 
 from . import exactla as la
 from .errors import CorruptPresentationError, PreconditionError
+from .graph import reach
 from .presentation import has_window
 from .stringhom import dozed_module_string, string_entries
 
@@ -150,16 +151,15 @@ def _build_projective(p, x):
         raise PreconditionError("projective needs a monomial presentation")
     q = p.quiver
     zero = p.zero_index()
-    paths = []
-    stack = [((), x)]
-    while stack:
-        path, v = stack.pop()
-        paths.append((path, v))
+
+    def succ(node):
+        path, v = node
         for a in q.out_arrows(v):
             new = path + (a.name,)
             if not has_window(new, zero):
-                stack.append((new, a.target))
-    paths.sort(key=lambda t: (len(t[0]), t[0]))
+                yield new, a.target
+
+    paths = sorted(reach([((), x)], succ), key=lambda t: (len(t[0]), t[0]))
     basis = {}
     index = {}
     for path, v in paths:

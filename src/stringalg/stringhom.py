@@ -53,7 +53,7 @@ def dozed_string(witness, n):
 
 def dozed_module_string(p, witness, n):
     """`dozed_string`, failing loudly when it is not a string (possible
-    only at n = 0, when removing the band merges two runs across a
+    only at n = 0, when removing the band merges two runs over a
     generator)."""
     w = dozed_string(witness, n)
     if not is_string(p, w):

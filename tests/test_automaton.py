@@ -248,7 +248,7 @@ def test_exists_band_agrees_with_cycle_entry(corpus500):
 
 
 def test_states_are_numbered_in_key_order(corpus500):
-    """State s is the s-th (arrow, inverse, matcher node) key in sorted
+    """State s is the s-th (arrow, inverse, prefix-table node) key in sorted
     order, every table has one entry per state, and the states of one
     letter share one `Letter`, which is a key of `first`."""
     instances = [build() for build in fixtures.ALL.values()] + list(corpus500)

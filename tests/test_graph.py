@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import stringalg
 from stringalg.automaton import automaton, band_census
-from stringalg.doze import find_doze
+from stringalg.corpus import special_biserial_corpus
+from stringalg.doze import NOT_LAURA, classify, find_doze
 from stringalg.graph import (
     component_cycles,
     cycle_entry,
@@ -22,6 +23,7 @@ from stringalg.graph import (
     sccs,
     topological_order,
 )
+from stringalg.presentation import monomial_form
 from stringalg.walks import Letter, Walk, canonical_band, make_cyclic, primitive_root
 
 SRC = Path(stringalg.__file__).resolve().parents[1]
@@ -155,6 +157,28 @@ def test_band_census_is_the_primitive_roots_of_the_oracle_cycles(corpus500):
         if checked == 10:
             break
     assert checked == 10
+
+
+def test_cyclic_components_are_single_cycles_unless_not_laura(
+    corpus500, thirteen, skew6, commsquare
+):
+    """Johnson's search in `component_cycles` runs only where a cyclic
+    component is not one simple cycle; on every instance that is not
+    NotLaura, each state of a cyclic automaton component has exactly one
+    successor inside its component, so the search there serves only
+    `bands` on NotLaura input."""
+    quotients = [monomial_form(p) for p in special_biserial_corpus(1, 200)]
+    checked = 0
+    for p in list(corpus500) + quotients + [thirteen, skew6, commsquare]:
+        report = classify(p)
+        if report.verdict == NOT_LAURA:
+            continue
+        aut = automaton(report.analyzed)
+        for comp in aut.cyclic_components:
+            members = set(comp)
+            assert all(sum(t in members for t in aut.edges[s]) == 1 for s in comp), p
+        checked += 1
+    assert checked > 300, checked
 
 
 def test_no_source_file_imports_networkx():

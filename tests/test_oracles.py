@@ -1,11 +1,16 @@
 """The routes that the table-driven and automaton-reading code replaced,
 kept as differential oracles.
 
+- `AhoCorasick`: the multi-pattern matcher with goto tables and
+  breadth-first failure links, where `presentation.prefix_matcher`
+  trims a prefix from the front; both number their nodes alike, so the
+  oracles below that build it from `aut._generators` and compare with
+  `aut.keys` pin that numbering too.
 - `stepped_build`: the string automaton built by `reach` over
   `stepped` from every candidate letter, edges sorted, then
   `completions` asked of every state.  Its states are (arrow, inverse,
-  matcher node) keys built from the matchers; the automaton's numbered
-  states are compared through `keys`.
+  matcher node) keys built from the `AhoCorasick` matchers; the
+  automaton's numbered states are compared through `keys`.
 - `state_after_direct_path`: a path's state stepped along the
   automaton's edges on every call, where `generator_state` steps each
   generator's tail once and memoizes it.
@@ -65,7 +70,8 @@ import hashlib
 import importlib
 import itertools
 import random
-from collections import Counter
+from collections import Counter, deque
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -73,7 +79,6 @@ from hypothesis import strategies as st
 
 from stringalg import exactla as la
 from stringalg import fixtures, rep
-from stringalg._ac import AhoCorasick
 from stringalg.automaton import (
     StringAutomaton,
     _mask_pairs,
@@ -127,6 +132,7 @@ from stringalg.presentation import (
     has_window,
     minimalize,
     monomial_form,
+    prefix_matcher,
 )
 from stringalg.walks import (
     CyclicWalk,
@@ -170,6 +176,76 @@ def corpus():
 # --- the replaced routes ------------------------------------------------------
 
 
+# Aho and Corasick (CACM 18(6), 1975): patterns are tuples of arrow ids,
+# an antichain under contiguous containment, so at most one pattern ends
+# at any position.  A node's failure link is a strictly shallower node,
+# found in breadth-first order.
+class AhoCorasick:
+    """Failure-link automaton reporting completed patterns per step.
+
+    States are integers; 0 is the root.  ``advance`` consumes one symbol
+    and returns the next state with the index of the pattern ending
+    exactly at the new position, or None.
+    """
+
+    def __init__(self, patterns):
+        self.patterns = [tuple(p) for p in patterns]
+        self._goto = [{}]
+        self._fail = [0]
+        self._ends = [None]
+        for idx, pat in enumerate(self.patterns):
+            if not pat:
+                raise ValueError("empty pattern")
+            node = 0
+            for sym in pat:
+                nxt = self._goto[node].get(sym)
+                if nxt is None:
+                    nxt = len(self._goto)
+                    self._goto.append({})
+                    self._fail.append(0)
+                    self._ends.append(None)
+                    self._goto[node][sym] = nxt
+                node = nxt
+            if self._ends[node] is not None:
+                raise ValueError(f"duplicate pattern {pat!r}")
+            self._ends[node] = idx
+        self._hit = list(self._ends)
+        queue = deque()
+        for child in self._goto[0].values():
+            queue.append(child)
+        while queue:
+            node = queue.popleft()
+            fail = self._fail[node]
+            if self._hit[node] is None:
+                self._hit[node] = self._hit[fail]
+            for sym, child in self._goto[node].items():
+                f = fail
+                while f and sym not in self._goto[f]:
+                    f = self._fail[f]
+                self._fail[child] = self._goto[f].get(sym, 0)
+                queue.append(child)
+
+    def advance(self, state, symbol):
+        """Consume one symbol: (next state, index of the pattern ending
+        exactly there or None)."""
+        goto = self._goto
+        while state and symbol not in goto[state]:
+            state = self._fail[state]
+        state = goto[state].get(symbol, 0)
+        return state, self._hit[state]
+
+
+@cache
+def _matchers(gens):
+    """(forward, reversed) `AhoCorasick` matchers of a generator tuple."""
+    return AhoCorasick(gens), AhoCorasick([g[::-1] for g in gens])
+
+
+def matcher(aut, inv):
+    """The oracle matcher of an automaton's direct (inverse) runs."""
+    return _matchers(aut._generators)[inv]
+
+
 def state_after_direct_path(aut, names):
     """State after an oriented path read as direct letters from scratch,
     stepped along the automaton's edges; None when it is not a string."""
@@ -189,8 +265,7 @@ def key_letter(k):
 def stepped_initial_state(aut, letter):
     """Key (arrow, inverse, node) after a one-letter walk, from one
     matcher step."""
-    ac = aut.acr if letter.inverse else aut.acf
-    node, hit = ac.advance(0, letter.arrow)
+    node, hit = matcher(aut, letter.inverse).advance(0, letter.arrow)
     if hit is not None:
         raise CorruptPresentationError("single arrow lies in the ideal")
     return (letter.arrow, letter.inverse, node)
@@ -204,7 +279,7 @@ def stepped(aut, k, letter):
         return None
     if letter_ends(aut.quiver, letter)[0] != letter_ends(aut.quiver, key_letter(k))[1]:
         return None
-    ac = aut.acr if letter.inverse else aut.acf
+    ac = matcher(aut, letter.inverse)
     node, hit = ac.advance(node if letter.inverse == inv else 0, letter.arrow)
     return None if hit is not None else (letter.arrow, letter.inverse, node)
 
@@ -217,7 +292,7 @@ def completions(aut, k):
     for a in aut.quiver.out_arrows(letter_ends(aut.quiver, key_letter(k))[1]):
         if inv and a.name == arrow:
             continue
-        _node, hit = aut.acf.advance(0 if inv else node, a.name)
+        _node, hit = matcher(aut, False).advance(0 if inv else node, a.name)
         if hit is not None:
             out.append((hit, a.name))
     return out
@@ -597,6 +672,35 @@ def test_table_build_matches_the_stepped_build(corpus):
     assert completing > 100
 
 
+def test_prefix_matcher_steps_like_aho_corasick(corpus500):
+    """`prefix_matcher` and the `AhoCorasick` oracle give the same (node,
+    hit) for every node and every symbol, one outside the alphabet
+    included, on seeded random minimalized pattern sets (1-5 symbols,
+    lengths 1-5, shuffled), the empty set, and the forward and reversed
+    generators of the fixtures and corpus500."""
+    rng = random.Random(20261022)
+    cases = [()]
+    for _ in range(2000):
+        symbols = "abcde"[: rng.randint(1, 5)]
+        pats = [tuple(rng.choices(symbols, k=rng.randint(1, 5))) for _ in range(rng.randint(1, 6))]
+        pats = minimalize(pats)
+        rng.shuffle(pats)
+        cases.append(pats)
+    for p in _fixtures() + list(corpus500):
+        cases += [p.zero_paths, [g[::-1] for g in p.zero_paths]]
+    steps, hits = 0, 0
+    for pats in cases:
+        ac, advance = AhoCorasick(pats), prefix_matcher(pats)
+        symbols = sorted({x for pat in pats for x in pat}) + ["outside"]
+        for node in range(len(ac._goto)):
+            for x in symbols:
+                got = advance(node, x)
+                assert got == ac.advance(node, x), (pats, node, x)
+                steps += 1
+                hits += got[1] is not None
+    assert steps > 50_000 and hits > 5_000, (steps, hits)
+
+
 def test_state_tables_match_the_matcher_steps(corpus500):
     """The one-letter states and end vertices the automaton records,
     against one matcher step and `letter_ends` per letter and state."""
@@ -746,7 +850,7 @@ def test_generator_states_match_the_matcher(corpus):
             for i, g in enumerate(p.zero_paths):
                 node = 0
                 for a in g[1:]:
-                    node = aut.acf.advance(node, a)[0]
+                    node = matcher(aut, False).advance(node, a)[0]
                 s = aut.generator_state(i)
                 assert aut.keys[s] == (g[-1], False, node)
                 assert s == state_after_direct_path(aut, g[1:])
