@@ -24,7 +24,9 @@ an arrow not in the quiver.  The other per-state tables are lists
 computed once on first use: `ends_of`, each state's letter's (source,
 target), which `states_at`, the walk tree and `decomp` read, and
 `predecessors`.  `generator_state` memoizes the state after each zero
-generator's tail, where the `doze` searches start.
+generator's tail, where the `doze` searches start.  `rings`, filled the
+first time a walk's window starts at length 3 or more, holds the rings
+the walk tree goes round in whole turns below the window.
 
 Cycles in the state graph are exactly the source of bands: pumping any
 cycle yields arbitrarily long strings, and the primitive root of its
@@ -148,6 +150,40 @@ class StringAutomaton:
             if w != v:
                 at.setdefault(w, []).append(s)
         return at
+
+    @cached_property
+    def rings(self):
+        """Per state, how the walk tree descends from it below a window:
+        None if two of its children have edges, else [lead, live, trail,
+        ring, at]: its child with edges (or None), the edgeless children
+        before and after that one and, on a ring (a cycle of such states
+        along their live children), the ring's (letters twice over, length,
+        visits at once and trailing edgeless children per turn), shared by
+        its states, and where a turn's letters start from this state."""
+        edges = self.edges
+        steps, live_of, chased = [], {}, {}
+        for s, ts in edges.items():
+            live = [t for t in ts if edges[t]]
+            if len(live) == 1:
+                live_of[s] = t = live[0]
+                j = ts.index(t)
+                steps.append([j, t, len(ts) - j - 1, None, 0])
+            else:
+                steps.append(None if live else [len(ts), None, 0, None, 0])
+        for s in live_of:  # a chain of live children ends, or comes round: a ring
+            chain = []
+            while s in live_of and s not in chased:
+                chased[s] = chain
+                chain.append(s)
+                s = live_of[s]
+            if chased.get(s) is chain:
+                ring = chain[chain.index(s) :]
+                n = len(ring)
+                lead, trail = (sum([steps[t][i] for t in ring]) for i in (0, 2))
+                shared = ([self.letter_of[t] for t in ring * 2], n, n + lead, trail)
+                for at, t in enumerate(ring, 1):
+                    steps[t][3:] = shared, at
+        return steps
 
     def __len__(self):
         return len(self.states)
@@ -274,18 +310,29 @@ def _largest(lengths):
     return max(lengths, default=0)
 
 
+def _smallest(lengths):
+    """min(lengths, default=0), with a range read off its ends."""
+    if isinstance(lengths, range):
+        return min(lengths[0], lengths[-1]) if lengths else 0
+    return min(lengths, default=0)
+
+
 def _walk_tree(p, wanted):
     """The nonempty strings of length in `wanted`, a container of lengths
     (a range is never iterated), each reached once as a node of the
-    automaton's walk tree, as (base, letters) pairs.  `wanted` is asked
-    once per depth the walk reaches.
+    automaton's walk tree, as (base, letters) pairs.  `wanted` is read at
+    its ends, then asked once per depth from its least that the walk reaches.
 
     One iterative depth-first walk down to the largest wanted length,
     following the automaton's edges.  Siblings come in letter order, so
     the strings of each length come out in `Walk.key` order.  `letters` is
     one shared list, valid only until the next item; nothing else is
-    built per node.  Visiting more than `_WALK_CAP` nodes raises
-    SearchBudgetExceeded.
+    built per node.  Below the least wanted length an edgeless child is
+    counted, not walked, and a ring (`StringAutomaton.rings`) is gone round
+    in whole turns up to one letter short of the window.  Each string still
+    counts as a visit before the same item as in a walk of every node, so
+    visiting more than `_WALK_CAP` nodes raises SearchBudgetExceeded where
+    that walk would.
     """
     top = _largest(wanted)
     if top < 1:
@@ -294,13 +341,19 @@ def _walk_tree(p, wanted):
     q = p.quiver
     letter_of = aut.letter_of
     edges = aut.edges
+    # a node shallower than `short` has children shorter than the window
+    short = max(_smallest(wanted), 1) - 1
+    rings = aut.rings if short > 1 else None
     roots = [aut.first[f(a)] for a in sorted(q.arrow) for f in (direct, inverse)]
     stack = [(s, 1) for s in reversed(roots)]
     letters = []
     nodes = 0
-    hit = [False, 1 in wanted]  # hit[depth]: depth in wanted, per depth reached
+    hit = [False, short + 1 in wanted]  # hit[i]: depth short + i in wanted, per depth reached
     while stack:
         s, depth = stack.pop()
+        if not depth:  # s edgeless children below the window, counted as one entry
+            nodes += s
+            continue
         del letters[depth - 1 :]
         if depth == 1:
             base = aut.ends_of[s][0]
@@ -309,18 +362,42 @@ def _walk_tree(p, wanted):
             if nodes > _WALK_CAP:
                 raise SearchBudgetExceeded("string enumeration exceeded the walk cap")
             letters.append(letter_of[s])
-            if hit[depth]:
-                yield base, letters
+            if depth >= short:
+                if hit[depth - short]:
+                    yield base, letters
+            elif (step := rings[s]) is not None:
+                lead, live, trail, ring, at = step
+                if ring is not None and depth + ring[1] <= short:
+                    doubled, n, visits, deferred = ring
+                    k = (short - depth) // n
+                    nodes += k * visits
+                    if nodes > _WALK_CAP:  # before the letters grow
+                        raise SearchBudgetExceeded("string enumeration exceeded the walk cap")
+                    if deferred:
+                        stack.append((k * deferred, 0))
+                    letters.extend(doubled[at : at + n] * k)
+                    depth += k * n
+                if depth < short:
+                    nodes += lead
+                    if trail:
+                        stack.append((trail, 0))
+                    if live is None:
+                        break
+                    depth += 1
+                    s = live
+                    continue
             nxt = edges[s]
             if depth == top or not nxt:
                 break
             # follow the first child here, the others after its subtree
             depth += 1
-            if depth == len(hit):
+            if depth - short == len(hit):
                 hit.append(depth in wanted)
             if len(nxt) > 1:
                 stack.extend([(t, depth) for t in reversed(nxt[1:])])
             s = nxt[0]
+    if nodes > _WALK_CAP:
+        raise SearchBudgetExceeded("string enumeration exceeded the walk cap")
 
 
 def _mask_pairs(p, max_len, roots, held):
@@ -371,8 +448,9 @@ def strings_of_length(p, lengths):
 
     Visits every string up to the largest wanted length once, in both
     orientations (see `_walk_tree`), and builds a `Walk` only for the
-    strings it returns: time and memory follow the strings visited, not
-    the lengths asked for.  Raises SearchBudgetExceeded after `_WALK_CAP`
+    strings it returns.  Below the smallest wanted length its Python
+    steps follow branch points and ring turns, not letters; visits are
+    counted all the same.  Raises SearchBudgetExceeded after `_WALK_CAP`
     visits, or once the strings kept hold more than `LETTER_CAP` letters.
     """
     q = p.quiver

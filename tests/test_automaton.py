@@ -210,6 +210,20 @@ def test_cost_follows_the_walk_not_the_max_len(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_window_past_the_cap_raises_before_its_letters_grow(thirteen):
+    """Thirteen's strings of length 10**9 lie past 200,000 visits: the
+    walk raises on counting the ring turns down to the window, before it
+    writes their letters."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceeded, match="exceeded the walk cap"):
+            strings_of_length(thirteen, [10**9])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_enumerate_bands_thirteen(thirteen):
     got = [serialize_band(b) for b in enumerate_bands(thirteen, 2)]
     assert got == [

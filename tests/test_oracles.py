@@ -52,6 +52,10 @@ kept as differential oracles.
 - `unpruned_finiteness`: the finiteness search over (vertex, matcher
   progress) pairs from every vertex, where `_assert_finite_dimensional`
   first peels off the vertices that reach no oriented cycle.
+- `stepwise_walk_tree`: the walk tree visiting every string one Python
+  step per letter, yielding its visit count with each item, where
+  `_walk_tree` counts edgeless children below the window and goes round
+  rings in whole turns.
 - `naturality_envelope`: the injective envelope as one solution of the
   naturality system that extends the socle matching, into injectives
   whose bases are the ideal-avoiding paths ending at each socle vertex;
@@ -81,12 +85,15 @@ from stringalg import exactla as la
 from stringalg import fixtures, rep
 from stringalg.automaton import (
     StringAutomaton,
+    _largest,
     _mask_pairs,
     _walk_tree,
     automaton,
     band_census,
     enumerate_bands,
     enumerate_strings,
+    pumping_bound,
+    strings_of_length,
 )
 from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.decomp import (
@@ -134,6 +141,7 @@ from stringalg.presentation import (
     monomial_form,
     prefix_matcher,
 )
+from stringalg.stringhom import conjecture_scan
 from stringalg.walks import (
     CyclicWalk,
     Letter,
@@ -636,6 +644,46 @@ def every_walk_bands(p, max_len):
         if is_band(p, c):
             found.add(object_canonical_band(q, c))
     return sorted(found, key=lambda c: c.walk.key())
+
+
+def stepwise_walk_tree(p, wanted):
+    """`_walk_tree` one node per Python step, yielding (base, letters,
+    visits so far) and returning its visits in all."""
+    top = _largest(wanted)
+    if top < 1:
+        return 0
+    aut = automaton(p)
+    q = p.quiver
+    letter_of = aut.letter_of
+    edges = aut.edges
+    roots = [aut.first[f(a)] for a in sorted(q.arrow) for f in (direct, inverse)]
+    stack = [(s, 1) for s in reversed(roots)]
+    letters = []
+    nodes = 0
+    hit = [False, 1 in wanted]  # hit[depth]: depth in wanted, per depth reached
+    while stack:
+        s, depth = stack.pop()
+        del letters[depth - 1 :]
+        if depth == 1:
+            base = aut.ends_of[s][0]
+        while True:
+            nodes += 1
+            if nodes > automaton_module._WALK_CAP:
+                raise SearchBudgetExceeded("string enumeration exceeded the walk cap")
+            letters.append(letter_of[s])
+            if hit[depth]:
+                yield base, letters, nodes
+            nxt = edges[s]
+            if depth == top or not nxt:
+                break
+            # follow the first child here, the others after its subtree
+            depth += 1
+            if depth == len(hit):
+                hit.append(depth in wanted)
+            if len(nxt) > 1:
+                stack.extend([(t, depth) for t in reversed(nxt[1:])])
+            s = nxt[0]
+    return nodes
 
 
 def _outcome(check, *args):
@@ -1172,6 +1220,95 @@ def test_pruned_finiteness_check_matches_the_unpruned_search(corpus500):
         kinds[got is not None, peels] += 1
     # raised and passed, with and without vertices peeled off
     assert min(kinds[k] for k in itertools.product((False, True), repeat=2)) > 200, kinds
+
+
+# --- the walk tree ------------------------------------------------------------
+
+
+def _walked(p, wanted):
+    """The (base, letters) items `_walk_tree` yields, and the message of
+    the error that ends it, or None."""
+    items = []
+    try:
+        for base, letters in _walk_tree(p, wanted):
+            items.append((base, tuple(letters)))
+    except SearchBudgetExceeded as e:
+        return items, str(e)
+    return items, None
+
+
+def _stepwise_walked(p, wanted):
+    """(items, visits at each item, visits in all) of the stepwise walk,
+    with the message of the error that ends it in place of the total."""
+    walk, items, at = stepwise_walk_tree(p, wanted), [], []
+    try:
+        while True:
+            base, letters, visits = next(walk)
+            items.append((base, tuple(letters)))
+            at.append(visits)
+    except StopIteration as stop:
+        return items, at, stop.value
+    except SearchBudgetExceeded as e:
+        return items, at, str(e)
+
+
+def _windows(p):
+    bound = pumping_bound(p)
+    return [range(k, k + 1) for k in range(bound + 11)] + [
+        range(3, 9),
+        range(5, 20, 3),
+        [46],
+        [3, 8],
+        range(0, 7),
+        [],
+    ]
+
+
+# a window whose walk visits more strings is compared up to this cap
+# only, which keeps the test to a few seconds
+WINDOW_CAP = 300
+
+
+def test_windowed_walk_matches_the_stepwise_walk(monkeypatch, corpus500):
+    """Same items in the same order, and under a cap at the total visits,
+    one below it and one below the visits at a first, middle and last
+    item, the same items before the same error: the walk counts every
+    string it steps over, each where the stepwise walk visits it.  On the
+    fixtures, corpus500 and the J-quotients of a special biserial corpus,
+    at every single length up to the pumping bound plus 10 and on a few
+    wider windows.  Under a cap c the stepwise walk yields the items it
+    reaches within c visits, and raises iff its total exceeds c."""
+    instances = (
+        _fixtures()
+        + [monomial_form(p) for p in corpus500]
+        + [monomial_form(p) for p in special_biserial_corpus(1, 200)]
+    )
+    capped = finished = 0
+    for p in instances:
+        for wanted in _windows(p):
+            monkeypatch.setattr(automaton_module, "_WALK_CAP", WINDOW_CAP)
+            items, at, total = _stepwise_walked(p, wanted)
+            if isinstance(total, str):
+                assert _walked(p, wanted) == (items, total), wanted
+                capped += 1
+                continue
+            finished += 1
+            sampled = at[:1] + at[len(at) // 2 : len(at) // 2 + 1] + at[-1:]
+            caps = {total, total - 1} | {n - 1 for n in sampled}
+            for cap in sorted(caps - {-1}):
+                monkeypatch.setattr(automaton_module, "_WALK_CAP", cap)
+                want = [item for item, n in zip(items, at) if n <= cap]
+                error = "string enumeration exceeded the walk cap" if total > cap else None
+                assert _walked(p, wanted) == (want, error), (wanted, cap)
+    assert capped > 100 and finished > 10_000
+
+
+def test_long_window_scan_matches_the_stepwise_walk(monkeypatch, thirteen):
+    got = strings_of_length(thirteen, [400]), conjecture_scan(thirteen, 400, min_len=400)
+    stepwise = lambda p, wanted: ((b, l) for b, l, _n in stepwise_walk_tree(p, wanted))
+    monkeypatch.setattr(automaton_module, "_walk_tree", stepwise)
+    assert got == (strings_of_length(thirteen, [400]), conjecture_scan(thirteen, 400, min_len=400))
+    assert len(got[0]) == 12
 
 
 # --- support cover ------------------------------------------------------------
