@@ -6,7 +6,10 @@ per letter, one entry 1 oriented by the letter's direction;
 off the walk.  Its homology is read off the string too: the projective
 cover (`string_cover`), the first syzygy (`string_syzygy`) and the pd >= 2
 / id >= 2 thresholds (`string_pd_at_least_2`, `string_id_at_least_2`),
-each in time linear in the string's length, with no linear algebra.
+with no linear algebra.  The cover and the syzygy take time linear in
+the string's length; a threshold reads the syzygy sites of each band
+period once and skips their repeats, so past the pumping bound its site
+reads do not grow with the length.
 `conjecture_scan` counts the strings whose modules pass both thresholds,
 and `dozed_string` is the string of a pumped DOZE witness.
 
@@ -87,10 +90,23 @@ def dozed_module_string(p, witness, n):
 # one verdict per site, so a scan decides each site once however many
 # strings share it.
 #
+# Past the pumping bound a string is a hook, a power of a band and a hook
+# (Butler-Ringel), so its valley sites repeat with the band's period.
+# `pd_at_least_2` reads each period's sites once: when a valley's site
+# repeats, it finds with slice compares how far the letters after it
+# repeat too, and skips the valleys whose sites lie inside that stretch.
+#
 # The injective side is read on A too.  D M(w) is the string module over
 # A^op of w with every letter's direction flipped, and A^op has the
 # reversed quiver and generators, so a dual `_StringHomology` built from
 # those reads the flipped flags; no A^op presentation is built.
+
+
+# Inverse flags are bytes, so the dual's flags are one translate away.  A
+# valley is a direct letter then an inverse one: `inv.find(_VALLEY, i) + 1`
+# is the first valley after passage i, or 0 when there is none.
+_VALLEY = b"\0\1"
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def _require_string_algebra(p, what):
@@ -144,14 +160,19 @@ class _StringHomology:
 
     def _sites(self, base, arrows, inv):
         """The syzygy summand sites of the walk from `base` with these arrow
-        names (a tuple) and inverse flags, in summand order: the j = 0 end,
-        the j = n end, then the valleys left to right.
+        names (a tuple) and inverse flags (bytes, 1 for inverse), in
+        summand order: the j = 0 end, the j = n end, then the valleys left
+        to right."""
+        yield from self._end_sites(base, arrows, inv)
+        j = inv.find(_VALLEY) + 1
+        while j:
+            yield self._valley_site(arrows, inv, j)
+            j = inv.find(_VALLEY, j) + 1
 
-        An end site is (head window, vertex, first arrow): the window of
-        the descent reaching the end, or () and one site per out-arrow the
-        walk does not use at a peak end.  A valley site is
-        ((left window, right window), vertex).
-        """
+    def _end_sites(self, base, arrows, inv):
+        """The sites of the j = 0 and j = n ends: (head window, vertex,
+        first arrow), with the window of the descent reaching the end, or
+        () and one site per out-arrow the walk does not use at a peak end."""
         q, keep = self.quiver, self.keep
         if not arrows:
             for a in q.out_arrows(base):
@@ -168,10 +189,11 @@ class _StringHomology:
                 for b in q.out_arrows(a.source):
                     if b != a:
                         yield (), a.source, b.name
-        arrow = q.arrow
-        for j in range(1, n):
-            if inv[j] and not inv[j - 1]:
-                yield _windows(arrows, inv, j, keep), arrow[arrows[j]].target
+
+    def _valley_site(self, arrows, inv, j):
+        """The site ((left window, right window), vertex) of the valley at
+        passage j."""
+        return _windows(arrows, inv, j, self.keep), self.quiver.arrow[arrows[j]].target
 
     def _summand(self, site):
         """(top, C_L, C_R) of the summand M(C_L^-1 C_R) at a site, with C_L
@@ -189,15 +211,36 @@ class _StringHomology:
 
     def pd_at_least_2(self, base, arrows, inv):
         """Some syzygy summand is not projective; `_sites` takes the same
-        arguments.  A projective M(w) has no syzygy summands at all."""
-        verdicts = self.verdicts
-        for site in self._sites(base, arrows, inv):
-            verdict = verdicts.get(site)
-            if verdict is None:
-                verdict = verdicts[site] = self._not_projective(site)
-            if verdict:
-                return True
-        return False
+        arguments.  A projective M(w) has no syzygy summands at all.
+
+        Reads each band period's valley sites once.  The letter at a valley
+        j is inverse, so the backward window of a later valley stops after
+        it: that valley's site reads only letters after j, up to K =
+        max(keep, 1) past itself.  When the valley at j has the site last
+        read at i = j - d, `_periodic_end` finds the stretch after j whose
+        letters repeat those d before.  Each later valley whose K letters
+        lie in that stretch has the site of the valley d letters before
+        it, already found projective, so the read resumes K - 1 letters
+        before the stretch ends."""
+        verdicts, last, K = self.verdicts, {}, self.keep or 1
+        # the end sites, then one valley site per turn
+        sites, j = self._end_sites(base, arrows, inv), inv.find(_VALLEY) + 1
+        while True:
+            for site in sites:
+                verdict = verdicts.get(site)
+                if verdict is None:
+                    verdict = verdicts[site] = self._not_projective(site)
+                if verdict:
+                    return True
+            if not j:
+                return False
+            site = self._valley_site(arrows, inv, j)
+            sites = (site,)
+            i = last.get(site)
+            last[site] = j
+            if i is not None:
+                j = max(j, _periodic_end(arrows, inv, j + 1, j - i) - K)
+            j = inv.find(_VALLEY, j) + 1
 
 
 def _windows(arrows, inv, j, keep):
@@ -215,6 +258,27 @@ def _windows(arrows, inv, j, keep):
     return arrows[i:j], arrows[j:k][::-1]
 
 
+def _periodic_end(arrows, inv, s, d):
+    """The largest t with arrows[s:t] == arrows[s - d:t - d] and the same
+    of the flags, for 0 < d <= s: a gallop, then a bisection, over slice
+    compares."""
+    n, lo, step = len(arrows), s, 1
+    while True:
+        hi = min(lo + step, n)
+        if arrows[lo:hi] != arrows[lo - d : hi - d] or inv[lo:hi] != inv[lo - d : hi - d]:
+            break
+        if hi == n:
+            return n
+        lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if arrows[lo:mid] == arrows[lo - d : mid - d] and inv[lo:mid] == inv[lo - d : mid - d]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _string_homology(p, dual=False):
     """The `_StringHomology` of p or, with dual=True, of its opposite
     algebra, built from the reversed quiver and zero generators."""
@@ -230,8 +294,9 @@ def _string_homology(p, dual=False):
 
 
 def _arrows_and_flags(w):
-    """(arrow names, inverse flags) of a walk's letters, as tuples."""
-    return tuple(zip(*w.letters)) or ((), ())
+    """(arrow names as a tuple, inverse flags as bytes) of a walk's letters."""
+    arrows, inv = tuple(zip(*w.letters)) or ((), ())
+    return arrows, bytes(inv)
 
 
 def _is_peak(letters, i):
@@ -284,7 +349,7 @@ def string_id_at_least_2(p, w):
     reversed quiver and generators."""
     _require_string_algebra(p, "string_id_at_least_2")
     arrows, inv = _arrows_and_flags(w)
-    return _string_homology(p, dual=True).pd_at_least_2(w.base, arrows, [not f for f in inv])
+    return _string_homology(p, dual=True).pd_at_least_2(w.base, arrows, inv.translate(_FLIP))
 
 
 class ScanResult(Value):
@@ -312,7 +377,7 @@ def conjecture_scan(p, max_len, min_len=0):
 
         def both(w):
             arrows, inv = _arrows_and_flags(w)
-            return pd(w.base, arrows, inv) and pd_op(w.base, arrows, [not f for f in inv])
+            return pd(w.base, arrows, inv) and pd_op(w.base, arrows, inv.translate(_FLIP))
     else:
         from . import rep
 

@@ -1,8 +1,54 @@
 import pytest
 
 from stringalg import fixtures
+from stringalg.corpus import special_biserial_corpus, string_corpus
 
 CORPUS_SEED = 20260809
+
+# The largest size the suite asks of each (generator, seed); `corpora` draws
+# each once at this size.
+LARGEST_DRAW = {
+    (string_corpus, 1): 2000,
+    (string_corpus, 2): 500,
+    (string_corpus, 3): 500,
+    (string_corpus, 5): 200,
+    (string_corpus, 7): 500,
+    (string_corpus, 101): 776,
+    (string_corpus, CORPUS_SEED): 2000,
+    (special_biserial_corpus, 1): 200,
+    (special_biserial_corpus, 2): 100,
+    (special_biserial_corpus, 3): 100,
+    (special_biserial_corpus, 101): 415,
+    (special_biserial_corpus, CORPUS_SEED): 100,
+}
+
+
+class CorpusDraws:
+    """`generator(seed, size)` for the corpus generators, drawing each
+    (generator, seed) once, at its size in LARGEST_DRAW or at the size
+    asked if larger, and handing out prefixes.  `_draw` is sequential, so
+    a prefix of a larger draw is the smaller draw.  Each prefix is
+    asserted to have the size asked, which a draw that the 50-miss cutoff
+    ended early does not, and a draw made again at a larger size to start
+    with the earlier one."""
+
+    def __init__(self):
+        self.drawn = {}
+
+    def __call__(self, generator, seed, size):
+        key = (generator, seed)
+        drawn = self.drawn.get(key)
+        if drawn is None or len(drawn) < size:
+            larger = generator(seed, max(size, LARGEST_DRAW.get(key, 0)))
+            assert drawn is None or larger[: len(drawn)] == drawn, key
+            drawn = self.drawn[key] = larger
+        assert len(drawn) >= size, f"{generator.__name__}({seed}) stopped at {len(drawn)}"
+        return drawn[:size]
+
+
+@pytest.fixture(scope="session")
+def corpora():
+    return CorpusDraws()
 
 
 @pytest.fixture(scope="session")
@@ -26,7 +72,5 @@ def commsquare():
 
 
 @pytest.fixture(scope="session")
-def corpus500():
-    from stringalg.corpus import string_corpus
-
-    return string_corpus(CORPUS_SEED, 500)
+def corpus500(corpora):
+    return corpora(string_corpus, CORPUS_SEED, 500)

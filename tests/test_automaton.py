@@ -109,7 +109,7 @@ NAIVE_MAX = 7
 
 
 @pytest.fixture(scope="module")
-def differential_instances(skew6, thirteen, nine, commsquare, corpus500):
+def differential_instances(corpora, skew6, thirteen, nine, commsquare, corpus500):
     """Fixtures, the degree <= 3 instances among the first 30 of
     corpus500, and the J-quotients of six special biserial algebras, each
     with its strings up to NAIVE_MAX found by filtering every walk."""
@@ -118,7 +118,7 @@ def differential_instances(skew6, thirteen, nine, commsquare, corpus500):
 
     instances = [skew6, thirteen, nine, quotient_by_J(commsquare)]
     instances += [p for p in corpus500[:30] if degree_at_most_3(p)]
-    instances += [quotient_by_J(p) for p in special_biserial_corpus(20260809, 6)]
+    instances += [quotient_by_J(p) for p in corpora(special_biserial_corpus, 20260809, 6)]
     return [(p, [w for w in all_walks_up_to(p, NAIVE_MAX) if is_string(p, w)]) for p in instances]
 
 

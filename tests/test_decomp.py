@@ -308,10 +308,10 @@ ANCHOR_DISAGREEMENTS = [
 ]
 
 
-def test_side_part_is_inside_every_anchor_closure():
+def test_side_part_is_inside_every_anchor_closure(corpora):
     disagreeing = 0
     for corpus, seed, indices in ANCHOR_DISAGREEMENTS:
-        draws = corpus(seed, max(indices) + 1)
+        draws = corpora(corpus, seed, max(indices) + 1)
         for p in (draws[i] for i in indices):
             dec = decompose(p)
             work = dec.analyzed
@@ -360,9 +360,9 @@ def _pinned_bands(bands):
     return bands if isinstance(bands, str) else " | ".join(map(serialize_band, bands))
 
 
-def test_analysis_outputs_are_pinned(corpus500):
+def test_analysis_outputs_are_pinned(corpora, corpus500):
     lines = []
-    for p in corpus500 + special_biserial_corpus(1, 200):
+    for p in corpus500 + corpora(special_biserial_corpus, 1, 200):
         m = monomial_form(p)
         report = _pinned(check_structure, p)
         if not isinstance(report, str):

@@ -160,14 +160,14 @@ def test_band_census_is_the_primitive_roots_of_the_oracle_cycles(corpus500):
 
 
 def test_cyclic_components_are_single_cycles_unless_not_laura(
-    corpus500, thirteen, skew6, commsquare
+    corpora, corpus500, thirteen, skew6, commsquare
 ):
     """Johnson's search in `component_cycles` runs only where a cyclic
     component is not one simple cycle; on every instance that is not
     NotLaura, each state of a cyclic automaton component has exactly one
     successor inside its component, so the search there serves only
     `bands` on NotLaura input."""
-    quotients = [monomial_form(p) for p in special_biserial_corpus(1, 200)]
+    quotients = [monomial_form(p) for p in corpora(special_biserial_corpus, 1, 200)]
     checked = 0
     for p in list(corpus500) + quotients + [thirteen, skew6, commsquare]:
         report = classify(p)

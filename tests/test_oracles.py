@@ -56,6 +56,9 @@ kept as differential oracles.
   step per letter, yielding its visit count with each item, where
   `_walk_tree` counts edgeless children below the window and goes round
   rings in whole turns.
+- `every_site_pd_at_least_2`: the pd >= 2 verdict reading every site
+  of the string, where `_StringHomology.pd_at_least_2` reads each band
+  period's valley sites once and skips the repeats.
 - `naturality_envelope`: the injective envelope as one solution of the
   naturality system that extends the socle matching, into injectives
   whose bases are the ideal-avoiding paths ending at each socle vertex;
@@ -140,8 +143,15 @@ from stringalg.presentation import (
     minimalize,
     monomial_form,
     prefix_matcher,
+    validate_string_algebra,
 )
-from stringalg.stringhom import conjecture_scan
+from stringalg.stringhom import (
+    _arrows_and_flags,
+    _periodic_end,
+    _string_homology,
+    _StringHomology,
+    conjecture_scan,
+)
 from stringalg.walks import (
     CyclicWalk,
     Letter,
@@ -168,17 +178,13 @@ SUBQUIVERS = 8  # random full subquivers per corpus member
 automaton_module = importlib.import_module("stringalg.automaton")
 
 
-def _corpus():
+@pytest.fixture(scope="module")
+def corpus(corpora):
     out = []
     for seed in SEEDS:
-        out += string_corpus(seed, 200)
-        out += special_biserial_corpus(seed, 40)
+        out += corpora(string_corpus, seed, 200)
+        out += corpora(special_biserial_corpus, seed, 40)
     return [monomial_form(p) for p in out]
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    return _corpus()
 
 
 # --- the replaced routes ------------------------------------------------------
@@ -686,6 +692,21 @@ def stepwise_walk_tree(p, wanted):
     return nodes
 
 
+# `_StringHomology.pd_at_least_2` as it was before it skipped the periodic
+# stretches, verbatim, with `self` a `_StringHomology`
+def every_site_pd_at_least_2(self, base, arrows, inv):
+    """Some syzygy summand is not projective; `_sites` takes the same
+    arguments.  A projective M(w) has no syzygy summands at all."""
+    verdicts = self.verdicts
+    for site in self._sites(base, arrows, inv):
+        verdict = verdicts.get(site)
+        if verdict is None:
+            verdict = verdicts[site] = self._not_projective(site)
+        if verdict:
+            return True
+    return False
+
+
 def _outcome(check, *args):
     try:
         return check(*args)
@@ -749,10 +770,10 @@ def test_prefix_matcher_steps_like_aho_corasick(corpus500):
     assert steps > 50_000 and hits > 5_000, (steps, hits)
 
 
-def test_state_tables_match_the_matcher_steps(corpus500):
+def test_state_tables_match_the_matcher_steps(corpora, corpus500):
     """The one-letter states and end vertices the automaton records,
     against one matcher step and `letter_ends` per letter and state."""
-    quotients = [monomial_form(p) for p in special_biserial_corpus(1, 200)]
+    quotients = [monomial_form(p) for p in corpora(special_biserial_corpus, 1, 200)]
     letters = 0
     for p in _fixtures() + [monomial_form(p) for p in corpus500] + quotients:
         aut = automaton(p)
@@ -1269,7 +1290,7 @@ def _windows(p):
 WINDOW_CAP = 300
 
 
-def test_windowed_walk_matches_the_stepwise_walk(monkeypatch, corpus500):
+def test_windowed_walk_matches_the_stepwise_walk(monkeypatch, corpora, corpus500):
     """Same items in the same order, and under a cap at the total visits,
     one below it and one below the visits at a first, middle and last
     item, the same items before the same error: the walk counts every
@@ -1281,7 +1302,7 @@ def test_windowed_walk_matches_the_stepwise_walk(monkeypatch, corpus500):
     instances = (
         _fixtures()
         + [monomial_form(p) for p in corpus500]
-        + [monomial_form(p) for p in special_biserial_corpus(1, 200)]
+        + [monomial_form(p) for p in corpora(special_biserial_corpus, 1, 200)]
     )
     capped = finished = 0
     for p in instances:
@@ -1309,6 +1330,110 @@ def test_long_window_scan_matches_the_stepwise_walk(monkeypatch, thirteen):
     monkeypatch.setattr(automaton_module, "_walk_tree", stepwise)
     assert got == (strings_of_length(thirteen, [400]), conjecture_scan(thirteen, 400, min_len=400))
     assert len(got[0]) == 12
+
+
+# --- syzygy sites -------------------------------------------------------------
+
+# a length whose walk visits more strings ends an instance's list of strings
+SITE_CAP = 1000
+
+
+def _strings_up_to(p, top):
+    """Every string of p of length at most top, one length at a time, up
+    to the first length whose walk passes SITE_CAP visits."""
+    out = []
+    for k in range(top + 1):
+        try:
+            out += strings_of_length(p, [k])
+        except SearchBudgetExceeded:
+            break
+    return out
+
+
+def test_period_skip_matches_the_every_site_reader(
+    monkeypatch, corpora, thirteen, skew6, corpus500
+):
+    """pd >= 2 with the band periods skipped and read at every site agree
+    on A and on the dual (the flipped flags against the reversed quiver
+    and generators), on every string up to the pumping bound plus 10 of
+    the fixtures that are string algebras (nine is not), corpus500 and the
+    J-quotients of a special biserial corpus (up to the first length
+    whose walk passes SITE_CAP visits), and on the long strings of
+    thirteen at 400 and 1,600 letters and of skew6 at 200.  Also on
+    `string_corpus(6, 235)[234]`, where two periods of a string can
+    differ only in the letter after a valley.  The skip reads far fewer
+    valley sites."""
+    instances = (
+        _fixtures()
+        + [monomial_form(p) for p in corpus500]
+        + [monomial_form(p) for p in corpora(special_biserial_corpus, 1, 200)]
+        + corpora(string_corpus, 6, 235)[234:]
+    )
+    monkeypatch.setattr(automaton_module, "_WALK_CAP", SITE_CAP)
+    cases = [
+        (p, _strings_up_to(p, pumping_bound(p) + 10))
+        for p in instances
+        if validate_string_algebra(p).is_valid
+    ]
+    monkeypatch.undo()
+    cases += [
+        (thirteen, strings_of_length(thirteen, [400]) + strings_of_length(thirteen, [1600])),
+        (skew6, strings_of_length(skew6, [200])),
+    ]
+    reads, verdicts, reader = Counter(), Counter(), ["skip"]
+    valley_site = _StringHomology._valley_site
+
+    def counted(self, arrows, inv, j):
+        reads[reader[0]] += 1
+        return valley_site(self, arrows, inv, j)
+
+    monkeypatch.setattr(_StringHomology, "_valley_site", counted)
+    for p, strings in cases:
+        sides = _string_homology(p), _string_homology(p, dual=True)
+        for w in strings:
+            arrows, inv = _arrows_and_flags(w)
+            for h, flags in zip(sides, (inv, bytes(not f for f in inv))):
+                reader[0] = "skip"
+                got = h.pd_at_least_2(w.base, arrows, flags)
+                reader[0] = "every"
+                assert got == every_site_pd_at_least_2(h, w.base, arrows, flags), w
+                verdicts[got] += 1
+    assert min(verdicts.values()) > 10_000, verdicts
+    assert 5 * reads["skip"] < 3 * reads["every"], reads
+
+
+def stepwise_periodic_end(arrows, inv, s, d):
+    t = s
+    while t < len(arrows) and arrows[t] == arrows[t - d] and inv[t] == inv[t - d]:
+        t += 1
+    return t
+
+
+def test_periodic_end_matches_the_stepwise_scan():
+    """`_periodic_end` finds where a stretch stops repeating the letters d
+    before it, letter for letter: on random words of a repeated unit with
+    one letter's arrow, flag or both changed (a flag alone tells a loop
+    read forwards from the loop read backwards)."""
+    rng = random.Random(24)
+    changed = Counter()
+    for _ in range(4000):
+        d = rng.randint(1, 6)
+        unit = [(rng.choice("abc"), rng.randint(0, 1)) for _ in range(d)]
+        word = (unit * 80)[: rng.randint(d, 80)]
+        if rng.random() < 0.8:
+            k = rng.randrange(len(word))
+            arrow, flag = word[k]
+            what = rng.choice(["arrow", "flag", "both"])
+            if what != "flag":
+                arrow = rng.choice([a for a in "abc" if a != arrow])
+            if what != "arrow":
+                flag = 1 - flag
+            word[k] = arrow, flag
+            changed[what] += 1
+        arrows, inv = tuple(a for a, _ in word), bytes(f for _, f in word)
+        s = rng.randint(d, len(word))
+        assert _periodic_end(arrows, inv, s, d) == stepwise_periodic_end(arrows, inv, s, d)
+    assert min(changed.values()) > 500, changed
 
 
 # --- support cover ------------------------------------------------------------
@@ -1408,12 +1533,12 @@ def _side_parts_agree(p, dec, lengths=(1, 3, 8)):
         assert _outcome(support_cover_check, p, n, dec) == _outcome(wide_mask_cover, work, n, dec)
 
 
-def test_side_part_passes_match_the_replaced_routes_on_the_corpora():
+def test_side_part_passes_match_the_replaced_routes_on_the_corpora(corpora):
     checked = shared = 0
     for seed in SIDE_PART_SEEDS:
-        strings = string_corpus(seed, 2000 if seed in SHARED_ARROW else 500)
+        strings = corpora(string_corpus, seed, 2000 if seed in SHARED_ARROW else 500)
         named = [strings[i] for i in SHARED_ARROW.get(seed, ())]
-        for p in strings[:500] + named[1:] + special_biserial_corpus(seed, 100):
+        for p in strings[:500] + named[1:] + corpora(special_biserial_corpus, seed, 100):
             if classify(p).verdict != STRICT_LAURA_OR_TILTED:
                 continue
             dec = decompose(p)
@@ -1521,11 +1646,11 @@ def test_one_pass_decides_every_parts_double_zeros(corpus):
     assert answers >= {0, 1, 2}
 
 
-def test_band_searches_match_the_every_cycle_routes(corpus500):
+def test_band_searches_match_the_every_cycle_routes(corpora, corpus500):
     """The census and the bounded enumeration against the routes that
     verify every cycle, on the fixtures, corpus500 and the NotLaura draws
     of another seed, where bands may share vertices."""
-    not_laura = [p for p in string_corpus(7, 500) if classify(p).verdict == NOT_LAURA]
+    not_laura = [p for p in corpora(string_corpus, 7, 500) if classify(p).verdict == NOT_LAURA]
     instances = _fixtures() + [monomial_form(p) for p in corpus500] + not_laura
     with_bands = 0
     for p in instances:
@@ -1536,12 +1661,13 @@ def test_band_searches_match_the_every_cycle_routes(corpus500):
     assert with_bands > 100
 
 
-def test_tuple_canonical_band_matches_the_object_route(corpus500):
+def test_tuple_canonical_band_matches_the_object_route(corpora, corpus500):
     """`canonical_band` against `object_canonical_band` on every rotation
     of both orientations of every census band of the fixtures and of
     corpora 1, 2 and 20260809."""
     instances = _fixtures() + [
-        monomial_form(p) for p in string_corpus(1, 200) + string_corpus(2, 200) + corpus500
+        monomial_form(p)
+        for p in corpora(string_corpus, 1, 200) + corpora(string_corpus, 2, 200) + corpus500
     ]
     checked = 0
     for p in instances:
@@ -1556,11 +1682,11 @@ def test_tuple_canonical_band_matches_the_object_route(corpus500):
     assert canonical_band(p.quiver, trivial) == object_canonical_band(p.quiver, trivial)
 
 
-def test_single_cycle_read_matches_johnson(corpus500):
+def test_single_cycle_read_matches_johnson(corpora, corpus500):
     """`component_cycles` yields Johnson's lists, in the same order and
     rotation, on every cyclic component of the fixtures, corpus500 and
     the NotLaura draws of another seed, one simple cycle or not."""
-    not_laura = [p for p in string_corpus(7, 500) if classify(p).verdict == NOT_LAURA]
+    not_laura = [p for p in corpora(string_corpus, 7, 500) if classify(p).verdict == NOT_LAURA]
     instances = _fixtures() + [monomial_form(p) for p in corpus500] + not_laura
     simple = other = 0
     for p in instances:
@@ -1706,9 +1832,9 @@ def test_envelope_solution_independence(skew6):
         assert C1.dims == C2.dims
 
 
-def test_duality_envelope_matches_the_naturality_solve(skew6, thirteen):
+def test_duality_envelope_matches_the_naturality_solve(corpora, skew6, thirteen):
     compared = 0
-    for p in [skew6, thirteen] + string_corpus(5, 10):
+    for p in [skew6, thirteen] + corpora(string_corpus, 5, 10):
         for w in enumerate_strings(p, 4):
             M = rep.string_module(p, w)
             I, embed = rep.injective_envelope(p, M)

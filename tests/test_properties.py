@@ -28,6 +28,7 @@ automaton_module = importlib.import_module("stringalg.automaton")
 doze_module = importlib.import_module("stringalg.doze")
 presentation_module = importlib.import_module("stringalg.presentation")
 decomp_module = importlib.import_module("stringalg.decomp")
+stringhom_module = importlib.import_module("stringalg.stringhom")
 from stringalg.walks import (
     Walk,
     band_boundary,
@@ -264,6 +265,32 @@ def test_classify_verdict_is_invariant_under_opposite(
             classify(p)
 
 
+def _flipped(q, w):
+    """w with every letter's direction flipped, as a canonical string over
+    the quiver q of the opposite algebra."""
+    return canonical_string(q, Walk(w.base, tuple(l.inverted() for l in w.letters)))
+
+
+def test_scan_is_invariant_under_opposite(corpus500, skew6, thirteen, nine):
+    """D = Hom(-, k) takes M(w) to the string module over A^op of w with
+    every letter flipped and swaps pd and id, so scanning A^op finds A's
+    witnesses flipped: over thirteen's pumped window [37, 46], skew6 and
+    nine (no string algebra: the matrix route) up to length 12 and
+    corpus500 up to length 8.  The period skip then reads the pd side of
+    one algebra and the id side of the other."""
+    cases = [(thirteen, 46, 37), (skew6, 12, 0), (nine, 12, 0)]
+    cases += [(p, 8, 0) for p in corpus500]
+    found = 0
+    for p, max_len, min_len in cases:
+        want = conjecture_scan(p, max_len, min_len=min_len)
+        pop = p.opposite()
+        got = conjecture_scan(pop, max_len, min_len=min_len)
+        assert got.count_both_ge2 == want.count_both_ge2, p
+        assert set(got.witnesses) == {_flipped(pop.quiver, w) for w in want.witnesses}, p
+        found += got.count_both_ge2
+    assert found > 100, found
+
+
 def test_string_corpus_gives_up_after_fifty_misses(monkeypatch):
     corpus_module = importlib.import_module("stringalg.corpus")
     calls = []
@@ -463,6 +490,25 @@ def test_window_walk_reads_do_not_grow_with_the_length(thirteen):
         reads.append(0)
         aut.edges = _counted_table(aut.edges, lambda _n: reads.__setitem__(-1, reads[-1] + 1))
         assert len(strings_of_length(p, [n])) == 12
+    assert reads[0] > 0 and max(reads) == reads[0], reads
+
+
+def test_scan_site_reads_do_not_grow_with_the_length(thirteen, monkeypatch):
+    """Scanning thirteen's strings of one length n reads as many syzygy
+    site windows at n = 100, 400 and 1,600: each string's valleys are
+    read once per band period, and the repeats are skipped."""
+    windows = stringhom_module._windows
+    reads = []
+
+    def counted(*args):
+        reads[-1] += 1
+        return windows(*args)
+
+    monkeypatch.setattr(stringhom_module, "_windows", counted)
+    for n in (100, 400, 1600):
+        p = textio.parse(textio.serialize("thirteen", thirteen))[1]
+        reads.append(0)
+        assert conjecture_scan(p, n, min_len=n).count_both_ge2 == 0
     assert reads[0] > 0 and max(reads) == reads[0], reads
 
 

@@ -478,8 +478,8 @@ def test_string_route_matches_exact_route_on_corpus(corpus500):
     assert sum(assert_routes_agree(p, range(5)) for p in corpus500[:60]) == 1525
 
 
-def test_string_route_matches_exact_route_on_j_quotients():
-    quotients = [quotient_by_J(p) for p in special_biserial_corpus(20260809, 6)]
+def test_string_route_matches_exact_route_on_j_quotients(corpora):
+    quotients = [quotient_by_J(p) for p in corpora(special_biserial_corpus, 20260809, 6)]
     assert sum(assert_routes_agree(p, range(5)) for p in quotients) == 334
 
 
@@ -512,10 +512,10 @@ def flipped(w):
     return Walk(w.base, tuple(l.inverted() for l in w.letters))
 
 
-def test_string_id_is_string_pd_over_the_opposite_algebra(skew6, thirteen, commsquare):
+def test_string_id_is_string_pd_over_the_opposite_algebra(corpora, skew6, thirteen, commsquare):
     # D = Hom(-, k) sends M(w) over A to M(w flipped) over A^op and
     # injectives to projectives, so id M(w) >= 2 iff pd D M(w) >= 2
-    presentations = [skew6, thirteen, quotient_by_J(commsquare)] + string_corpus(5, 200)
+    presentations = [skew6, thirteen, quotient_by_J(commsquare)] + corpora(string_corpus, 5, 200)
     compared = 0
     for p in presentations:
         pop = p.opposite()
@@ -567,13 +567,13 @@ def test_string_verdicts_do_not_depend_on_call_order(make, lengths):
     assert stringhom.conjecture_scan(make(), max(lengths), min_len=min(lengths)).witnesses == witnesses
 
 
-def test_string_route_edge_cases():
+def test_string_route_edge_cases(corpora):
     # a relation-free quiver: no generator to complete, every window empty
     a3 = linear_a3()
     assert a3.max_generator_length() - 1 == -1
     assert _verdicts(a3, strings_of_length(a3, range(0, 3))) == [(False, False)] * 6
     # a descent reaching the first letter must not wrap round to the last
-    p = quotient_by_J(special_biserial_corpus(20260809, 6)[2])
+    p = quotient_by_J(corpora(special_biserial_corpus, 20260809, 6)[2])
     w = walk(p, "v4: a6 a5^-1 a6")
     M = rep.string_module(p, w)
     assert stringhom.string_pd_at_least_2(p, w) == rep.pd_at_least_2(p, M)
