@@ -35,7 +35,6 @@ from .walks import (
 )
 from .automaton import (
     StringAutomaton,
-    automaton,
     band_census,
     enumerate_bands,
     enumerate_strings,

@@ -225,53 +225,38 @@ class StringAutomaton:
         """States lying on some nontrivial cycle, as a fresh set."""
         return {s for comp in self.cyclic_components for s in comp}
 
-    def bfs(self, sources, targets=None):
-        """Deterministic BFS; returns (dist, parent) maps.  With targets it
-        stops after the first layer holding one, the maps unchanged up to it."""
-        dist = {}
-        parent = {}
+    def bfs(self, sources, targets):
+        """Deterministic BFS to the nearest targets: (the least target in
+        the first layer holding one, the letters along its BFS-parent
+        chain), or None when no target is reached."""
+        parent = dict.fromkeys(sources)
         frontier = list(sources)
-        for s in frontier:
-            dist[s] = 0
-            parent[s] = None
-        d = 0
         while frontier:
-            if targets is not None and any(s in targets for s in frontier):
-                break
+            hits = [s for s in frontier if s in targets]
+            if hits:
+                target = s = min(hits)
+                letters = []
+                while parent[s] is not None:
+                    letters.append(self.letter_of[s])
+                    s = parent[s]
+                return target, letters[::-1]
             nxt = []
             for s in frontier:
                 for t in self.edges[s]:
-                    if t not in dist:
-                        dist[t] = d + 1
+                    if t not in parent:
                         parent[t] = s
                         nxt.append(t)
             frontier = nxt
-            d += 1
-        return dist, parent
-
-    def path_letters(self, parent, target):
-        """Letters along the BFS parent chain ending at target."""
-        out = []
-        s = target
-        letter_of = self.letter_of
-        while parent[s] is not None:
-            out.append(letter_of[s])
-            s = parent[s]
-        out.reverse()
-        return out
+        return None
 
     def shortest_cycle_at(self, q):
         """Letter sequence of a minimal cycle through q, or None."""
-        best = None
+        cycles = []
         for s in self.edges[q]:
-            dist, parent = self.bfs([s], {q})
-            if q not in dist:
-                continue
-            cand = [self.letter_of[s]] + self.path_letters(parent, q)
-            key = (len(cand), cand)
-            if best is None or key < best[0]:
-                best = (key, cand)
-        return best[1] if best else None
+            found = self.bfs([s], {q})
+            if found is not None:
+                cycles.append([self.letter_of[s]] + found[1])
+        return min(cycles, key=lambda c: (len(c), c), default=None)
 
 
 def automaton(p):

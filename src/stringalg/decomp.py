@@ -44,12 +44,11 @@ class Subcategory(Value):
 class Decomposition(Value):
     _compare = ("a_parts", "b_parts", "middle", "notes")
 
-    def __init__(self, a_parts, b_parts, middle, notes, analyzed=None):
+    def __init__(self, a_parts, b_parts, middle, notes):
         object.__setattr__(self, "a_parts", a_parts)
         object.__setattr__(self, "b_parts", b_parts)
         object.__setattr__(self, "middle", middle)
         object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "analyzed", analyzed)
 
     @property
     def parts(self):
@@ -60,7 +59,7 @@ class Decomposition(Value):
         return self.a_parts + self.b_parts
 
 
-def d_category(p, w, label="D"):
+def d_category(p, w):
     """Support of all two-sided string extensions of a string.
 
     Objects and arrows touched by any string containing the given walk,
@@ -93,7 +92,7 @@ def d_category(p, w, label="D"):
         touch = aut.states_at.get(w.base, ())
         on = reach(touch, aut.edges.__getitem__) | reach(touch, aut.predecessors.__getitem__)
         objects, arrows = _support(aut, on, [w.base])
-    return Subcategory(label, frozenset(objects), frozenset(arrows))
+    return Subcategory("D", frozenset(objects), frozenset(arrows))
 
 
 def _support(aut, states, objects):
@@ -192,7 +191,7 @@ def decompose(p):
         raise PreconditionError(
             f"decomposition is defined for StrictLauraOrTilted inputs, got {report.verdict}"
         )
-    work = report.analyzed
+    work = monomial_form(p)
     notes = list(report.notes)
     a_parts = []
     b_parts = []
@@ -215,7 +214,7 @@ def decompose(p):
         "middle part convention: a string belongs to the middle census unless "
         "its full support lies in one single side part"
     )
-    dec = Decomposition(tuple(a_parts), tuple(b_parts), middle, tuple(notes), work)
+    dec = Decomposition(tuple(a_parts), tuple(b_parts), middle, tuple(notes))
     covered = set().union(*(part.objects for part in dec.parts))
     if covered != set(work.quiver.vertices):
         raise CorruptPresentationError("decomposition does not cover every vertex")
@@ -248,20 +247,13 @@ class StructureReport(Value):
         return {name: getattr(self, name) for name in self._checks}
 
 
-def _with_decomposition(p, decomposition):
-    """(decomposition, monomial presentation it is checked against)."""
-    if decomposition is None:
-        dec = decompose(p)
-        return dec, dec.analyzed
-    return decomposition, monomial_form(p)
-
-
 def check_structure(p, decomposition=None):
     """The six structural checks on a decomposition.
 
-    With an explicit decomposition the checks run against p itself, which
-    lets tests aim a valid decomposition at a corrupted presentation."""
-    dec, work = _with_decomposition(p, decomposition)
+    The checks run against `monomial_form(p)`, so an explicit
+    decomposition can be aimed at a corrupted presentation."""
+    dec = decompose(p) if decomposition is None else decomposition
+    work = monomial_form(p)
     q = work.quiver
     details = []
     order = {a.name: i for i, a in enumerate(q.arrows)}
@@ -370,7 +362,8 @@ def support_cover_check(p, max_len, decomposition=None):
     `_mask_pairs` decides the masks on (automaton state, mask) pairs and
     runs to the end past a failure, so the visit budget is spent alike on
     every answer."""
-    dec, work = _with_decomposition(p, decomposition)
+    dec = decompose(p) if decomposition is None else decomposition
+    work = monomial_form(p)
     aut = automaton(work)
     held = _labels(aut, dec.parts)
     roots = {s: held[s] for s in aut.first.values()}

@@ -331,18 +331,19 @@ def find_doze(p):
         s0 = aut.generator_state(i)
         if s0 not in leads:
             continue
-        dist1, par1 = aut.bfs([s0], hot)
-        q = min((s for s in dist1 if s in hot), key=lambda s: (dist1[s], s))
-        dist2, par2 = aut.bfs([q], completing)
-        f = min((s for s in dist2 if s in completing), key=lambda s: (dist2[s], s))
-        comps = sorted(completing[f], key=lambda c: (gens[c[0]], c[1]))
-        return _assemble_witness(p, aut, g, q, par1, (f, comps[0]), par2)
+        q, w1_letters = aut.bfs([s0], hot)
+        f, path = aut.bfs([q], completing)
+        completion = min(completing[f], key=lambda c: (gens[c[0]], c[1]))
+        return _assemble_witness(p, aut, g, q, w1_letters, completion, path)
     return None
 
 
-def _assemble_witness(p, aut, g, q, par1, target, par2):
+def _assemble_witness(p, aut, g, q, w1_letters, completion, path):
+    """The witness from rho1 = g, the letters w1 from g's end to the cycle
+    state q, and the letters `path` from q to a state that the step
+    `completion` = (generator index, arrow) completes."""
     quiver = p.quiver
-    f, (gen_idx, xarrow) = target
+    gen_idx, xarrow = completion
     g2 = p.zero_paths[gen_idx]
     cycle_letters = aut.shortest_cycle_at(q)
     root = list(primitive_root(cycle_letters))
@@ -353,7 +354,6 @@ def _assemble_witness(p, aut, g, q, par1, target, par2):
         raise CorruptPresentationError("primitive root does not stabilize its state")
     # the root starts with a letter leaving q, at q's end vertex
     band = make_cyclic(quiver, Walk(letter_ends(quiver, root[0])[0], tuple(root)))
-    path = aut.path_letters(par2, f)
     m = len(g2)
     pad = 0
     while len(path) + pad * len(root) < m - 1:
@@ -364,7 +364,7 @@ def _assemble_witness(p, aut, g, q, par1, target, par2):
     if any(l.inverse for l in rho2_letters) or tuple(l.arrow for l in rho2_letters) != g2:
         raise CorruptPresentationError("generator completion is inconsistent")
     rho1_end = quiver.arrow[g[-1]].target
-    w1 = Walk(rho1_end, tuple(aut.path_letters(par1, q)))
+    w1 = Walk(rho1_end, tuple(w1_letters))
     w3 = Walk(band.base, tuple(w3_letters))
     return _validate_witness(DozeWitness(p, g, w1, band, w3, g2))
 
@@ -402,6 +402,10 @@ class BandInfo(Value):
 
 
 class ClassificationReport(Value):
+    """`analyzed` is `monomial_form` of the classified presentation; no
+    `stringalg` code reads it, and it stays only for the benchmark's
+    corpus oracle, which reads it off the cached report."""
+
     _compare = ("verdict", "evidence", "bands", "notes")
 
     def __init__(self, verdict, evidence, bands, notes, analyzed=None):

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import tracemalloc
+import types
 import weakref
 
 import pytest
@@ -18,7 +19,7 @@ from stringalg.automaton import (
 from stringalg.doze import classify
 from stringalg.errors import SearchBudgetExceeded
 from stringalg.fixtures import linear_a3
-from stringalg.presentation import Presentation
+from stringalg.presentation import Presentation, monomial_form
 from stringalg.walks import (
     CyclicWalk,
     Letter,
@@ -295,9 +296,9 @@ def test_classify_condenses_the_automaton_once(monkeypatch):
         monkeypatch.setattr(module, "sccs", counting)
     for p in (fixtures.thirteen(), fixtures.skew6(), linear_a3()):
         calls.clear()
-        report = classify(p)
-        aut = automaton(report.analyzed)
-        exists_band(report.analyzed)
+        classify(p)
+        aut = automaton(monomial_form(p))
+        exists_band(monomial_form(p))
         assert aut.cycle_states() == aut.cycle_states()
         assert calls.count(aut.states) == 1
 
@@ -349,3 +350,14 @@ def test_band_census_cap_is_a_search_budget(monkeypatch):
     monkeypatch.setattr(automaton_module, "_CENSUS_CAP", 2)
     with pytest.raises(SearchBudgetExceeded, match="band census exceeded the cycle cap"):
         band_census(fixtures.thirteen())
+
+
+def test_the_automaton_submodule_is_not_shadowed(monkeypatch):
+    """`import stringalg.automaton as m` binds the module, not the
+    function `automaton`, so patching its walk cap takes effect."""
+    import stringalg.automaton as m
+
+    assert isinstance(m, types.ModuleType)
+    monkeypatch.setattr(m, "_WALK_CAP", 50)
+    with pytest.raises(SearchBudgetExceeded):
+        m.strings_of_length(fixtures.thirteen(), range(0, 30))

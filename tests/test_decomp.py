@@ -257,7 +257,7 @@ def test_support_cover_fails_with_truncated_middle(thirteen):
     dec = decompose(thirteen)
     m = dec.middle
     middle = Subcategory(m.label, m.objects - {"7"}, m.arrows, m.anchor, m.band)
-    broken = Decomposition(dec.a_parts, dec.b_parts, middle, dec.notes, dec.analyzed)
+    broken = Decomposition(dec.a_parts, dec.b_parts, middle, dec.notes)
     assert not support_cover_check(thirteen, 10, broken)
 
 
@@ -291,7 +291,7 @@ def test_decompose_special_biserial_through_the_quotient():
         comms=[(["c", "d"], ["f", "g"])],
     )
     dec = decompose(p)
-    assert dec.analyzed.is_monomial
+    assert monomial_form(p).is_monomial
     assert any("J-quotient" in n for n in dec.notes)
     assert check_structure(p, dec).all_pass
     assert support_cover_check(p, 8, dec)
@@ -314,7 +314,7 @@ def test_side_part_is_inside_every_anchor_closure(corpora):
         draws = corpora(corpus, seed, max(indices) + 1)
         for p in (draws[i] for i in indices):
             dec = decompose(p)
-            work = dec.analyzed
+            work = monomial_form(p)
             for part in dec.side_parts:
                 side = "in" if part in dec.b_parts else "out"
                 anchors = _eligible_anchors(work, part.band, side)

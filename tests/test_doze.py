@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.doze import (
     FINITE_TYPE,
     HEREDITARY_SINGLE_BAND,
@@ -20,7 +23,7 @@ from stringalg.errors import (
     SearchBudgetExceeded,
 )
 from stringalg.fixtures import linear_a3
-from stringalg.presentation import Presentation
+from stringalg.presentation import Presentation, monomial_form
 from stringalg.walks import (
     canonical_band,
     direct,
@@ -263,3 +266,27 @@ def test_double_zero_search_deeper_than_the_recursion_limit(skew6):
     # depth-first search runs to length 1500 before the budget is spent.
     with pytest.raises(SearchBudgetExceeded):
         find_double_zeros(skew6, 1500, node_budget=2000)
+
+
+# SHA-256 of one line per instance, `find_doze(m).serialize()` or `none`,
+# over m = monomial_form(p) for string_corpus(20260809, 500),
+# special_biserial_corpus(1, 200) and string_corpus(1, 2000), then skew6
+# and thirteen: 2,702 instances, 1,018 witnesses.  Pins the assembled
+# witness itself, which the differential tests check against a route that
+# assembles it the same way.
+WITNESS_SHA256 = "d580594b1d355088de3198c41387b80f6dd9d70b36377308f4b78f4a253b859c"
+
+
+def test_doze_witnesses_are_pinned(corpora, corpus500, skew6, thirteen):
+    instances = (
+        corpus500
+        + corpora(special_biserial_corpus, 1, 200)
+        + corpora(string_corpus, 1, 2000)
+        + [skew6, thirteen]
+    )
+    lines = []
+    for p in instances:
+        w = find_doze(monomial_form(p))
+        lines.append("none" if w is None else w.serialize())
+    assert (len(lines), sum(line != "none" for line in lines)) == (2702, 1018)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WITNESS_SHA256
