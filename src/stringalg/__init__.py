@@ -3,6 +3,8 @@ quivers: walk and band combinatorics, the laura classification via
 interlaced double-zeros, the side/middle structural decomposition, and
 exact string-module homology."""
 
+from types import ModuleType as _ModuleType
+
 from .presentation import (
     Arrow,
     OrientedPath,
@@ -57,5 +59,5 @@ from .doze import (
     has_double_zero,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if n[0] != "_" and not isinstance(globals()[n], _ModuleType)]
 __version__ = "0.1.0"

@@ -288,38 +288,26 @@ _WALK_CAP = 200_000
 LETTER_CAP = 1_000_000
 
 
-def _largest(lengths):
-    """max(lengths, default=0), with a range read off its ends."""
-    if isinstance(lengths, range):
-        return max(lengths[0], lengths[-1]) if lengths else 0
-    return max(lengths, default=0)
-
-
-def _smallest(lengths):
-    """min(lengths, default=0), with a range read off its ends."""
-    if isinstance(lengths, range):
-        return min(lengths[0], lengths[-1]) if lengths else 0
-    return min(lengths, default=0)
-
-
 def _walk_tree(p, wanted):
-    """The nonempty strings of length in `wanted`, a container of lengths
-    (a range is never iterated), each reached once as a node of the
-    automaton's walk tree, as (base, letters) pairs.  `wanted` is read at
-    its ends, then asked once per depth from its least that the walk reaches.
+    """The nonempty strings of length in `wanted`, a range of consecutive
+    lengths read at its ends, each reached once as a node of the
+    automaton's walk tree, as (base, letters) pairs.  Any other container,
+    or a range with a step other than 1, raises PreconditionError.
 
     One iterative depth-first walk down to the largest wanted length,
     following the automaton's edges.  Siblings come in letter order, so
     the strings of each length come out in `Walk.key` order.  `letters` is
     one shared list, valid only until the next item; nothing else is
-    built per node.  Below the least wanted length an edgeless child is
+    built per node.  Below the window an edgeless child is
     counted, not walked, and a ring (`StringAutomaton.rings`) is gone round
     in whole turns up to one letter short of the window.  Each string still
     counts as a visit before the same item as in a walk of every node, so
     visiting more than `_WALK_CAP` nodes raises SearchBudgetExceeded where
     that walk would.
     """
-    top = _largest(wanted)
+    if not isinstance(wanted, range) or wanted.step != 1:
+        raise PreconditionError("string lengths must be a range of consecutive lengths")
+    top = wanted[-1] if wanted else 0
     if top < 1:
         return
     aut = automaton(p)
@@ -327,13 +315,12 @@ def _walk_tree(p, wanted):
     letter_of = aut.letter_of
     edges = aut.edges
     # a node shallower than `short` has children shorter than the window
-    short = max(_smallest(wanted), 1) - 1
+    short = max(wanted[0], 1) - 1
     rings = aut.rings if short > 1 else None
     roots = [aut.first[f(a)] for a in sorted(q.arrow) for f in (direct, inverse)]
     stack = [(s, 1) for s in reversed(roots)]
     letters = []
     nodes = 0
-    hit = [False, short + 1 in wanted]  # hit[i]: depth short + i in wanted, per depth reached
     while stack:
         s, depth = stack.pop()
         if not depth:  # s edgeless children below the window, counted as one entry
@@ -347,10 +334,9 @@ def _walk_tree(p, wanted):
             if nodes > _WALK_CAP:
                 raise SearchBudgetExceeded("string enumeration exceeded the walk cap")
             letters.append(letter_of[s])
-            if depth >= short:
-                if hit[depth - short]:
-                    yield base, letters
-            elif (step := rings[s]) is not None:
+            if depth > short:
+                yield base, letters
+            elif depth < short and (step := rings[s]) is not None:
                 lead, live, trail, ring, at = step
                 if ring is not None and depth + ring[1] <= short:
                     doubled, n, visits, deferred = ring
@@ -376,8 +362,6 @@ def _walk_tree(p, wanted):
                 break
             # follow the first child here, the others after its subtree
             depth += 1
-            if depth - short == len(hit):
-                hit.append(depth in wanted)
             if len(nxt) > 1:
                 stack.extend([(t, depth) for t in reversed(nxt[1:])])
             s = nxt[0]
@@ -427,9 +411,9 @@ def _below_inverse(letters):
 
 
 def strings_of_length(p, lengths):
-    """Canonical strings whose length lies in `lengths`, ordered by
-    `Walk.key`: the trivial walks when 0 is wanted, then one string per
-    {w, w^-1} at each wanted length.
+    """Canonical strings whose length lies in the range `lengths` (see
+    `_walk_tree`), ordered by `Walk.key`: the trivial walks when 0 is
+    wanted, then one string per {w, w^-1} at each wanted length.
 
     Visits every string up to the largest wanted length once, in both
     orientations (see `_walk_tree`), and builds a `Walk` only for the

@@ -16,6 +16,9 @@ from .presentation import (
     validate_string_algebra,
 )
 
+# a corpus draw's most vertices, arrows, zero relations, path arrows and attempts
+_VERTICES, _ARROWS, _RELATIONS, _PATH_LEN, _ATTEMPTS = 8, 12, 6, 3, 400
+
 
 def _random_quiver(rng, max_vertices, max_arrows, cap_degrees):
     nv = rng.randint(2, max_vertices)
@@ -50,7 +53,7 @@ def _random_quiver(rng, max_vertices, max_arrows, cap_degrees):
     return Quiver(vertices, arrows)
 
 
-def _random_zero_paths(rng, quiver, count, max_len=3):
+def _random_zero_paths(rng, quiver, count):
     paths = set()
     arrows = list(quiver.arrows)
     if not arrows:
@@ -60,7 +63,7 @@ def _random_zero_paths(rng, quiver, count, max_len=3):
             break
         a = rng.choice(arrows)
         path = [a]
-        length = rng.randint(2, max_len)
+        length = rng.randint(2, _PATH_LEN)
         while len(path) < length:
             nxt = quiver.out_arrows(path[-1].target)
             if not nxt:
@@ -109,15 +112,13 @@ def _enforce_unique_continuation(rng, quiver, zeros, protected=frozenset()):
             return zeros
 
 
-def random_string_presentation(
-    rng, max_vertices=8, max_arrows=12, max_relations=6, attempts=400
-):
+def random_string_presentation(rng):
     """A random valid string algebra presentation, or None."""
-    for _ in range(attempts):
-        quiver = _random_quiver(rng, max_vertices, max_arrows, cap_degrees=True)
+    for _ in range(_ATTEMPTS):
+        quiver = _random_quiver(rng, _VERTICES, _ARROWS, cap_degrees=True)
         zeros = _random_zero_paths(rng, quiver, rng.randint(0, 2))
         zeros = _enforce_unique_continuation(rng, quiver, zeros)
-        if len(zeros) > max_relations:
+        if len(zeros) > _RELATIONS:
             continue
         try:
             p = Presentation(quiver, [quiver.path(z) for z in sorted(zeros)])
@@ -148,7 +149,7 @@ def random_monomial_presentation(
     return None
 
 
-def _parallel_path_pairs(quiver, max_len=3):
+def _parallel_path_pairs(quiver):
     """Distinct same-endpoint oriented path pairs of length >= 2 whose
     continuation requirements do not collide."""
     by_ends = {}
@@ -157,7 +158,7 @@ def _parallel_path_pairs(quiver, max_len=3):
         path, src, tgt = stack.pop()
         if len(path) >= 2:
             by_ends.setdefault((src, tgt), []).append(path)
-        if len(path) < max_len:
+        if len(path) < _PATH_LEN:
             for b in quiver.out_arrows(tgt):
                 stack.append((path + (b.name,), src, b.target))
     pairs = []
@@ -175,11 +176,11 @@ def _parallel_path_pairs(quiver, max_len=3):
     return pairs
 
 
-def random_special_biserial(rng, max_vertices=8, max_arrows=12, attempts=400):
+def random_special_biserial(rng):
     """A random special biserial presentation with one commutativity
     relation, or None."""
-    for _ in range(attempts):
-        quiver = _random_quiver(rng, max_vertices, max_arrows, cap_degrees=True)
+    for _ in range(_ATTEMPTS):
+        quiver = _random_quiver(rng, _VERTICES, _ARROWS, cap_degrees=True)
         pairs = _parallel_path_pairs(quiver)
         if not pairs:
             continue
@@ -201,8 +202,8 @@ def random_special_biserial(rng, max_vertices=8, max_arrows=12, attempts=400):
     return None
 
 
-def _draw(make, seed, size, kwargs):
-    """Up to `size` presentations from make(rng, **kwargs), in draw order.
+def _draw(make, seed, size):
+    """Up to `size` presentations from make(rng), in draw order.
 
     A draw that returns None is a miss; after 50 misses the list is
     returned short, so a generator that cannot succeed never hangs.
@@ -211,7 +212,7 @@ def _draw(make, seed, size, kwargs):
     out = []
     misses = 0
     while len(out) < size and misses < 50:
-        p = make(rng, **kwargs)
+        p = make(rng)
         if p is None:
             misses += 1
             continue
@@ -219,12 +220,12 @@ def _draw(make, seed, size, kwargs):
     return out
 
 
-def string_corpus(seed, size, **kwargs):
+def string_corpus(seed, size):
     """Deterministic list of valid string presentations."""
-    return _draw(random_string_presentation, seed, size, kwargs)
+    return _draw(random_string_presentation, seed, size)
 
 
-def special_biserial_corpus(seed, size, **kwargs):
+def special_biserial_corpus(seed, size):
     """Deterministic list of special biserial presentations with a
     commutativity relation."""
-    return _draw(random_special_biserial, seed, size, kwargs)
+    return _draw(random_special_biserial, seed, size)

@@ -105,28 +105,12 @@ def _support(aut, states, objects):
     return objects, arrows
 
 
-def choose_anchor(p, band, side="out"):
-    """Least band vertex whose out-arrows (dually in-arrows) all lie on
-    the band; always exists for finite-dimensional inputs."""
-    anchors = _eligible_anchors(p, band, side)
-    if not anchors:
-        raise CorruptPresentationError(
-            f"band {band} has no {side}-anchor; presentation is corrupted"
-        )
-    return anchors[0]
-
-
-def _eligible_anchors(p, band, side):
-    """Band vertices, sorted, whose out-arrows (dually in-arrows) all lie
-    on the band."""
-    q = p.quiver
-    on_arrows = walk_arrows(band.walk)
-    out = []
-    for v in sorted(set(walk_vertices(q, band.walk))):
-        incident = q.out_arrows(v) if side == "out" else q.in_arrows(v)
-        if all(a.name in on_arrows for a in incident):
-            out.append(v)
-    return out
+def _anchors(q, info):
+    """A band's anchors, sorted: its vertices where no exiting arrow starts
+    (for a band with entering arrows, where no entering arrow ends)."""
+    b = info.boundary
+    off = [q.arrow[a].target for a in b.entering] or [q.arrow[a].source for a in b.exiting]
+    return sorted(set(walk_vertices(q, info.band.walk)).difference(off))
 
 
 def _straddle_support(p, side_parts):
@@ -181,10 +165,11 @@ def _labels(aut, parts):
 def decompose(p):
     """Side parts per one-sided band plus the middle part.
 
-    Defined exactly when classify(p) says StrictLauraOrTilted.  The side
-    part around a band is the intersection, over its eligible anchors, of
+    Defined exactly when classify(p) says StrictLauraOrTilted.  A band's
+    anchors are read off the boundary `classify` computed (`_anchors`).
+    The side part around a band is the intersection, over its anchors, of
     the anchors' two-sided string closures; where the anchors agree it is
-    that closure.  The reported anchor is the least eligible one.
+    that closure.  The reported anchor is the least one.
     """
     report = classify(p)
     if report.verdict != STRICT_LAURA_OR_TILTED:
@@ -196,13 +181,10 @@ def decompose(p):
     a_parts = []
     b_parts = []
     for info in report.bands:
-        if info.boundary.entering:
-            side, bucket, prefix = "in", b_parts, "B"
-        else:
-            side, bucket, prefix = "out", a_parts, "A"
-        anchors = _eligible_anchors(work, info.band, side)
+        bucket, prefix = (b_parts, "B") if info.boundary.entering else (a_parts, "A")
+        anchors = _anchors(work.quiver, info)
         if not anchors:
-            raise CorruptPresentationError(f"band {info.band} has no {side}-anchor")
+            raise CorruptPresentationError(f"band {info.band} has no anchor")
         cats = [d_category(work, trivial_walk(work.quiver, v)) for v in anchors]
         objects = frozenset.intersection(*(c.objects for c in cats))
         arrows = frozenset.intersection(*(c.arrows for c in cats))

@@ -16,7 +16,7 @@ LARGEST_DRAW = {
     (string_corpus, 101): 776,
     (string_corpus, CORPUS_SEED): 2000,
     (special_biserial_corpus, 1): 200,
-    (special_biserial_corpus, 2): 100,
+    (special_biserial_corpus, 2): 200,
     (special_biserial_corpus, 3): 100,
     (special_biserial_corpus, 101): 415,
     (special_biserial_corpus, CORPUS_SEED): 100,
@@ -44,6 +44,10 @@ class CorpusDraws:
             drawn = self.drawn[key] = larger
         assert len(drawn) >= size, f"{generator.__name__}({seed}) stopped at {len(drawn)}"
         return drawn[:size]
+
+    def largest(self):
+        """Every draw of LARGEST_DRAW, at its size, in one list."""
+        return [p for (gen, seed), size in LARGEST_DRAW.items() for p in self(gen, seed, size)]
 
 
 @pytest.fixture(scope="session")

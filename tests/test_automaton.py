@@ -17,7 +17,7 @@ from stringalg.automaton import (
     strings_of_length,
 )
 from stringalg.doze import classify
-from stringalg.errors import SearchBudgetExceeded
+from stringalg.errors import PreconditionError, SearchBudgetExceeded
 from stringalg.fixtures import linear_a3
 from stringalg.presentation import Presentation, monomial_form
 from stringalg.walks import (
@@ -104,6 +104,12 @@ def test_strings_of_length_window(thirteen):
         assert 3 <= len(w.letters) <= 4
 
 
+@pytest.mark.parametrize("lengths", [{3, 5}, [3], range(3, 9, 2), range(8, 2, -1)], ids=str)
+def test_strings_of_length_takes_only_a_range_of_consecutive_lengths(thirteen, lengths):
+    with pytest.raises(PreconditionError, match="range of consecutive lengths"):
+        strings_of_length(thirteen, lengths)
+
+
 # --- the walk-tree enumerator against the naive filter of all walks ----------
 
 NAIVE_MAX = 7
@@ -139,7 +145,7 @@ def naive_bands(p, strings, max_len):
     return sorted(found, key=lambda c: c.walk.key())
 
 
-@pytest.mark.parametrize("lengths", [{0}, {1}, {3, 5}, range(5, 8)], ids=str)
+@pytest.mark.parametrize("lengths", [range(0, 1), range(1, 2), range(3, 6), range(5, 8)], ids=str)
 def test_strings_of_length_matches_naive_filter(differential_instances, lengths):
     for p, strings in differential_instances:
         assert strings_of_length(p, lengths) == naive_strings(p, strings, lengths)
@@ -170,7 +176,7 @@ def test_window_builds_a_walk_only_per_result(monkeypatch, thirteen):
             built.append(self)
 
     monkeypatch.setattr(automaton_module, "Walk", CountingWalk)
-    got = strings_of_length(thirteen, [46])
+    got = strings_of_length(thirteen, range(46, 47))
     assert len(built) <= 2 * len(got)
     assert len(got) == 12
 
@@ -180,7 +186,7 @@ def test_walk_cap_counts_every_visited_string(monkeypatch, skew6):
     visits = sum(1 for w in all_walks_up_to(skew6, 6) if w.letters and is_string(skew6, w))
     runs = (
         lambda: enumerate_strings(skew6, 6),
-        lambda: strings_of_length(skew6, [6]),
+        lambda: strings_of_length(skew6, range(6, 7)),
         lambda: enumerate_bands(skew6, 6),
     )
     monkeypatch.setattr(automaton_module, "_WALK_CAP", visits)
@@ -218,7 +224,7 @@ def test_window_past_the_cap_raises_before_its_letters_grow(thirteen):
     tracemalloc.start()
     try:
         with pytest.raises(SearchBudgetExceeded, match="exceeded the walk cap"):
-            strings_of_length(thirteen, [10**9])
+            strings_of_length(thirteen, range(10**9, 10**9 + 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -361,3 +367,11 @@ def test_the_automaton_submodule_is_not_shadowed(monkeypatch):
     monkeypatch.setattr(m, "_WALK_CAP", 50)
     with pytest.raises(SearchBudgetExceeded):
         m.strings_of_length(fixtures.thirteen(), range(0, 30))
+
+
+def test_star_import_binds_no_submodule():
+    namespace = {}
+    exec("from stringalg import *", namespace)
+    bound = {n: v for n, v in namespace.items() if n != "__builtins__"}
+    assert [n for n, v in bound.items() if isinstance(v, types.ModuleType)] == []
+    assert "StringAutomaton" in namespace and "classify" in namespace

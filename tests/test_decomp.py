@@ -7,13 +7,13 @@ from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.decomp import (
     Decomposition,
     Subcategory,
-    _eligible_anchors,
+    _anchors,
     check_structure,
-    choose_anchor,
     d_category,
     decompose,
     support_cover_check,
 )
+from stringalg.doze import BandInfo, classify
 from stringalg.errors import (
     CorruptPresentationError,
     PreconditionError,
@@ -21,6 +21,7 @@ from stringalg.errors import (
 )
 from stringalg.presentation import Presentation, monomial_form
 from stringalg.walks import (
+    band_boundary,
     inverse_walk,
     parse_band,
     parse_walk,
@@ -91,21 +92,26 @@ def band(p, text):
     return parse_band(p.quiver, text)
 
 
+def anchors_by_band(p):
+    return {serialize_band(part.band): part.anchor for part in decompose(p).side_parts}
+
+
 def test_choose_anchor_prefers_fully_internal_vertex(thirteen):
-    assert choose_anchor(thirteen, band(thirteen, "band: 11: rho5 rho6^-1")) == "11"
-    assert choose_anchor(thirteen, band(thirteen, "band: 13: rho7 rho8^-1")) == "13"
+    anchors = anchors_by_band(thirteen)
+    assert anchors["band: 11: rho5 rho6^-1"] == "11"
+    assert anchors["band: 13: rho7 rho8^-1"] == "13"
 
 
 def test_choose_anchor_dual_side(thirteen):
-    assert (
-        choose_anchor(thirteen, band(thirteen, "band: 2: rho1 rho2^-1"), side="in")
-        == "1"
-    )
+    # a band with entering arrows is anchored where none of them ends
+    assert anchors_by_band(thirteen)["band: 2: rho1 rho2^-1"] == "1"
 
 
 def test_choose_anchor_boundaryless_band():
+    # with no boundary every band vertex is an anchor, the least first
     p = Presentation.build(["1", "2"], [("a", "2", "1"), ("b", "2", "1")])
-    assert choose_anchor(p, band(p, "band: 2: a b^-1")) == "1"
+    c = band(p, "band: 2: a b^-1")
+    assert _anchors(p.quiver, BandInfo(c, band_boundary(p, c))) == ["1", "2"]
 
 
 # --- the decomposition ------------------------------------------------------
@@ -315,9 +321,9 @@ def test_side_part_is_inside_every_anchor_closure(corpora):
         for p in (draws[i] for i in indices):
             dec = decompose(p)
             work = monomial_form(p)
+            infos = {info.band: info for info in classify(p).bands}
             for part in dec.side_parts:
-                side = "in" if part in dec.b_parts else "out"
-                anchors = _eligible_anchors(work, part.band, side)
+                anchors = _anchors(work.quiver, infos[part.band])
                 cats = [d_category(work, trivial_walk(work.quiver, v)) for v in anchors]
                 assert part.anchor == anchors[0]
                 assert all(part.objects <= c.objects and part.arrows <= c.arrows for c in cats)

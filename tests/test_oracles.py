@@ -59,6 +59,9 @@ kept as differential oracles.
 - `every_site_pd_at_least_2`: the pd >= 2 verdict reading every site
   of the string, where `_StringHomology.pd_at_least_2` reads each band
   period's valley sites once and skips the repeats.
+- `eligible_anchors`: a band's anchors by their definition, the band
+  vertices whose out-arrows (dually in-arrows) all lie on the band,
+  where `decompose` reads them off the boundary `classify` computed.
 - `naturality_envelope`: the injective envelope as one solution of the
   naturality system that extends the socle matching, into injectives
   whose bases are the ideal-avoiding paths ending at each socle vertex;
@@ -90,7 +93,6 @@ from stringalg import exactla as la
 from stringalg import fixtures, rep
 from stringalg.automaton import (
     StringAutomaton,
-    _largest,
     _mask_pairs,
     _walk_tree,
     automaton,
@@ -104,6 +106,7 @@ from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.decomp import (
     Decomposition,
     Subcategory,
+    _anchors,
     _straddle_support,
     _support,
     check_structure,
@@ -685,7 +688,7 @@ def every_walk_bands(p, max_len):
 def stepwise_walk_tree(p, wanted):
     """`_walk_tree` one node per Python step, yielding (base, letters,
     visits so far) and returning its visits in all."""
-    top = _largest(wanted)
+    top = max(wanted, default=0)
     if top < 1:
         return 0
     aut = automaton(p)
@@ -696,7 +699,6 @@ def stepwise_walk_tree(p, wanted):
     stack = [(s, 1) for s in reversed(roots)]
     letters = []
     nodes = 0
-    hit = [False, 1 in wanted]  # hit[depth]: depth in wanted, per depth reached
     while stack:
         s, depth = stack.pop()
         del letters[depth - 1 :]
@@ -707,15 +709,13 @@ def stepwise_walk_tree(p, wanted):
             if nodes > automaton_module._WALK_CAP:
                 raise SearchBudgetExceeded("string enumeration exceeded the walk cap")
             letters.append(letter_of[s])
-            if hit[depth]:
+            if depth in wanted:
                 yield base, letters, nodes
             nxt = edges[s]
             if depth == top or not nxt:
                 break
             # follow the first child here, the others after its subtree
             depth += 1
-            if depth == len(hit):
-                hit.append(depth in wanted)
             if len(nxt) > 1:
                 stack.extend([(t, depth) for t in reversed(nxt[1:])])
             s = nxt[0]
@@ -742,6 +742,19 @@ def _outcome(check, *args):
         return check(*args)
     except SearchBudgetExceeded:
         return "budget"
+
+
+def eligible_anchors(p, band, side):
+    """Band vertices, sorted, whose out-arrows (dually in-arrows) all lie
+    on the band."""
+    q = p.quiver
+    on_arrows = walk_arrows(band.walk)
+    out = []
+    for v in sorted(set(walk_vertices(q, band.walk))):
+        incident = q.out_arrows(v) if side == "out" else q.in_arrows(v)
+        if all(a.name in on_arrows for a in incident):
+            out.append(v)
+    return out
 
 
 # --- the automaton build and is_string -----------------------------------------
@@ -1306,11 +1319,9 @@ def _windows(p):
     bound = pumping_bound(p)
     return [range(k, k + 1) for k in range(bound + 11)] + [
         range(3, 9),
-        range(5, 20, 3),
-        [46],
-        [3, 8],
+        range(46, 47),
         range(0, 7),
-        [],
+        range(0),
     ]
 
 
@@ -1354,10 +1365,14 @@ def test_windowed_walk_matches_the_stepwise_walk(monkeypatch, corpora, corpus500
 
 
 def test_long_window_scan_matches_the_stepwise_walk(monkeypatch, thirteen):
-    got = strings_of_length(thirteen, [400]), conjecture_scan(thirteen, 400, min_len=400)
+    run = lambda: (
+        strings_of_length(thirteen, range(400, 401)),
+        conjecture_scan(thirteen, 400, min_len=400),
+    )
+    got = run()
     stepwise = lambda p, wanted: ((b, l) for b, l, _n in stepwise_walk_tree(p, wanted))
     monkeypatch.setattr(automaton_module, "_walk_tree", stepwise)
-    assert got == (strings_of_length(thirteen, [400]), conjecture_scan(thirteen, 400, min_len=400))
+    assert got == run()
     assert len(got[0]) == 12
 
 
@@ -1373,7 +1388,7 @@ def _strings_up_to(p, top):
     out = []
     for k in range(top + 1):
         try:
-            out += strings_of_length(p, [k])
+            out += strings_of_length(p, range(k, k + 1))
         except SearchBudgetExceeded:
             break
     return out
@@ -1406,8 +1421,12 @@ def test_period_skip_matches_the_every_site_reader(
     ]
     monkeypatch.undo()
     cases += [
-        (thirteen, strings_of_length(thirteen, [400]) + strings_of_length(thirteen, [1600])),
-        (skew6, strings_of_length(skew6, [200])),
+        (
+            thirteen,
+            strings_of_length(thirteen, range(400, 401))
+            + strings_of_length(thirteen, range(1600, 1601)),
+        ),
+        (skew6, strings_of_length(skew6, range(200, 201))),
     ]
     reads, verdicts, reader = Counter(), Counter(), ["skip"]
     valley_site = _StringHomology._valley_site
@@ -1579,6 +1598,32 @@ def test_side_part_passes_match_the_replaced_routes_on_the_corpora(corpora):
     # the sixth, special_biserial_corpus(20260809, 100)[99], decomposes
     # since a side part is the intersection over its anchors
     assert checked > 500 and shared == 6
+
+
+def test_anchors_read_off_the_boundary_match_their_definition(corpora, thirteen):
+    """On every band of every StrictLauraOrTilted instance, the anchors
+    read off the band's boundary are those of the definition, and its
+    side part reports the least."""
+    instances = [thirteen]
+    for seed in (20260809, 1, 2):
+        instances += corpora(string_corpus, seed, 500)
+    for seed in (1, 2):
+        instances += corpora(special_biserial_corpus, seed, 200)
+    bands = 0
+    for p in instances:
+        report = classify(p)
+        if report.verdict != STRICT_LAURA_OR_TILTED:
+            continue
+        work = monomial_form(p)
+        anchors = {}
+        for info in report.bands:
+            side = "in" if info.boundary.entering else "out"
+            anchors[info.band] = eligible_anchors(work, info.band, side)
+            assert _anchors(work.quiver, info) == anchors[info.band], info.band
+        for part in decompose(p).side_parts:
+            assert part.anchor == anchors[part.band][0]
+        bands += len(anchors)
+    assert bands == 539
 
 
 def _chain_decompositions():

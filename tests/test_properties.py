@@ -489,7 +489,7 @@ def test_window_walk_reads_do_not_grow_with_the_length(thirteen):
         aut = automaton(p)
         reads.append(0)
         aut.edges = _counted_table(aut.edges, lambda _n: reads.__setitem__(-1, reads[-1] + 1))
-        assert len(strings_of_length(p, [n])) == 12
+        assert len(strings_of_length(p, range(n, n + 1))) == 12
     assert reads[0] > 0 and max(reads) == reads[0], reads
 
 
