@@ -497,10 +497,13 @@ def band_census(p):
     primitive root.  The list holds every band whenever distinct bands
     pairwise share at most one vertex, which is always the case on
     DOZE-free presentations.  On others (the `bands` command takes any
-    input) a band whose automaton cycle repeats a state can be missing.
-    The automaton holds each band's cycle once per orientation, and each
-    band is verified once (see `_verified_bands`).  Enumerating more than `_CENSUS_CAP` cycles
-    raises SearchBudgetExceeded.  Computed once per presentation; every
+    input) a band whose automaton cycle repeats a state can be missing:
+    on a non-domestic input, where two automaton cycles pass through one
+    state, the band set is infinite, and the list holds the primitive
+    roots of the simple automaton cycles alone.  The automaton holds
+    each band's cycle once per orientation, and each band is verified
+    once (see `_verified_bands`).  Enumerating more than `_CENSUS_CAP`
+    cycles raises SearchBudgetExceeded.  Computed once per presentation; every
     call returns a fresh list.  On every input without an interlaced
     double-zero in the test corpora, each cyclic component is one simple
     cycle, read off directly: Johnson's search in `component_cycles`

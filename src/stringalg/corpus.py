@@ -129,26 +129,6 @@ def random_string_presentation(rng):
     return None
 
 
-def random_monomial_presentation(
-    rng, max_vertices=8, max_arrows=12, max_relations=6, attempts=400
-):
-    """A random finite-dimensional monomial presentation, or None.
-
-    No degree caps; useful for exercising the walk machinery outside the
-    string-algebra axioms.
-    """
-    for _ in range(attempts):
-        quiver = _random_quiver(rng, max_vertices, max_arrows, cap_degrees=False)
-        zeros = _random_zero_paths(rng, quiver, rng.randint(0, max_relations))
-        if len(zeros) > max_relations:
-            continue
-        try:
-            return Presentation(quiver, [quiver.path(z) for z in sorted(zeros)])
-        except (InfiniteDimensionalError, SemanticError):
-            continue
-    return None
-
-
 def _parallel_path_pairs(quiver):
     """Distinct same-endpoint oriented path pairs of length >= 2 whose
     continuation requirements do not collide."""

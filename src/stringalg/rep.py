@@ -120,10 +120,6 @@ class ModuleMap:
         )
 
 
-def simple_module(p, x):
-    return Representation(p, {x: 1}, {})
-
-
 def string_module(p, w):
     """M(w) as matrices: the dense form of `string_entries`."""
     dims, entries = string_entries(p, w)
@@ -345,18 +341,6 @@ def syzygy(p, M):
     _P, cover = projective_cover(p, M)
     K, _ = kernel(cover)
     return K
-
-
-def cosyzygy(p, M):
-    """Cokernel of the injective envelope."""
-    _I, embed = injective_envelope(p, M)
-    C, _ = cokernel(embed)
-    return C
-
-
-def is_projective_module(p, M):
-    P, _ = projective_cover(p, M)
-    return P.total_dim == M.total_dim
 
 
 def pd_at_least_2(p, M):

@@ -12,7 +12,6 @@ module (on every command's path) loads neither `typing` nor
 a generated one.
 """
 
-import math
 from collections import namedtuple
 
 from ._value import Value
@@ -219,9 +218,13 @@ def is_primitive(letters):
 def is_band(p, c):
     """Primitive cyclic string all of whose powers are strings.
 
-    Checking one long enough power covers every rotation window: a
-    generator occurrence in the infinite periodic walk spans at most
-    ceil(len(generator) / len(c)) + 1 periods.
+    The run lemma: every `Presentation` is finite dimensional, so a
+    cyclic word whose letters all run one way traverses an oriented
+    cycle whose powers reach the ideal, and is never a band; a band
+    mixes directions.  Then every maximal same-direction run of the
+    infinite periodic walk is shorter than one period and lies, whole,
+    in c . c, which also holds every adjacent letter pair, the junction
+    between copies included.  So c is a band iff c . c is a string.
     """
     if not p.is_monomial:
         raise PreconditionError("is_band needs a monomial presentation")
@@ -231,8 +234,9 @@ def is_band(p, c):
         return False
     if not is_primitive(c.letters):
         return False
-    k = max(3, math.ceil(p.max_generator_length() / len(c)) + 2)
-    return is_string(p, cyclic_power(p.quiver, c, k))
+    if len({l.inverse for l in c.letters}) == 1:
+        return False
+    return is_string(p, cyclic_power(p.quiver, c, 2))
 
 
 class BandBoundary(Value):

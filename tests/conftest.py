@@ -1,7 +1,14 @@
 import pytest
 
 from stringalg import fixtures
-from stringalg.corpus import special_biserial_corpus, string_corpus
+from stringalg.corpus import (
+    _random_quiver,
+    _random_zero_paths,
+    special_biserial_corpus,
+    string_corpus,
+)
+from stringalg.errors import InfiniteDimensionalError, SemanticError
+from stringalg.presentation import Presentation
 
 CORPUS_SEED = 20260809
 
@@ -21,6 +28,26 @@ LARGEST_DRAW = {
     (special_biserial_corpus, 101): 415,
     (special_biserial_corpus, CORPUS_SEED): 100,
 }
+
+
+def random_monomial_presentation(
+    rng, max_vertices=8, max_arrows=12, max_relations=6, attempts=400
+):
+    """A random finite-dimensional monomial presentation, or None.
+
+    No degree caps; useful for exercising the walk machinery outside the
+    string-algebra axioms.
+    """
+    for _ in range(attempts):
+        quiver = _random_quiver(rng, max_vertices, max_arrows, cap_degrees=False)
+        zeros = _random_zero_paths(rng, quiver, rng.randint(0, max_relations))
+        if len(zeros) > max_relations:
+            continue
+        try:
+            return Presentation(quiver, [quiver.path(z) for z in sorted(zeros)])
+        except (InfiniteDimensionalError, SemanticError):
+            continue
+    return None
 
 
 class CorpusDraws:

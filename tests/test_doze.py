@@ -164,6 +164,23 @@ def test_witness_serialization(skew6):
     )
 
 
+def test_every_corpus_witness_is_a_double_zero_past_the_third_power(corpora, skew6):
+    """The witness check certifies every power n >= 1 from n = 1 and
+    band . band, so the witnesses pump on past any power it ever
+    built: n = 4 ... 8, on every NotLaura instance of the corpora and
+    skew6."""
+    witnesses = 0
+    for p in corpora.largest() + [skew6]:
+        w = classify(p).evidence
+        if w is None:
+            continue
+        ends = len(w.rho1) + len(w.w1) + len(w.w3) + len(w.rho2)
+        for n in range(4, 9):
+            assert len(w.double_zero(n)) == ends + n * len(w.band), (w.serialize(), n)
+        witnesses += 1
+    assert witnesses == 3097
+
+
 # --- the interlocked-runs algebra -----------------------------------------
 
 

@@ -43,8 +43,12 @@ kept as differential oracles.
   `Walk.key` over a `CyclicWalk` built for every rotation of both
   orientations (`rotations`), where `canonical_band` takes the least
   letter tuple and builds one.
-- `double_zero_witness_check`: the band, then `w.double_zero(n)` for
-  n = 1, 2, 3, each re-validating both generators.
+- `kpower_is_band`: a band as a primitive closed walk one long enough
+  power of which is a string, max(3, ceil(maxgen / len) + 2) copies,
+  where `is_band` rejects a one-direction word and tests the square.
+- `double_zero_witness_check`: `kpower_is_band`, then
+  `w.double_zero(n)` for n = 1, 2, 3, each re-validating both
+  generators, where `_validate_witness` builds the n = 1 walk alone.
 - `product_d_category`: the string closure D(w) of a nonempty string as
   the states of the product of the automaton with a matcher for w's
   letters that reach a node where w has occurred, where `d_category`
@@ -68,6 +72,10 @@ kept as differential oracles.
   `rep` now builds the envelope as the dual of a projective cover over
   the opposite algebra.
 
+`random_closed_walks` draws the closed walks, mostly strings, that the
+band checks and the witness mutants are compared on, also over the
+random monomial presentations of `conftest`.
+
 `full_bfs`, a breadth-first search over everything its sources reach,
 with `parent_letters` reading a path off its parent map, is also the
 oracle of the nearest-target `bfs` that `find_doze` and
@@ -81,6 +89,7 @@ random bound quivers are pinned by digest.
 import hashlib
 import importlib
 import itertools
+import math
 import random
 from collections import Counter, deque
 from functools import cache
@@ -89,6 +98,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_monomial_presentation
 from stringalg import exactla as la
 from stringalg import fixtures, rep
 from stringalg.automaton import (
@@ -129,6 +139,7 @@ from stringalg.doze import (
 from stringalg.errors import (
     CorruptPresentationError,
     InfiniteDimensionalError,
+    PreconditionError,
     SearchBudgetExceeded,
 )
 from stringalg.graph import (
@@ -162,16 +173,19 @@ from stringalg.walks import (
     Letter,
     Walk,
     canonical_band,
+    cyclic_power,
     direct,
     inverse,
     inverse_walk,
     is_band,
+    is_primitive,
     is_reduced,
     is_string,
     letter_ends,
     make_cyclic,
     parse_walk,
     primitive_root,
+    serialize_walk,
     walk_arrows,
     walk_end,
     walk_vertices,
@@ -459,8 +473,20 @@ def bfs_find_doze(p):
     return None
 
 
+def kpower_is_band(p, c):
+    """Checking one long enough power covers every rotation window: a
+    generator occurrence in the infinite periodic walk spans at most
+    ceil(len(generator) / len(c)) + 1 periods."""
+    if not p.is_monomial:
+        raise PreconditionError("is_band needs a monomial presentation")
+    if len(c) == 0 or walk_end(p.quiver, c.walk) != c.base or not is_primitive(c.letters):
+        return False
+    k = max(3, math.ceil(p.max_generator_length() / len(c)) + 2)
+    return is_string(p, cyclic_power(p.quiver, c, k))
+
+
 def double_zero_witness_check(w):
-    if not is_band(w.p, w.band):
+    if not kpower_is_band(w.p, w.band):
         raise CorruptPresentationError("witness band is not a band")
     for n in (1, 2, 3):
         w.double_zero(n)
@@ -1155,6 +1181,114 @@ def test_witness_check_rejects_as_the_double_zero_route_rejects(witnesses):
         ("CorruptPresentationError", "double-zero interior is not a string")
     }
     assert len(seen) == len(MUTATIONS) + len(pairs)
+
+
+def random_closed_walks(p, rng, tries, most=12):
+    """Every closed prefix of `tries` random walks of `most` letters from
+    random vertices, each letter chosen, nine times in ten, among those
+    that keep the walk a string: mostly strings, bands among them."""
+    q = p.quiver
+    span = p.max_generator_length()
+    out = []
+    for _ in range(tries):
+        base = at = rng.choice(q.vertices)
+        letters = ()
+        for _ in range(most):
+            options = _letters_at(q, at)
+            if not options:
+                break
+            # a zero window ending at the new letter lies in the last `span`
+            good = [l for l in options if is_string(p, Walk(base, letters[-span:] + (l,)))]
+            l = rng.choice(good if good and rng.random() < 0.9 else options)
+            letters += (l,)
+            at = letter_ends(q, l)[1]
+            if at == base:
+                out.append(CyclicWalk(Walk(base, letters)))
+    return out
+
+
+def test_square_band_check_matches_the_k_power_route(corpus):
+    """`is_band` against `kpower_is_band` on random closed walks over the
+    fixtures, the corpora and random monomial presentations (loops and
+    vertices of any degree), and on the rotations, inverses and squares
+    of their census bands."""
+    rng = random.Random(27)
+    monomial = [random_monomial_presentation(rng) for _ in range(150)]
+    kinds = Counter()
+    for p in _fixtures() + [LOOPED] + corpus + [m for m in monomial if m is not None]:
+        q = p.quiver
+        walks = random_closed_walks(p, rng, 12)
+        for band in band_census(p) if validate_string_algebra(p).is_valid else ():
+            inv = make_cyclic(q, inverse_walk(q, band.walk))
+            walks += rotations(q, band) + rotations(q, inv) + [CyclicWalk(cyclic_power(q, band, 2))]
+        for c in walks:
+            got = is_band(p, c)
+            assert got == kpower_is_band(p, c), serialize_walk(c.walk)
+            kinds["band" if got else "not a band"] += 1
+            # the words the direction test alone keeps out
+            one_way = len({l.inverse for l in c.letters}) == 1
+            if one_way and is_string(p, cyclic_power(q, c, 2)):
+                kinds["one-way square"] += 1
+    assert kinds["band"] > 3000 and kinds["not a band"] > 25000, kinds
+    assert kinds["one-way square"] > 50, kinds
+
+
+def _random_mutant(w, rng, closed):
+    """w after one to three random edits, each keeping the pieces
+    composable: the band replaced by a closed walk at its base from
+    `closed`, by its inverse or by its square; band copies or such a
+    closed walk appended to w1, or a closed walk put before w3; rho1
+    (rho2) replaced by a generator ending (starting) where it does."""
+    q, gens = w.p.quiver, w.p.zero_paths
+    for _ in range(rng.randint(1, 3)):
+        v, band = w.band.base, w.band.letters
+        loops = closed.get(v, ())
+        edit = rng.randrange(7)
+        if edit == 0 and loops:
+            w = _replaced(w, band=rng.choice(loops))
+        elif edit == 1:
+            w = _replaced(w, band=CyclicWalk(inverse_walk(q, w.band.walk)))
+        elif edit == 2:
+            w = _replaced(w, band=CyclicWalk(Walk(v, band * 2)))
+        elif edit == 3:
+            w = _replaced(w, w1=Walk(w.w1.base, w.w1.letters + band * rng.randint(1, 2)))
+        elif edit == 4 and loops:
+            w = _replaced(w, w1=Walk(w.w1.base, w.w1.letters + rng.choice(loops).letters))
+        elif edit == 5 and loops:
+            w = _replaced(w, w3=Walk(v, rng.choice(loops).letters + w.w3.letters))
+        elif edit == 6:
+            end, start = q.arrow[w.rho1[-1]].target, q.arrow[w.rho2[0]].source
+            rho1 = [g for g in gens if q.arrow[g[-1]].target == end]
+            rho2 = [g for g in gens if q.arrow[g[0]].source == start]
+            w = _replaced(w, rho1=rng.choice(rho1), rho2=rng.choice(rho2))
+    return w
+
+
+def test_witness_check_matches_the_double_zero_route_on_random_mutants(witnesses):
+    """`_validate_witness` (the band's square, then n = 1) against
+    `double_zero_witness_check` (the k-power band, then n = 1, 2, 3):
+    the same outcome, error class and message, on random mutants of
+    every witness.  Most mutants keep a band or a closed walk where the
+    band was, so the comparison reaches the walk checks."""
+    rng = random.Random(2027)
+    outcomes = Counter()
+    for w in witnesses:
+        closed = {}
+        for c in random_closed_walks(w.p, rng, 6):
+            closed.setdefault(c.base, []).append(c)
+        for _ in range(32):
+            m = _random_mutant(w, rng, closed)
+            got = _check_outcome(_validate_witness, m)
+            assert got == _check_outcome(double_zero_witness_check, m), m.serialize()
+            outcomes[got if got == "ok" else got[1].split(":")[0]] += 1
+    assert sum(outcomes.values()) > 10000, outcomes
+    assert outcomes["ok"] > 2000, outcomes
+    for message in (
+        "witness band is not a band",
+        "double-zero walk is not reduced",
+        "double-zero interior is not a string",
+    ):
+        assert outcomes[message] > 400, outcomes
 
 
 # --- the finiteness check -----------------------------------------------------

@@ -4,10 +4,11 @@ from collections import Counter
 
 import pytest
 
+from conftest import random_monomial_presentation
 from stringalg import exactla as la
 from stringalg import fixtures, rep, stringhom
 from stringalg.automaton import strings_of_length
-from stringalg.corpus import random_monomial_presentation, special_biserial_corpus, string_corpus
+from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.doze import NOT_LAURA, classify, find_doze
 from stringalg.errors import CorruptPresentationError, DozedStringAnomaly, PreconditionError
 from stringalg.fixtures import linear_a3
@@ -29,6 +30,26 @@ from stringalg.walks import (
 
 def walk(p, text):
     return parse_walk(p.quiver, text)
+
+
+# Only tests build simple modules and cosyzygies or ask whether a module
+# is projective, so these stay out of `rep`.
+
+
+def simple_module(p, x):
+    return rep.Representation(p, {x: 1}, {})
+
+
+def cosyzygy(p, M):
+    """Cokernel of the injective envelope."""
+    _I, embed = rep.injective_envelope(p, M)
+    C, _ = rep.cokernel(embed)
+    return C
+
+
+def is_projective_module(p, M):
+    P, _ = rep.projective_cover(p, M)
+    return P.total_dim == M.total_dim
 
 
 # --- string modules ---------------------------------------------------------
@@ -115,7 +136,7 @@ def test_sink_projective_is_simple():
 def test_general_route_refuses_commutativity_relations(commsquare):
     # With ab = cd, P_A(1) is one-dimensional at vertex 4 and pd_A S(1) = 2;
     # bases of ideal-avoiding paths would give 2 and False there.
-    S1 = rep.simple_module(commsquare, "1")
+    S1 = simple_module(commsquare, "1")
     calls = [
         lambda: rep.projective(commsquare, "1"),
         lambda: rep.injective(commsquare, "4"),
@@ -139,7 +160,7 @@ def test_top_and_radical_of_projective(skew6):
 
 
 def test_simple_has_trivial_radical_and_socle(skew6):
-    S = rep.simple_module(skew6, "x3")
+    S = simple_module(skew6, "x3")
     T, _ = rep.top(S)
     R, _ = rep.radical(S)
     soc, _ = rep.socle(S)
@@ -211,7 +232,7 @@ def test_cover_of_projective_is_isomorphism(skew6):
 
 
 def test_cover_of_simple_is_projective(skew6):
-    S = rep.simple_module(skew6, "x4")
+    S = simple_module(skew6, "x4")
     P, cover = rep.projective_cover(skew6, S)
     assert P.dims == rep.projective(skew6, "x4").dims
     K, _ = rep.kernel(cover)
@@ -219,7 +240,7 @@ def test_cover_of_simple_is_projective(skew6):
 
 
 def test_envelope_of_simple_is_injective_hull(skew6):
-    S = rep.simple_module(skew6, "x4")
+    S = simple_module(skew6, "x4")
     I, embed = rep.injective_envelope(skew6, S)
     assert I.dims == rep.injective(skew6, "x4").dims
     C, _ = rep.cokernel(embed)
@@ -228,14 +249,14 @@ def test_envelope_of_simple_is_injective_hull(skew6):
 
 
 def test_syzygy_dimension_bookkeeping(skew6):
-    S = rep.simple_module(skew6, "x4")
+    S = simple_module(skew6, "x4")
     P, cover = rep.projective_cover(skew6, S)
     K, _ = rep.kernel(cover)
     assert K.total_dim == P.total_dim - S.total_dim
     syz = rep.syzygy(skew6, S)
     assert syz.dims == K.dims
     assert {v: d for v, d in syz.dims.items() if d} == {"x5": 1}
-    cosyz = rep.cosyzygy(skew6, S)
+    cosyz = cosyzygy(skew6, S)
     assert {v: d for v, d in cosyz.dims.items() if d} == {"x2": 1}
 
 
@@ -295,14 +316,14 @@ def test_injectives_have_id_zero(skew6):
 
 
 def test_simple_x4_has_both_dimensions_at_least_two(skew6):
-    S = rep.simple_module(skew6, "x4")
+    S = simple_module(skew6, "x4")
     assert rep.pd_at_least_2(skew6, S)
     assert rep.id_at_least_2(skew6, S)
 
 
 def test_source_simple_in_hereditary_quiver_has_small_id():
     p = linear_a3()
-    S = rep.simple_module(p, "1")
+    S = simple_module(p, "1")
     assert not rep.id_at_least_2(p, S)
     assert not rep.pd_at_least_2(p, S)  # hereditary: pd <= 1 everywhere
 
@@ -469,7 +490,7 @@ def assert_routes_agree(p, lengths):
         for s in stringhom.string_syzygy(p, w):
             syzygy.update(walk_vertices(q, s))
         assert dict(syzygy) == _nonzero(K.dims), w
-        pd = P.total_dim != M.total_dim and not rep.is_projective_module(p, K)
+        pd = P.total_dim != M.total_dim and not is_projective_module(p, K)
         assert stringhom.string_pd_at_least_2(p, w) == pd, w
         assert stringhom.string_id_at_least_2(p, w) == rep.id_at_least_2(p, M), w
         count += 1
