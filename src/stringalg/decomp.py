@@ -24,7 +24,7 @@ from ._value import Value
 from .automaton import _mask_pairs, automaton, band_census
 from .doze import STRICT_LAURA_OR_TILTED, _double_zero_over, classify
 from .errors import CorruptPresentationError, PreconditionError
-from .graph import reach, topological_order
+from .graph import cycle_entry, reach
 from .presentation import monomial_form
 from .walks import is_string, trivial_walk, walk_arrows, walk_vertices
 
@@ -305,7 +305,7 @@ def check_structure(p, decomposition=None):
         if cyclomatic != 1:
             unique_cycle = False
             details.append(f"unique_cycle: {part.label} has cyclomatic number {cyclomatic}")
-        if topological_order(sorted(part.objects), succ.__getitem__) is None:
+        if cycle_entry(sorted(part.objects), succ.__getitem__) is not None:
             unique_cycle = False
             details.append(f"unique_cycle: {part.label} contains an oriented cycle")
 

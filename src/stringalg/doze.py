@@ -16,10 +16,11 @@ The exact decisions run on the string automaton.  A witness exists iff
 some state reachable from a just-consumed generator lies on a cycle and
 can reach a generator-completing step, which one backward pass from the
 completing states decides; a double-zero exists iff some generator's
-start reaches a completion far enough on, which one pass over the
-strongly connected components decides.  The brute-force enumerator is
-kept deliberately naive (no automaton) so the two can act as independent
-oracles for each other; both check their witness with `_validate_witness`.
+start reaches a completion far enough on, which one backward `reach`
+over (state, letters still needed) pairs decides.  The brute-force
+enumerator is kept deliberately naive (no automaton) so the two can act
+as independent oracles for each other; both check their witness with
+`_validate_witness`.
 
 Double-zeros, witnesses and reports are frozen `_value.Value` classes
 with their own `__init__` rather than dataclasses, which would cost
@@ -37,7 +38,6 @@ from .errors import (
 )
 from .graph import reach
 from .presentation import (
-    _contains_subpath,
     monomial_form,
     validate_special_biserial,
     validate_string_algebra,
@@ -70,9 +70,9 @@ NOT_LAURA = "NotLaura"
 
 
 def generator_walk(quiver, names):
-    """A zero generator read forwards, as a walk of direct letters."""
-    path = quiver.path(names)
-    return Walk(path.source, tuple(direct(n) for n in names))
+    """A zero generator read forwards, as a walk of direct letters; names
+    must be a path of quiver, which is not checked again."""
+    return Walk(quiver.arrow[names[0]].source, tuple(direct(n) for n in names))
 
 
 class DoubleZero(Value):
@@ -91,8 +91,8 @@ class DoubleZero(Value):
 def make_double_zero(p, rho1, middle, rho2):
     """Validated double-zero; raises on any broken invariant."""
     rho1, rho2 = tuple(rho1), tuple(rho2)
-    gens = set(p.zero_paths)
-    if rho1 not in gens or rho2 not in gens:
+    index = p.zero_index()
+    if rho1 not in index.get(len(rho1), ()) or rho2 not in index.get(len(rho2), ()):
         raise CorruptPresentationError("double-zero ends must be zero generators")
     q = p.quiver
     whole = concat_walks(q, generator_walk(q, rho1), middle, generator_walk(q, rho2))
@@ -123,21 +123,19 @@ class DozeWitness(Value):
         object.__setattr__(self, "w3", w3)
         object.__setattr__(self, "rho2", rho2)
 
+    def _middle(self, n):
+        q = self.p.quiver
+        return concat_walks(q, self.w1, cyclic_power(q, self.band, n), self.w3)
+
     def assembled(self, n):
+        """The walk rho1 . w1 . band^n . w3 . rho2 of a certified witness."""
         q = self.p.quiver
         return concat_walks(
-            q,
-            generator_walk(q, self.rho1),
-            self.w1,
-            cyclic_power(q, self.band, n),
-            self.w3,
-            generator_walk(q, self.rho2),
+            q, generator_walk(q, self.rho1), self._middle(n), generator_walk(q, self.rho2)
         )
 
     def double_zero(self, n):
-        q = self.p.quiver
-        middle = concat_walks(q, self.w1, cyclic_power(q, self.band, n), self.w3)
-        return make_double_zero(self.p, self.rho1, middle, self.rho2)
+        return make_double_zero(self.p, self.rho1, self._middle(n), self.rho2)
 
     def pumps_cleanly_at(self, n):
         """Whether assembled(n) still satisfies the double-zero invariants.
@@ -220,8 +218,6 @@ def find_double_zeros(p, max_len, node_budget=None):
         l = len(g)
         if l + 2 > max_len:
             continue
-        if any(_contains_subpath(tuple(g[1:]), h) for h in gens):
-            raise CorruptPresentationError("generators are not minimal")
         seed = [direct(a) for a in g]
         arr = q.arrow[g[-1]]
         # Depth-first with an explicit stack (walks can be far longer than
@@ -278,37 +274,39 @@ def _double_zero_over(p, parts_of):
     own string automaton; `parts_of` maps an arrow to the parts it lies in.
 
     The states whose arrow lies in part k, with the edges between them,
-    carry the automaton of the full subpresentation on the part.  need[s,
-    k] is how many more letters a path from s in part k needs before it
-    completes some rho2 disjoint from rho1 (len(rho2) - 1 in all), unset
-    if it completes none; on a cycle it needs none.  One backward pass
-    from the completing states lowers need[s, k] to max(need[t, k] - 1, 0)
-    along each edge s -> t in part k, each pair at most once per letter
-    of the longest generator.  g starts a double-zero in part k iff the
-    state after g[1:] needs none there."""
+    carry the automaton of the full subpresentation on the part.  A
+    double-zero needs its rho2, disjoint from rho1, to complete at least
+    len(rho2) - 1 letters after rho1's end.  One `reach` runs backward
+    over (state, part, letters still needed) triples: it starts at (f, k,
+    len(rho2) - 1) for each step from a state f completing rho2 in part
+    k, and steps from (t, k, n) to (s, k, max(n - 1, 0)) for each
+    predecessor s of t whose arrow lies in part k, so it visits each
+    (state, part) pair at most once per letter of the longest generator.
+    g starts a double-zero in part k iff every arrow of g lies in part k
+    and the triple (state after g[1:], k, 0) is reached."""
     aut = automaton(p)
     keys = aut.keys
     gens = p.zero_paths
-    need = {}
-    for s, done in aut.completing.items():
-        for k in parts_of.get(keys[s][0], ()):
-            lacks = [len(gens[i]) - 1 for i, x in done if k in parts_of.get(x, ())]
-            if lacks:
-                need[s, k] = min(lacks)
-    work = list(need)
-    while work:
-        t, k = work.pop()
-        least = max(need[t, k] - 1, 0)
-        for s in aut.predecessors[t]:
-            if k in parts_of.get(keys[s][0], ()) and need.get((s, k), least + 1) > least:
-                need[s, k] = least
-                work.append((s, k))
+
+    def back(node):
+        t, k, n = node
+        n = max(n - 1, 0)
+        return [(s, k, n) for s in aut.predecessors[t] if k in parts_of.get(keys[s][0], ())]
+
+    ends = [
+        (f, k, len(gens[i]) - 1)
+        for f, done in aut.completing.items()
+        for k in parts_of.get(keys[f][0], ())
+        for i, x in done
+        if k in parts_of.get(x, ())
+    ]
+    reached = reach(ends, back)
     return {
         k
         for i, g in enumerate(gens)
         for k in parts_of.get(g[0], ())
         if all(k in parts_of.get(n, ()) for n in g)
-        and need.get((aut.generator_state(i), k)) == 0
+        and (aut.generator_state(i), k, 0) in reached
     }
 
 

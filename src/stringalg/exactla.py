@@ -28,7 +28,7 @@ def identity(n):
 def matmul(a, b, ncols=None):
     """a @ b.  ncols pins the column count of b when b has no rows, which
     the nested-list representation cannot carry."""
-    if a and b and len(a[0]) != len(b):
+    if a and len(a[0]) != len(b):
         raise ValueError("shape mismatch")
     nr, nk = len(a), len(b)
     nc = len(b[0]) if b else (ncols or 0)

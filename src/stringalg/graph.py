@@ -3,14 +3,16 @@
 Every function takes its start nodes and a successor callable
 `succ(node) -> iterable of nodes`; nodes need only be hashable, so the
 same code walks string automata, plain quivers, a quiver's product
-with a prefix table, the (state, label set) pairs of the side-part
-passes and the (path, vertex) pairs of a projective's basis.  Only the
-part reachable from the start nodes is visited.  All loops are
-iterative, so depth is bounded by memory and not by the recursion
-limit.  Strongly connected components are Tarjan's (1972) single pass;
-simple cycles are Johnson's (1975) circuit search, run on one strongly
-connected component at a time, except that a component that is a
-single simple cycle is read off directly.
+with a prefix table, the (state, label set) pairs and (state, part,
+letters still needed) triples of the side-part passes and the (path,
+vertex) pairs of a projective's basis.  Only the part reachable from
+the start nodes is visited.  All loops are iterative, so depth is
+bounded by memory and not by the recursion limit.  Strongly connected
+components are Tarjan's (1972) single pass; `cycle_entry` is a
+depth-first search that stops at its first cycle; simple cycles are
+Johnson's (1975) circuit search, run on one strongly connected
+component at a time, except that a component that is a single simple
+cycle is read off directly.
 """
 
 
@@ -71,21 +73,9 @@ def is_cyclic(comp, succ):
     return len(comp) > 1 or comp[0] in succ(comp[0])
 
 
-def topological_order(nodes, succ):
-    """Reachable nodes, each before its successors; None on a cycle."""
-    order, entry = _depth_first(nodes, succ)
-    return None if entry is not None else order[::-1]
-
-
 def cycle_entry(nodes, succ):
     """The node at which a depth-first search from nodes, children in
     succ order, first re-enters its own path; None when acyclic."""
-    return _depth_first(nodes, succ)[1]
-
-
-def _depth_first(nodes, succ):
-    """(postorder, cycle entry or None); stops at the first cycle."""
-    order = []
     done = set()
     active = set()
     for root in nodes:
@@ -97,7 +87,7 @@ def _depth_first(nodes, succ):
             v, children = work[-1]
             for w in children:
                 if w in active:
-                    return order, w
+                    return w
                 if w not in done:
                     active.add(w)
                     work.append((w, iter(succ(w))))
@@ -106,8 +96,7 @@ def _depth_first(nodes, succ):
                 work.pop()
                 active.discard(v)
                 done.add(v)
-                order.append(v)
-    return order, None
+    return None
 
 
 def component_cycles(comps, succ):

@@ -131,13 +131,6 @@ class Quiver:
         return hash((self.vertices, tuple(sorted(self.arrows))))
 
 
-def _contains_subpath(path, sub):
-    n, m = len(path), len(sub)
-    if m > n:
-        return False
-    return any(path[i : i + m] == sub for i in range(n - m + 1))
-
-
 def window_index(paths):
     """Paths grouped by length, for subpath tests by window lookup."""
     index = {}

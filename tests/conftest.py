@@ -30,6 +30,14 @@ LARGEST_DRAW = {
 }
 
 
+def contains_subpath(path, sub):
+    """Whether sub is a contiguous subpath of path, by direct slicing."""
+    n, m = len(path), len(sub)
+    if m > n:
+        return False
+    return any(path[i : i + m] == sub for i in range(n - m + 1))
+
+
 def random_monomial_presentation(
     rng, max_vertices=8, max_arrows=12, max_relations=6, attempts=400
 ):

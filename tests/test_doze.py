@@ -23,7 +23,7 @@ from stringalg.errors import (
     SearchBudgetExceeded,
 )
 from stringalg.fixtures import linear_a3
-from stringalg.presentation import Presentation, monomial_form
+from stringalg.presentation import Presentation, Quiver, monomial_form
 from stringalg.walks import (
     canonical_band,
     direct,
@@ -179,6 +179,24 @@ def test_every_corpus_witness_is_a_double_zero_past_the_third_power(corpora, ske
             assert len(w.double_zero(n)) == ends + n * len(w.band), (w.serialize(), n)
         witnesses += 1
     assert witnesses == 3097
+
+
+def test_witness_checks_build_no_generator_paths(corpus500, skew6, monkeypatch):
+    """`find_doze` certifies its witnesses without `Quiver.path`: both
+    ends are looked up among the zero generators of p, whose paths p's
+    constructor already validated."""
+    presentations = [monomial_form(p) for p in list(corpus500) + [skew6]]
+    calls = []
+    real = Quiver.path
+
+    def counted(self, names):
+        calls.append(names)
+        return real(self, names)
+
+    monkeypatch.setattr(Quiver, "path", counted)
+    witnesses = [w for w in map(find_doze, presentations) if w is not None]
+    assert len(witnesses) > 50, len(witnesses)
+    assert calls == []
 
 
 # --- the interlocked-runs algebra -----------------------------------------

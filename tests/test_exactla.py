@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from stringalg import exactla as la
 
 
@@ -53,6 +55,8 @@ def test_matmul_keeps_empty_shapes():
     b = la.zeros(0, 1)
     assert la.matmul(a, b, ncols=1) == [[0]]
     assert la.matmul([[1, 2]], [[3], [4]]) == [[11]]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        la.matmul([[1]], [], ncols=2)
 
 
 def _column_sets():

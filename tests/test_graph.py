@@ -21,7 +21,6 @@ from stringalg.graph import (
     is_cyclic,
     reach,
     sccs,
-    topological_order,
 )
 from stringalg.presentation import monomial_form
 from stringalg.walks import Letter, Walk, canonical_band, make_cyclic, primitive_root
@@ -98,16 +97,11 @@ def test_traversals_match_the_brute_force_oracle(graph):
     for c in found:
         assert all(c[(i + 1) % len(c)] in adj[c[i]] for i in range(len(c)))
 
-    order = topological_order(starts, succ)
     entry = cycle_entry(starts, succ)
     if cycles:
-        assert order is None
         assert any(entry in c for c in cycles)
     else:
         assert entry is None
-        assert sorted(order) == sorted(reachable)
-        position = {v: i for i, v in enumerate(order)}
-        assert all(position[u] < position[w] for u in reachable for w in adj[u])
 
 
 @settings(max_examples=300, deadline=None)
@@ -130,8 +124,8 @@ def test_deep_chain_needs_no_recursion():
     assert len(reach([0], succ)) == n
     assert [len(c) for c in sccs([0], succ)] == [n]
     assert [len(c) for c in component_cycles(sccs([0], succ), succ)] == [n]
-    assert topological_order([0], succ) is None
-    assert topological_order([0], lambda v: [v + 1] if v + 1 < n else []) == list(range(n))
+    assert cycle_entry([0], succ) == 0
+    assert cycle_entry([0], lambda v: [v + 1] if v + 1 < n else []) is None
 
 
 def test_band_census_is_the_primitive_roots_of_the_oracle_cycles(corpus500):
@@ -178,6 +172,45 @@ def test_cyclic_components_are_single_cycles_unless_not_laura(
             assert all(sum(t in members for t in aut.edges[s]) == 1 for s in comp), p
         checked += 1
     assert checked > 300, checked
+
+
+def _references(node, enclosing, out):
+    """(name, enclosing function defs) for every name, attribute and
+    imported name under node."""
+    if isinstance(node, ast.Name):
+        out.append((node.id, enclosing))
+    elif isinstance(node, ast.Attribute):
+        out.append((node.attr, enclosing))
+    elif isinstance(node, ast.alias):
+        out.append((node.name, enclosing))
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing = enclosing | {node}
+    for child in ast.iter_child_nodes(node):
+        _references(child, enclosing, out)
+
+
+def test_every_private_function_is_used_in_the_package():
+    """Each function or method of `stringalg` named with one leading
+    underscore is referenced in the package outside its own def, so a
+    helper that only the tests or the bench use lives there instead."""
+    defs, refs = [], []
+    for path in sorted((SRC / "stringalg").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _references(tree, frozenset(), refs)
+        defs += [
+            (path.name, node)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+        ]
+    assert len(defs) > 50, len(defs)
+    unused = [
+        f"{name}:{node.name}"
+        for name, node in defs
+        if not any(ref == node.name and node not in within for ref, within in refs)
+    ]
+    assert unused == []
 
 
 def test_no_source_file_imports_networkx():

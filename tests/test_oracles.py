@@ -149,7 +149,6 @@ from stringalg.graph import (
     is_cyclic,
     reach,
     sccs,
-    topological_order,
 )
 from stringalg.presentation import (
     Presentation,
@@ -412,6 +411,15 @@ def restricted_double_zero(p):
                 if limit is None or len(gens[gen_idx]) - 1 <= limit:
                     return True
     return False
+
+
+def topological_order(nodes, succ):
+    """Reachable nodes, each before its successors: on a DAG every strongly
+    connected component is one node, and reversed `sccs` lists each before
+    the ones it reaches.  None when `cycle_entry` finds a cycle."""
+    if cycle_entry(nodes, succ) is not None:
+        return None
+    return [v for (v,) in reversed(sccs(nodes, succ))]
 
 
 def _dag_longest_from(aut, s0, dag):

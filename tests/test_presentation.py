@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import contains_subpath
 from stringalg import fixtures
 from stringalg.cli import main
 from stringalg.corpus import special_biserial_corpus
@@ -17,7 +18,6 @@ from stringalg.errors import (
 from stringalg.presentation import (
     Presentation,
     Quiver,
-    _contains_subpath,
     minimalize,
     monomial_form,
     path_in_ideal,
@@ -363,7 +363,7 @@ def scan_minimalize(paths):
     unique = sorted(set(tuple(p) for p in paths), key=lambda p: (len(p), p))
     kept = []
     for p in unique:
-        if not any(_contains_subpath(p, q) for q in kept):
+        if not any(contains_subpath(p, q) for q in kept):
             kept.append(p)
     return kept
 
@@ -371,9 +371,9 @@ def scan_minimalize(paths):
 def scan_path_in_ideal(p, arrows):
     """Reference: test every commutativity side, then every generator."""
     for l, r in p.comm_pairs:
-        if _contains_subpath(arrows, l) or _contains_subpath(arrows, r):
+        if contains_subpath(arrows, l) or contains_subpath(arrows, r):
             raise PreconditionError("membership depends on a commutativity relation")
-    return any(_contains_subpath(arrows, g) for g in p.zero_paths)
+    return any(contains_subpath(arrows, g) for g in p.zero_paths)
 
 
 # A three-letter alphabet makes containments common.  The empty path is a

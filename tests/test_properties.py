@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import contains_subpath
 from stringalg import textio
 from stringalg.automaton import automaton, band_census, enumerate_strings, strings_of_length
 from stringalg.decomp import check_structure, decompose, support_cover_check
@@ -54,13 +55,11 @@ def test_minimalize_idempotent(gens):
 
 @given(st.lists(paths, max_size=12))
 def test_minimalize_yields_antichain(gens):
-    from stringalg.presentation import _contains_subpath
-
     kept = minimalize(gens)
     for i, p in enumerate(kept):
         for j, q in enumerate(kept):
             if i != j:
-                assert not _contains_subpath(p, q)
+                assert not contains_subpath(p, q)
 
 
 @st.composite
@@ -525,7 +524,8 @@ def test_decomposition_stages_work_linearly_on_the_chain(thirteen, k, monkeypatc
     pairs the straddle reaches, and the part labels those pairs and the
     cover's masks carry (the bits a mask spans, as an AND costs) stay under
     a constant times the states.
-    The double-zero pass reads a state's predecessors once per lowering."""
+    The double-zero pass reads a state's predecessors once for each
+    (state, part, letters still needed) triple that it reaches."""
     p, _ = chain_copies(thirteen, k, STRICT_JOIN)
     classify(p)
     aut = automaton(monomial_form(p))
