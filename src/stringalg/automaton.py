@@ -1,29 +1,30 @@
 """Finite automaton accepting exactly the strings of a monomial presentation.
 
 A state is (last letter, run progress) where run progress is the
-`presentation.prefix_matcher` node of the current maximal same-direction
-run: its longest tail that is a prefix of a zero generator (direct run)
-or of a reversed one (inverse run).  Transitions are the composable,
+prefix-table node (`presentation._prefix_table`) of the current maximal
+same-direction run: its longest tail that is a prefix of a zero
+generator (direct run) or of a reversed one (inverse run).  Transitions are the composable,
 reduced continuations that never complete a generator, so every walk the
 automaton accepts is a string and conversely.
 
-The build is table-driven: `graph.reach` asks each (arrow, inverse,
-prefix node) key once for its successors, read off per-letter end
-vertices and per-vertex leaving letters.  A letter that changes
-direction leads to its one-letter key; one that continues the run takes
-one prefix-table step.  The states are then numbered 0…n−1 in the sorted
-order of their keys, and `keys[s]` holds state s's key, so every
-search breaks ties and orders its roots as it would on the keys.  The
-build records, over state numbers, `first`, each letter's one-letter
-state (the only prefix-table steps from scratch), `edges`, a dict from
-each state to its successors, `completing`, the direct letters that would
-complete a generator, and `letter_of`, each state's last letter, one
-shared `Letter` per arrow and direction; `step` reads `edges`, and
-callers read the tables themselves: `first[letter]` raises KeyError for
-an arrow not in the quiver.  The other per-state tables are lists
-computed once on first use: `ends_of`, each state's letter's (source,
-target), which `states_at`, the walk tree and `decomp` read, and
-`predecessors`.  `generator_state` memoizes the state after each zero
+The build is one worklist pass over (arrow, inverse, prefix node) keys,
+each numbered as it is first found.  A key's successors are read off
+per-letter end vertices and per-vertex leaving letters: a letter that
+changes direction leads to its one-letter key; one that continues the
+run steps the run's prefix table inline, a dict lookup on the prefix
+plus the arrow, trimmed from the front.  The keys are then sorted once,
+state s being the s-th, and `keys[s]` holds state s's key, so every
+search breaks ties and orders its roots as it would on the keys.  One
+loop over the sorted states fills every per-state table: `edges`, a dict
+from each state to its successors; `completing`, the direct letters that
+would complete a generator; `letter_of`, each state's last letter, one
+shared `Letter` per arrow and direction; `ends_of`, that letter's
+(source, target), which the walk tree and `decomp` read; `predecessors`;
+and `states_at`, the states whose letter starts or ends at each vertex.
+`first` maps each letter to its one-letter state (the only prefix-table
+steps from scratch).  `step` reads `edges`, and callers read the tables
+themselves: `first[letter]` raises KeyError for an arrow not in the
+quiver.  `generator_state` memoizes the state after each zero
 generator's tail, where the `doze` searches start.  `rings`, filled the
 first time a walk's window starts at length 3 or more, holds the rings
 the walk tree goes round in whole turns below the window.
@@ -39,15 +40,14 @@ canonical form is its least rotation as a letter tuple, either way round.
 from functools import cached_property
 
 from .errors import CorruptPresentationError, PreconditionError, SearchBudgetExceeded
-from .graph import component_cycles, is_cyclic, reach, sccs
-from .presentation import prefix_matcher
+from .graph import component_cycles, is_cyclic, sccs
+from .presentation import _prefix_table
 from .walks import (
     CyclicWalk,
     Letter,
     Walk,
     canonical_band,
     direct,
-    inverse,
     is_band,
     letter_ends,
     primitive_root,
@@ -62,60 +62,78 @@ class StringAutomaton:
         self.quiver = q = p.quiver
         self._generators = gens = p.zero_paths
         self._generator_states = [None] * len(gens)
-        # ends[inverse][arrow] is the vertex a letter ends at; first[letter]
-        # is its one-letter key, and leaving[v] holds the one-letter keys of
-        # the letters starting at v, in letter order.  A letter that changes
-        # direction starts a new run, so it leads to its one-letter key; one
-        # in the same direction steps the run's prefix table, advance[inverse].
-        advance = (prefix_matcher(gens), prefix_matcher([g[::-1] for g in gens]))
-        ends = ({a.name: a.target for a in q.arrows}, {a.name: a.source for a in q.arrows})
-        first = {}
+        # tables[inverse] is the prefix table of the direct (inverse) runs.
+        # Keys are numbered as they are found, the one-letter ones first
+        # in letter order: key j's letter is letters[letter_no[j]], with
+        # ends spans[letter_no[j]], and leaving[v] holds (arrow, inverse,
+        # number) for each letter starting at v, in letter order.  A letter
+        # that changes direction starts a new run, so it leads to its
+        # one-letter key; one in the same direction steps the run's table.
+        tables = (_prefix_table(gens), _prefix_table([g[::-1] for g in gens]))
+        letters, spans, keys = [], [], []
         leaving = {v: [] for v in q.vertices}
-        for a in q.arrows:
-            for i, v in ((False, a.source), (True, a.target)):
-                node, hit = advance[i](0, a.name)
-                if hit is not None:
+        for name, source, target in q.arrows:
+            for i, v, w in ((False, source, target), (True, target, source)):
+                node, _prefix, ends = tables[i]
+                n = node.get((name,), 0)
+                if ends[n] is not None:
                     raise CorruptPresentationError("single arrow lies in the ideal")
-                first[Letter(a.name, i)] = k = (a.name, i, node)
-                leaving[v].append(k)
-        for letters in leaving.values():
-            letters.sort()
-        out = {}
-        completing = {}
-
-        def succ(k):
-            # reach asks once per key, so this records every edge once;
-            # the letters come in order, so the edges need no sort
-            arrow, inv, node = k
-            run = advance[inv]
+                leaving[v].append((name, i, len(keys)))
+                letters.append(Letter(name, i))
+                spans.append((v, w))
+                keys.append((name, i, n))
+        for out in leaving.values():
+            out.sort()
+        after = [leaving[w] for _v, w in spans]
+        letter_no = list(range(len(keys)))
+        number = {k: j for j, k in enumerate(keys)}
+        # found[j] lists key j's successors by number, in letter order
+        found, completed = [], {}
+        for j, (arrow, inv, n) in enumerate(keys):
+            node, prefix, ends = tables[inv]
+            run = prefix[n]
             nxt = []
-            completed = []
-            for f in leaving[ends[inv][arrow]]:
-                a, i, _node = f
+            for a, i, f in after[letter_no[j]]:
                 if i != inv:
                     if a != arrow:  # not the last letter's inverse
                         nxt.append(f)
                     continue
-                n, hit = run(node, a)
-                if hit is None:
-                    nxt.append((a, i, n))
+                seq = run + (a,)
+                while (m := node.get(seq)) is None:
+                    seq = seq[1:]
+                if ends[m] is None:
+                    t = (a, i, m)
+                    if (x := number.get(t)) is None:
+                        number[t] = x = len(keys)
+                        keys.append(t)
+                        letter_no.append(f)
+                    nxt.append(x)
                 elif not i:  # a direct letter completing a generator
-                    completed.append((hit, a))
-            if completed:
-                completing[k] = completed
-            out[k] = nxt
-            return nxt
-
-        reach(first.values(), succ)
-        self.keys = keys = tuple(sorted(out))
-        ids = {k: s for s, k in enumerate(keys)}
+                    completed.setdefault(j, []).append((ends[m], a))
+            found.append(nxt)
+        # state s is the s-th key in sorted order; one pass over the states
+        # fills every table
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        ids = dict(zip(order, range(len(keys))))
         self.states = tuple(range(len(keys)))
-        self.edges = {s: tuple([ids[t] for t in out[k]]) for s, k in enumerate(keys)}
-        self.completing = {ids[k]: c for k, c in sorted(completing.items())}
-        self.first = {l: ids[k] for l, k in first.items()}
-        # one shared Letter per (arrow, inverse): a Letter equals its tuple
-        shared = {l: l for l in first}
-        self.letter_of = [shared[k[:2]] for k in keys]
+        self.keys = tuple([keys[j] for j in order])
+        self.first = {l: ids[j] for j, l in enumerate(letters)}
+        self.edges, self.completing, self.states_at = edges, completing, at = {}, {}, {}
+        self.letter_of, self.ends_of = letter_of, ends_of = [], []
+        self.predecessors = rev = [[] for _k in keys]
+        for s, j in enumerate(order):
+            edges[s] = ts = tuple([ids[t] for t in found[j]])
+            for t in ts:
+                rev[t].append(s)
+            if j in completed:
+                completing[s] = completed[j]
+            f = letter_no[j]
+            letter_of.append(letters[f])
+            ends_of.append(spans[f])
+            v, w = spans[f]
+            at.setdefault(v, []).append(s)
+            if w != v:
+                at.setdefault(w, []).append(s)
 
     def step(self, s, letter):
         """Extend state s by one letter along its recorded edge; None when
@@ -125,31 +143,6 @@ class StringAutomaton:
             if letter_of[t] == letter:
                 return t
         return None
-
-    @cached_property
-    def ends_of(self):
-        """State -> (source, target) of its last letter."""
-        q = self.quiver
-        return [letter_ends(q, l) for l in self.letter_of]
-
-    @cached_property
-    def predecessors(self):
-        """State -> states with an edge into it."""
-        rev = [[] for _k in self.keys]
-        for s, ts in self.edges.items():
-            for t in ts:
-                rev[t].append(s)
-        return rev
-
-    @cached_property
-    def states_at(self):
-        """Vertex -> states whose last letter starts or ends there."""
-        at = {}
-        for s, (v, w) in enumerate(self.ends_of):
-            at.setdefault(v, []).append(s)
-            if w != v:
-                at.setdefault(w, []).append(s)
-        return at
 
     @cached_property
     def rings(self):
@@ -311,13 +304,12 @@ def _walk_tree(p, wanted):
     if top < 1:
         return
     aut = automaton(p)
-    q = p.quiver
     letter_of = aut.letter_of
     edges = aut.edges
     # a node shallower than `short` has children shorter than the window
     short = max(wanted[0], 1) - 1
     rings = aut.rings if short > 1 else None
-    roots = [aut.first[f(a)] for a in sorted(q.arrow) for f in (direct, inverse)]
+    roots = [aut.first[l] for l in sorted(aut.first)]
     stack = [(s, 1) for s in reversed(roots)]
     letters = []
     nodes = 0

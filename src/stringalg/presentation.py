@@ -155,17 +155,16 @@ def has_window(seq, index):
     )
 
 
-def prefix_matcher(patterns):
-    """Step function `advance(node, arrow) -> (node, index or None)` over
-    the prefixes of a pattern antichain of tuples, such as minimalized
-    generators: how much of a pattern the last arrows read spell.
+def _prefix_table(patterns):
+    """(node, prefix, ends) over the prefixes of a pattern antichain of
+    tuples, such as minimalized generators: node numbers each prefix in
+    the order the patterns list them, 0 the empty one; prefix[n] is
+    prefix n, and ends[n] the index of the pattern it spells, or None.
 
-    Node n is the n-th distinct prefix in the order the patterns list
-    them, 0 the empty one.  `advance` appends the arrow to the node's
-    prefix and trims it from the front until it is a prefix again: the
-    longest suffix that can still grow into a pattern.  In an antichain
-    no pattern ends inside another, so a step completes a pattern exactly
-    when it lands on a whole one, whose index it returns.
+    A step appends an arrow to a node's prefix and trims it from the
+    front until it is a prefix again: the longest suffix that can still
+    grow into a pattern.  In an antichain no pattern ends inside another,
+    so a step completes a pattern exactly when it lands on a whole one.
     """
     node = {(): 0}
     for pat in patterns:
@@ -175,6 +174,14 @@ def prefix_matcher(patterns):
     ends = [None] * len(prefix)
     for i, pat in enumerate(patterns):
         ends[node[pat]] = i
+    return node, prefix, ends
+
+
+def prefix_matcher(patterns):
+    """Step function `advance(node, arrow) -> (node, index or None)` of a
+    pattern antichain's `_prefix_table`, for the finiteness check; the
+    string automaton steps its two tables inline."""
+    node, prefix, ends = _prefix_table(patterns)
 
     def advance(n, arrow):
         seq = prefix[n] + (arrow,)

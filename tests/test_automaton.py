@@ -8,6 +8,7 @@ import pytest
 
 from stringalg import cli, fixtures, graph, stringhom, textio
 from stringalg.automaton import (
+    StringAutomaton,
     automaton,
     band_census,
     enumerate_bands,
@@ -16,6 +17,7 @@ from stringalg.automaton import (
     pumping_bound,
     strings_of_length,
 )
+from stringalg.corpus import special_biserial_corpus
 from stringalg.doze import classify
 from stringalg.errors import PreconditionError, SearchBudgetExceeded
 from stringalg.fixtures import linear_a3
@@ -36,6 +38,7 @@ from stringalg.walks import (
 )
 
 automaton_module = importlib.import_module("stringalg.automaton")
+presentation_module = importlib.import_module("stringalg.presentation")
 
 
 def all_walks_up_to(p, max_len):
@@ -307,6 +310,42 @@ def test_classify_condenses_the_automaton_once(monkeypatch):
         exists_band(monomial_form(p))
         assert aut.cycle_states() == aut.cycle_states()
         assert calls.count(aut.states) == 1
+
+
+def test_each_prefix_table_is_built_once_per_reader(monkeypatch, corpora, corpus500):
+    """The prefix-table builder runs twice per string automaton, once per
+    run direction, and once per presentation over a cyclic quiver, for
+    its finiteness check, and not at all over an acyclic one.  On the
+    fixtures, corpus500 and a special biserial corpus, every presentation
+    built again under a call counter."""
+    calls = []
+    real = presentation_module._prefix_table
+
+    def counting(patterns):
+        calls.append(patterns)
+        return real(patterns)
+
+    for module in (presentation_module, automaton_module):
+        monkeypatch.setattr(module, "_prefix_table", counting)
+    instances = [build() for build in fixtures.ALL.values()] + list(corpus500)
+    instances += corpora(special_biserial_corpus, 1, 100)
+    cyclic = 0
+    for p in instances:
+        q, m = p.quiver, monomial_form(p)
+        arrows_out = lambda v: [a.target for a in q.out_arrows(v)]
+        has_cycle = graph.cycle_entry(q.vertices, arrows_out) is not None
+        calls.clear()
+        Presentation(
+            q,
+            [q.path(g) for g in p.zero_paths],
+            [(q.path(l), q.path(r)) for l, r in p.comm_pairs],
+        )
+        assert len(calls) == has_cycle
+        calls.clear()
+        StringAutomaton(m)
+        assert len(calls) == 2
+        cyclic += has_cycle
+    assert 100 < cyclic < len(instances) - 100, cyclic
 
 
 def test_exists_band_agrees_with_enumeration_at_witness_length(corpus500):

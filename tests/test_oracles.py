@@ -11,6 +11,13 @@ kept as differential oracles.
   `completions` asked of every state.  Its states are (arrow, inverse,
   matcher node) keys built from the `AhoCorasick` matchers; the
   automaton's numbered states are compared through `keys`.
+- `KeyedAutomaton`: the string automaton built by `reach` with a
+  successor closure over (arrow, inverse, prefix node) keys, each step
+  through `prefix_matcher`, then remapped to state numbers in a second
+  keyed pass, with `ends_of`, `predecessors` and `states_at` each
+  computed on first use, where `StringAutomaton` numbers its keys as it
+  finds them, steps the prefix tables inline, sorts once and fills every
+  table in one loop over the states.
 - `state_after_direct_path`: a path's state stepped along the
   automaton's edges on every call, where `generator_state` steps each
   generator's tail once and memoizes it.
@@ -92,7 +99,7 @@ import itertools
 import math
 import random
 from collections import Counter, deque
-from functools import cache
+from functools import cache, cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -353,6 +360,99 @@ def stepped_build(p):
     reach(firsts, succ)
     states = tuple(sorted(edges))
     return states, edges, {s: c for s in states if (c := completions(aut, s))}
+
+
+class KeyedAutomaton:
+    """The string automaton's tables built over (arrow, inverse, prefix
+    node) keys by `reach` with a successor closure, then remapped to state
+    numbers in sorted key order, with `ends_of`, `predecessors` and
+    `states_at` each computed on first use in a pass of its own."""
+
+    def __init__(self, p):
+        if not p.is_monomial:
+            raise PreconditionError("the string automaton needs a monomial presentation")
+        self.quiver = q = p.quiver
+        self._generators = gens = p.zero_paths
+        self._generator_states = [None] * len(gens)
+        # ends[inverse][arrow] is the vertex a letter ends at; first[letter]
+        # is its one-letter key, and leaving[v] holds the one-letter keys of
+        # the letters starting at v, in letter order.  A letter that changes
+        # direction starts a new run, so it leads to its one-letter key; one
+        # in the same direction steps the run's prefix table, advance[inverse].
+        advance = (prefix_matcher(gens), prefix_matcher([g[::-1] for g in gens]))
+        ends = ({a.name: a.target for a in q.arrows}, {a.name: a.source for a in q.arrows})
+        first = {}
+        leaving = {v: [] for v in q.vertices}
+        for a in q.arrows:
+            for i, v in ((False, a.source), (True, a.target)):
+                node, hit = advance[i](0, a.name)
+                if hit is not None:
+                    raise CorruptPresentationError("single arrow lies in the ideal")
+                first[Letter(a.name, i)] = k = (a.name, i, node)
+                leaving[v].append(k)
+        for letters in leaving.values():
+            letters.sort()
+        out = {}
+        completing = {}
+
+        def succ(k):
+            # reach asks once per key, so this records every edge once;
+            # the letters come in order, so the edges need no sort
+            arrow, inv, node = k
+            run = advance[inv]
+            nxt = []
+            completed = []
+            for f in leaving[ends[inv][arrow]]:
+                a, i, _node = f
+                if i != inv:
+                    if a != arrow:  # not the last letter's inverse
+                        nxt.append(f)
+                    continue
+                n, hit = run(node, a)
+                if hit is None:
+                    nxt.append((a, i, n))
+                elif not i:  # a direct letter completing a generator
+                    completed.append((hit, a))
+            if completed:
+                completing[k] = completed
+            out[k] = nxt
+            return nxt
+
+        reach(first.values(), succ)
+        self.keys = keys = tuple(sorted(out))
+        ids = {k: s for s, k in enumerate(keys)}
+        self.states = tuple(range(len(keys)))
+        self.edges = {s: tuple([ids[t] for t in out[k]]) for s, k in enumerate(keys)}
+        self.completing = {ids[k]: c for k, c in sorted(completing.items())}
+        self.first = {l: ids[k] for l, k in first.items()}
+        # one shared Letter per (arrow, inverse): a Letter equals its tuple
+        shared = {l: l for l in first}
+        self.letter_of = [shared[k[:2]] for k in keys]
+
+    @cached_property
+    def ends_of(self):
+        """State -> (source, target) of its last letter."""
+        q = self.quiver
+        return [letter_ends(q, l) for l in self.letter_of]
+
+    @cached_property
+    def predecessors(self):
+        """State -> states with an edge into it."""
+        rev = [[] for _k in self.keys]
+        for s, ts in self.edges.items():
+            for t in ts:
+                rev[t].append(s)
+        return rev
+
+    @cached_property
+    def states_at(self):
+        """Vertex -> states whose last letter starts or ends there."""
+        at = {}
+        for s, (v, w) in enumerate(self.ends_of):
+            at.setdefault(v, []).append(s)
+            if w != v:
+                at.setdefault(w, []).append(s)
+        return at
 
 
 def maximal_runs(w):
@@ -865,6 +965,51 @@ def test_state_tables_match_the_matcher_steps(corpora, corpus500):
     assert letters > 5000
     with pytest.raises(KeyError):
         automaton(fixtures.thirteen()).first[direct("no such arrow")]
+
+
+AUTOMATON_TABLES = (
+    "keys",
+    "states",
+    "edges",
+    "completing",
+    "first",
+    "letter_of",
+    "ends_of",
+    "predecessors",
+    "states_at",
+)
+
+
+def _in_order(table):
+    """A table with its order in view: a dict as its list of items."""
+    return list(table.items()) if isinstance(table, dict) else table
+
+
+def test_one_pass_build_matches_the_keyed_build(corpora):
+    """Every table of the one-pass build equals the keyed build's, its
+    type, its order and its entries' types included (a dict compared as
+    its item list), and each state's letter is the very `Letter` that
+    keys `first`.  On the fixtures, every `LARGEST_DRAW` corpus (the
+    special biserial ones as their J-quotients), 200 random monomial
+    presentations without the string-algebra axioms, and the opposite
+    of each."""
+    rng = random.Random(2029)
+    drawn = [random_monomial_presentation(rng) for _ in range(200)]
+    instances = _fixtures() + [monomial_form(p) for p in corpora.largest()]
+    instances += [p for p in drawn if p is not None]
+    instances += [p.opposite() for p in instances]
+    completing = 0
+    for p in instances:
+        got, want = StringAutomaton(p), KeyedAutomaton(p)
+        for name in AUTOMATON_TABLES:
+            table = getattr(got, name)
+            assert type(table) is type(getattr(want, name)), name
+            assert _in_order(table) == _in_order(getattr(want, name)), name
+        assert all(got.letter_of[s] is l for l, s in got.first.items())
+        shared = {id(l) for l in got.first}
+        assert all(id(l) in shared for l in got.letter_of)
+        completing += len(got.completing)
+    assert len(instances) > 15_000 and completing > 30_000, (len(instances), completing)
 
 
 # A loop, generators of lengths 2 and 3, one through the loop, and a
