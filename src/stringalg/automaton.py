@@ -22,7 +22,8 @@ shared `Letter` per arrow and direction; `ends_of`, that letter's
 (source, target), which the walk tree and `decomp` read; `predecessors`;
 and `states_at`, the states whose letter starts or ends at each vertex.
 `first` maps each letter to its one-letter state (the only prefix-table
-steps from scratch).  `step` reads `edges`, and callers read the tables
+steps from the empty run).  `follow` steps a state through letters along
+`edges`, the one loop that does; callers read the other tables
 themselves: `first[letter]` raises KeyError for an arrow not in the
 quiver.  `generator_state` memoizes the state after each zero
 generator's tail, where the `doze` searches start.  `rings`, filled the
@@ -46,6 +47,7 @@ from .walks import (
     CyclicWalk,
     Letter,
     Walk,
+    _below_inverse,
     canonical_band,
     direct,
     is_band,
@@ -135,14 +137,18 @@ class StringAutomaton:
             if w != v:
                 at.setdefault(w, []).append(s)
 
-    def step(self, s, letter):
-        """Extend state s by one letter along its recorded edge; None when
-        the extension is not a string."""
-        letter_of = self.letter_of
-        for t in self.edges[s]:
-            if letter_of[t] == letter:
-                return t
-        return None
+    def follow(self, s, letters):
+        """The state after extending state s by the letters along its
+        recorded edges; None as soon as one extension is not a string."""
+        edges, letter_of = self.edges, self.letter_of
+        for letter in letters:
+            for t in edges[s]:
+                if letter_of[t] == letter:
+                    s = t
+                    break
+            else:
+                return None
+        return s
 
     @cached_property
     def rings(self):
@@ -187,24 +193,16 @@ class StringAutomaton:
             return self.quiver.has_vertex(w.base)
         if letter_ends(self.quiver, w.letters[0])[0] != w.base:
             return False
-        s = self.first[w.letters[0]]
-        for l in w.letters[1:]:
-            s = self.step(s, l)
-            if s is None:
-                return False
-        return True
+        return self.follow(self.first[w.letters[0]], w.letters[1:]) is not None
 
     def generator_state(self, i):
         """State after the i-th zero generator's tail (all but its first
-        arrow), stepped along the edges once and memoized; the tail of a
+        arrow), followed along the edges once and memoized; the tail of a
         minimal generator is a string, so every step exists."""
         s = self._generator_states[i]
         if s is None:
-            tail = self._generators[i][1:]
-            s = self.first[direct(tail[0])]
-            for a in tail[1:]:
-                s = self.step(s, direct(a))
-            self._generator_states[i] = s
+            tail = [direct(a) for a in self._generators[i][1:]]
+            s = self._generator_states[i] = self.follow(self.first[tail[0]], tail[1:])
         return s
 
     @cached_property
@@ -390,16 +388,6 @@ def _mask_pairs(p, max_len, roots, held):
         frontier = nxt
         depth += 1
     raise SearchBudgetExceeded("string enumeration exceeded the walk cap")
-
-
-def _below_inverse(letters):
-    """letters < the letters of the inverse walk.  They are never equal
-    for a nonempty reduced walk, so this picks `canonical_string`."""
-    for a, b in zip(letters, reversed(letters)):
-        b = b.inverted()
-        if a != b:
-            return a < b
-    return False
 
 
 def strings_of_length(p, lengths):

@@ -280,12 +280,6 @@ def _non_negative(text):
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON schema")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for randomized subcommands (current commands are deterministic)",
-    )
     parser = argparse.ArgumentParser(
         prog="stringalg",
         description="Analyze string and special biserial algebra presentations.",

@@ -75,38 +75,25 @@ def _random_zero_paths(rng, quiver, count):
 
 
 def _enforce_unique_continuation(rng, quiver, zeros, protected=frozenset()):
-    """Add 2-arrow zero relations until the string axioms hold.
-
-    Pairs in `protected` are never killed; the caller guarantees they do
-    not force a violation."""
+    """Add 2-arrow zero relations until the string axioms hold: where an
+    arrow has several live successors (in a second sweep, predecessors),
+    keep a protected one or else a random one, and kill the rest.  Pairs
+    in `protected` are never killed; the caller guarantees they do not
+    force a violation."""
     zeros = set(zeros)
+    arrows = quiver.arrows
+    through = [[(a.name, b.name) for b in quiver.out_arrows(a.target)] for a in arrows]
+    through += [[(b.name, a.name) for b in quiver.in_arrows(a.source)] for a in arrows]
+    through = [pairs for pairs in through if len(pairs) > 1]
     while True:
         changed = False
-        for a in quiver.arrows:
-            succ = [
-                b.name
-                for b in quiver.out_arrows(a.target)
-                if (a.name, b.name) not in zeros
-            ]
-            if len(succ) > 1:
-                saved = [b for b in succ if (a.name, b) in protected]
-                keep = saved[0] if saved else succ[rng.randrange(len(succ))]
-                for b in succ:
-                    if b != keep:
-                        zeros.add((a.name, b))
-                changed = True
-        for a in quiver.arrows:
-            pred = [
-                b.name
-                for b in quiver.in_arrows(a.source)
-                if (b.name, a.name) not in zeros
-            ]
-            if len(pred) > 1:
-                saved = [b for b in pred if (b, a.name) in protected]
-                keep = saved[0] if saved else pred[rng.randrange(len(pred))]
-                for b in pred:
-                    if b != keep:
-                        zeros.add((b, a.name))
+        for pairs in through:
+            live = [pair for pair in pairs if pair not in zeros]
+            if len(live) > 1:
+                saved = [pair for pair in live if pair in protected]
+                keep = saved[0] if saved else live[rng.randrange(len(live))]
+                zeros.update(live)
+                zeros.discard(keep)
                 changed = True
         if not changed:
             return zeros

@@ -7,7 +7,7 @@ and the middle part C collects the support of every string not contained
 in a single side part.  A string closure, `d_category`, reads the
 automaton's tables alone: it reaches both ways from the states at a
 vertex, or, for a nonempty string, from the states where the string can
-start and end, found by stepping it along the edges.
+start and end, found by following it along the edges.
 The structural consequences (fullness, no entering arrows, convexity,
 unique cycle, finite middle, double-zero-free sides) are verified
 mechanically, on the string automaton the classification built.  Each
@@ -75,14 +75,7 @@ def d_category(p, w):
         first, rest = w.letters[0], w.letters[1:]
         heads, tails = [], []
         for s, letter in enumerate(aut.letter_of):
-            if letter != first:
-                continue
-            t = s
-            for l in rest:
-                t = aut.step(t, l)
-                if t is None:
-                    break
-            else:
+            if letter == first and (t := aut.follow(s, rest)) is not None:
                 heads.append(s)
                 tails.append(t)
         on = reach(heads, aut.predecessors.__getitem__) | reach(tails, aut.edges.__getitem__)

@@ -18,9 +18,10 @@ can reach a generator-completing step, which one backward pass from the
 completing states decides; a double-zero exists iff some generator's
 start reaches a completion far enough on, which one backward `reach`
 over (state, letters still needed) pairs decides.  The brute-force
-enumerator is kept deliberately naive (no automaton) so the two can act
-as independent oracles for each other; both check their witness with
-`_validate_witness`.
+enumerator is kept deliberately naive so the two can act as independent
+oracles for each other: it extends walks letter by letter and matches
+each run's ends against the zero generators through `p.zero_index()`,
+with no automaton.  Both check their witness with `_validate_witness`.
 
 Double-zeros, witnesses and reports are frozen `_value.Value` classes
 with their own `__init__` rather than dataclasses, which would cost
@@ -179,17 +180,14 @@ def _validate_witness(w):
     return w
 
 
-def _gen_as_suffix(gens, run):
-    for g in gens:
-        if len(g) <= len(run) and tuple(run[-len(g):]) == g:
-            return g
-    return None
-
-
-def _gen_as_prefix(gens, run):
-    for g in gens:
-        if len(g) <= len(run) and tuple(run[: len(g)]) == g:
-            return g
+def _zero_generator(index, run, at_start=False):
+    """The zero generator that ends the run of arrows (starts it, with
+    `at_start`), or None, looked up in a `zero_index`: the generators are
+    an antichain, so at most one does."""
+    for m, group in index.items():
+        window = tuple(run[:m] if at_start else run[-m:])
+        if window in group:
+            return window
     return None
 
 
@@ -203,18 +201,10 @@ def find_double_zeros(p, max_len, node_budget=None):
     if not p.is_monomial:
         raise PreconditionError("find_double_zeros needs a monomial presentation")
     q = p.quiver
-    gens = p.zero_paths
+    index = p.zero_index()
     results = []
-    budget = [node_budget]
-
-    def spend():
-        if budget[0] is None:
-            return
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SearchBudgetExceeded("double-zero enumeration budget exhausted")
-
-    for g in gens:
+    visits = 0
+    for g in p.zero_paths:
         l = len(g)
         if l + 2 > max_len:
             continue
@@ -226,14 +216,16 @@ def find_double_zeros(p, max_len, node_budget=None):
         stack = [(seed, arr.target, False, list(g[1:]), 0)]
         while stack:
             letters, vertex, tail_inv, tail, depth = stack.pop()
-            spend()
+            visits += 1
+            if node_budget is not None and visits > node_budget:
+                raise SearchBudgetExceeded("double-zero enumeration budget exhausted")
             last = letters[-1]
             total = len(letters)
             # completion: a direct letter finishing a generator occurrence
             # that is disjoint from rho1 (depth >= len(gen) - 1)
             if not last.inverse and total + 1 <= max_len:
                 for a in q.out_arrows(vertex):
-                    hit = _gen_as_suffix(gens, tail + [a.name])
+                    hit = _zero_generator(index, tail + [a.name])
                     if hit is not None and depth >= len(hit) - 1:
                         full = letters + [direct(a.name)]
                         mid_letters = full[l : len(full) - len(hit)]
@@ -250,8 +242,7 @@ def find_double_zeros(p, max_len, node_budget=None):
                     continue
                 if m.inverse == tail_inv:
                     run = tail + [m.arrow] if not m.inverse else [m.arrow] + tail
-                    check = _gen_as_prefix if m.inverse else _gen_as_suffix
-                    if check(gens, run) is not None:
+                    if _zero_generator(index, run, m.inverse) is not None:
                         continue
                 else:
                     run = [m.arrow]
@@ -355,10 +346,7 @@ def _assemble_witness(p, aut, g, q, w1_letters, completion, path):
     g2 = p.zero_paths[gen_idx]
     cycle_letters = aut.shortest_cycle_at(q)
     root = list(primitive_root(cycle_letters))
-    s = q
-    for l in root:
-        s = aut.step(s, l)
-    if s != q:
+    if aut.follow(q, root) != q:
         raise CorruptPresentationError("primitive root does not stabilize its state")
     # the root starts with a letter leaving q, at q's end vertex
     band = make_cyclic(quiver, Walk(letter_ends(quiver, root[0])[0], tuple(root)))

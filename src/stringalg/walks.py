@@ -3,7 +3,9 @@
 A letter traverses an arrow forwards (direct) or backwards (inverse).  A
 walk is a base vertex plus a composable letter sequence; the empty
 sequence is the trivial walk at its base.  Strings are reduced walks none
-of whose same-direction runs contains a zero generator.
+of whose same-direction runs contains a zero generator.  One rule,
+`_below_inverse`, picks the orientation of {w, w^-1} that stands for
+both: `canonical_string` and the automaton's walk tree decide with it.
 
 Letters are a `collections.namedtuple` subclass and walks frozen
 `_value.Value` classes with their own `__init__`, so importing this
@@ -103,9 +105,6 @@ def inverse_walk(quiver, w):
 
 
 def concat_walks(quiver, *walks):
-    walks = [w for w in walks if w is not None]
-    if not walks:
-        raise ValueError("nothing to concatenate")
     letters = []
     at = walks[0].base
     for w in walks:
@@ -151,10 +150,21 @@ def is_string(p, w):
     return True
 
 
+def _below_inverse(letters):
+    """letters < the letters of the inverse walk, compared from both ends
+    without building it.  They are never equal for a nonempty reduced
+    walk."""
+    for a, b in zip(letters, reversed(letters)):
+        b = b.inverted()
+        if a != b:
+            return a < b
+    return False
+
+
 def canonical_string(quiver, w):
-    """Representative of {w, w^-1}: the letter-key-lexicographic minimum."""
-    wi = inverse_walk(quiver, w)
-    return min(w, wi, key=Walk.key)
+    """Representative of {w, w^-1}: the `Walk.key` minimum, decided by
+    `_below_inverse`; when the letters tie, so do the walks."""
+    return w if _below_inverse(w.letters) else inverse_walk(quiver, w)
 
 
 class CyclicWalk(Value):

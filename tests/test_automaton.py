@@ -220,6 +220,14 @@ def test_cost_follows_the_walk_not_the_max_len(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_letter_cap_boundary_on_thirteen(thirteen):
+    """Thirteen's strings up to length 407 hold 996,348 letters, under
+    the 1,000,000-letter cap; up to length 408 they pass it."""
+    assert sum(map(len, enumerate_strings(thirteen, 407))) == 996_348
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 1,000,000 letters"):
+        enumerate_strings(thirteen, 408)
+
+
 def test_window_past_the_cap_raises_before_its_letters_grow(thirteen):
     """Thirteen's strings of length 10**9 lie past 200,000 visits: the
     walk raises on counting the ring turns down to the window, before it

@@ -500,6 +500,19 @@ def test_module_with_non_string_walk_is_precondition_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x4 gamma1", "walk 'x4 gamma1': missing ':' after base vertex"),
+        ("x4: nosuch", "unknown arrow 'nosuch'"),
+    ],
+)
+def test_module_with_malformed_walk_exits_1(capsys, text, message):
+    code, out, err = run(capsys, "module", SKEW6, "--string", text)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_outputs_are_byte_identical_across_runs(capsys):
     first = run(capsys, "classify", THIRTEEN, "--json")
     second = run(capsys, "classify", THIRTEEN, "--json")
@@ -534,9 +547,13 @@ def test_scan_json_matches_the_exact_route(capsys, path, max_len):
     assert out == "".join(line + "\n" for line in lines)
 
 
-def test_seed_flag_is_accepted(capsys):
-    code, out, _ = run(capsys, "classify", THIRTEEN, "--seed", "7")
-    assert code == 0
+def test_seed_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", THIRTEEN, "--seed", "7"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed 7" in captured.err
 
 
 # --- start-up: a process loads only the layers its command runs ------------

@@ -3,6 +3,7 @@ says to run it; so do the README's command lines and its library tour."""
 
 import ast
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -50,6 +51,22 @@ def test_readme_command_lines_exit_zero(monkeypatch, capsys):
         assert argv[0] == "stringalg", line
         assert cli.main(argv[1:]) == 0, (line, capsys.readouterr().err)
     assert len(lines) == 11
+
+
+def test_readme_command_line_names_every_option():
+    """The options the subcommands accept are the `--option` tokens of
+    the README's command-line section, no more and no fewer."""
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    sub = next(a for a in cli._build_parser()._actions if a.choices)
+    accepted = {
+        o
+        for parser in sub.choices.values()
+        for action in parser._actions
+        for o in action.option_strings
+        if o not in ("-h", "--help")
+    }
+    assert documented == accepted
 
 
 def test_readme_library_tour_gives_its_commented_values():

@@ -290,7 +290,7 @@ def state_after_direct_path(aut, names):
     stepped along the automaton's edges; None when it is not a string."""
     s = None
     for n in names:
-        s = aut.first[direct(n)] if s is None else aut.step(s, direct(n))
+        s = aut.first[direct(n)] if s is None else aut.follow(s, (direct(n),))
         if s is None:
             return None
     return s
@@ -913,7 +913,7 @@ def test_table_build_matches_the_stepped_build(corpus):
         completing += len(comps)
         for s, k in enumerate(keys):
             for letter in _candidate_letters(p.quiver, k):
-                t = aut.step(s, letter)
+                t = aut.follow(s, (letter,))
                 assert (None if t is None else aut.keys[t]) == stepped(aut, k, letter)
     assert completing > 100
 

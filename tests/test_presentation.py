@@ -54,6 +54,21 @@ def test_quiver_rejects_unknown_endpoints():
         Quiver(["1"], [("a", "1", "2")])
 
 
+def test_quiver_rejects_an_unknown_source():
+    with pytest.raises(SemanticError, match="arrow 'a': unknown vertex '0'"):
+        Quiver(["1"], [("a", "0", "1")])
+
+
+def test_quiver_rejects_duplicate_vertex_ids():
+    with pytest.raises(SemanticError, match="duplicate vertex id"):
+        Quiver(["1", "1"], [])
+
+
+def test_path_needs_an_arrow():
+    with pytest.raises(SemanticError, match="a path needs at least one arrow"):
+        Quiver(["1"], []).path([])
+
+
 def test_quiver_rejects_duplicate_arrow_ids():
     with pytest.raises(SemanticError):
         Quiver(["1", "2"], [("a", "1", "2"), ("a", "2", "1")])

@@ -2,6 +2,7 @@ import pytest
 
 from stringalg.errors import SemanticError
 from stringalg.walks import (
+    CyclicWalk,
     Walk,
     band_boundary,
     canonical_band,
@@ -186,3 +187,18 @@ def test_concat_walks_validates_junction(skew6):
     assert serialize_walk(concat_walks(q, a, b)) == "x1: alpha beta1"
     with pytest.raises(SemanticError):
         concat_walks(q, b, a)
+
+
+def test_malformed_walks_and_bands_are_rejected(skew6):
+    q = skew6.quiver
+    with pytest.raises(SemanticError, match="missing ':' after base vertex"):
+        parse_walk(q, "x1 alpha")
+    with pytest.raises(SemanticError, match="unknown arrow 'nosuch'"):
+        make_walk(q, "x1", [direct("nosuch")])
+    with pytest.raises(SemanticError, match="missing 'band:' prefix"):
+        parse_band(q, "x1: alpha")
+    open_walk = walk(skew6, "x1: alpha")
+    with pytest.raises(SemanticError, match="walk is not cyclic"):
+        make_cyclic(q, open_walk)
+    with pytest.raises(SemanticError, match="walk is not cyclic"):
+        canonical_band(q, CyclicWalk(open_walk))
