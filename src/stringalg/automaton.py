@@ -74,16 +74,17 @@ class StringAutomaton:
         tables = (_prefix_table(gens), _prefix_table([g[::-1] for g in gens]))
         letters, spans, keys = [], [], []
         leaving = {v: [] for v in q.vertices}
+        (dnode, _, dends), (inode, _, iends) = tables
         for name, source, target in q.arrows:
-            for i, v, w in ((False, source, target), (True, target, source)):
-                node, _prefix, ends = tables[i]
-                n = node.get((name,), 0)
-                if ends[n] is not None:
-                    raise CorruptPresentationError("single arrow lies in the ideal")
-                leaving[v].append((name, i, len(keys)))
-                letters.append(Letter(name, i))
-                spans.append((v, w))
-                keys.append((name, i, n))
+            n, n_inv = dnode.get((name,), 0), inode.get((name,), 0)
+            if dends[n] is not None or iends[n_inv] is not None:
+                raise CorruptPresentationError("single arrow lies in the ideal")
+            j = len(keys)
+            leaving[source].append((name, False, j))
+            leaving[target].append((name, True, j + 1))
+            letters += (Letter(name, False), Letter(name, True))
+            spans += ((source, target), (target, source))
+            keys += ((name, False, n), (name, True, n_inv))
         for out in leaving.values():
             out.sort()
         after = [leaving[w] for _v, w in spans]
@@ -116,7 +117,9 @@ class StringAutomaton:
         # state s is the s-th key in sorted order; one pass over the states
         # fills every table
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        ids = dict(zip(order, range(len(keys))))
+        ids = [0] * len(keys)
+        for s, j in enumerate(order):
+            ids[j] = s
         self.states = tuple(range(len(keys)))
         self.keys = tuple([keys[j] for j in order])
         self.first = {l: ids[j] for j, l in enumerate(letters)}
@@ -158,30 +161,47 @@ class StringAutomaton:
         before and after that one and, on a ring (a cycle of such states
         along their live children), the ring's (letters twice over, length,
         visits at once and trailing edgeless children per turn), shared by
-        its states, and where a turn's letters start from this state."""
+        its states, and where a turn's letters start from this state.
+
+        One loop over each state's children finds its child with edges,
+        stopping at a second one; one walk along the chains of live
+        children then finds each ring and shares its entry among its
+        states."""
         edges = self.edges
         steps, live_of, chased = [], {}, {}
         for s, ts in edges.items():
-            live = [t for t in ts if edges[t]]
-            if len(live) == 1:
-                live_of[s] = t = live[0]
-                j = ts.index(t)
-                steps.append([j, t, len(ts) - j - 1, None, 0])
+            lead = None
+            for j, t in enumerate(ts):
+                if edges[t]:
+                    if lead is not None:  # a second child with edges
+                        steps.append(None)
+                        break
+                    lead = j
             else:
-                steps.append(None if live else [len(ts), None, 0, None, 0])
+                if lead is None:
+                    steps.append([len(ts), None, 0, None, 0])
+                else:
+                    live_of[s] = t = ts[lead]
+                    steps.append([lead, t, len(ts) - lead - 1, None, 0])
         for s in live_of:  # a chain of live children ends, or comes round: a ring
             chain = []
-            while s in live_of and s not in chased:
+            while s is not None and s not in chased:
                 chased[s] = chain
                 chain.append(s)
-                s = live_of[s]
+                s = live_of.get(s)
             if chased.get(s) is chain:
                 ring = chain[chain.index(s) :]
+                lead = trail = 0
+                for t in ring:
+                    step = steps[t]
+                    lead += step[0]
+                    trail += step[2]
                 n = len(ring)
-                lead, trail = (sum([steps[t][i] for t in ring]) for i in (0, 2))
-                shared = ([self.letter_of[t] for t in ring * 2], n, n + lead, trail)
+                shared = ([self.letter_of[t] for t in ring] * 2, n, n + lead, trail)
                 for at, t in enumerate(ring, 1):
-                    steps[t][3:] = shared, at
+                    step = steps[t]
+                    step[3] = shared
+                    step[4] = at
         return steps
 
     def __len__(self):

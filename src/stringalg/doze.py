@@ -370,6 +370,30 @@ def find_doze_bruteforce(p, max_len, node_budget=None):
 
     Tests every contiguous cyclic segment of each middle; first witness
     in canonical order wins.
+
+    Complete at max_len = 3N + 2m - 1, where N is the number of string
+    automaton states and m the longest zero generator: if p has a DOZE
+    witness, it has one whose walk at power 1 is that short.  Proof.
+    Pump a witness rho1 . w1 . band^k . w3 . rho2 to k > N.  Its
+    interior is a string, which the automaton reads from s0, the state
+    after rho1's tail (`generator_state`).  Two of the states after the
+    first N + 1 band copies coincide, so the read passes a state q on a
+    cycle.  It ends in a state f from which rho2's last arrow is a
+    completing step: rho2 ends the last direct run, and no generator
+    contains it.  So s0 reaches q and q reaches f, and shortest paths
+    bound each segment of the walk `find_doze` assembles from them:
+    - rho1 has at most m letters;
+    - w1, a shortest path from s0 to q, at most N - 1;
+    - the band, the primitive root r of a shortest cycle at q, at most
+      N, and every power of r is read round that cycle, so is a string;
+    - the tail, a shortest path t from q to f, at most N - 1 letters,
+      then the completing arrow, with the fewest copies of r put before
+      t that keep rho2 clear of the band: at most N letters with no
+      copy, and at most |r| + |rho2| - 1 <= N + m - 1 with some.
+    Each segment is an automaton path, so the interior stays a string.
+    The walk has at most m + (N - 1) + N + (N + m - 1) = 3N + 2m - 2
+    letters, and the enumeration meets it, or an earlier witness, at
+    any max_len from there.  `pumping_bound`, N + 2m, can be smaller.
     """
     q = p.quiver
     for dz in find_double_zeros(p, max_len, node_budget):

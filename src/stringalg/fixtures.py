@@ -98,15 +98,6 @@ def commutative_square():
     )
 
 
-def linear_a3(zeros=()):
-    """1 -> 2 -> 3 with optional zero relations."""
-    return Presentation.build(
-        ["1", "2", "3"],
-        [("a", "1", "2"), ("b", "2", "3")],
-        zeros=[list(z) for z in zeros],
-    )
-
-
 ALL = {
     "skew6": skew6,
     "thirteen": thirteen,

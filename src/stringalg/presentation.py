@@ -117,8 +117,18 @@ class Quiver:
         return OrientedPath(names, arrs[0].source, arrs[-1].target)
 
     def opposite(self):
-        """Quiver with every arrow reversed (same names)."""
-        return Quiver(self.vertices, [(a.name, a.target, a.source) for a in self.arrows])
+        """Quiver with every arrow reversed (same names).
+
+        Built from this validated quiver without validating or sorting
+        again: arrow names are unique, so the arrows into v, sorted by
+        name, reversed are the arrows out of v in the opposite, sorted."""
+        out = Quiver.__new__(Quiver)
+        out.vertices = self.vertices
+        out.arrow = arrow = {n: Arrow(n, t, s) for n, s, t in self.arrows}
+        out.arrows = tuple(arrow.values())
+        out._out = {v: tuple([arrow[a.name] for a in ins]) for v, ins in self._in.items()}
+        out._in = {v: tuple([arrow[a.name] for a in outs]) for v, outs in self._out.items()}
+        return out
 
     def __eq__(self, other):
         return (

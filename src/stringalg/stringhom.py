@@ -9,7 +9,11 @@ cover (`string_cover`), the first syzygy (`string_syzygy`) and the pd >= 2
 with no linear algebra.  The cover and the syzygy take time linear in
 the string's length; a threshold reads the syzygy sites of each band
 period once and skips their repeats, so past the pumping bound its site
-reads do not grow with the length.
+reads do not grow with the length.  A summand's paths come from
+`_StringHomology.continuation`, which extends a nonzero path an arrow at
+a time and looks up only the windows that end at the new arrow, one per
+generator length: every other window lies in the path before the step,
+which is nonzero, so none of them is a generator.
 `conjecture_scan` counts the strings whose modules pass both thresholds,
 and `dozed_string` is the string of a pumped DOZE witness.
 
@@ -21,7 +25,7 @@ it only for a monomial presentation that is not a string algebra.
 from ._value import Value
 from .automaton import strings_of_length
 from .errors import DozedStringAnomaly, PreconditionError
-from .presentation import has_window, validate_string_algebra, window_index
+from .presentation import validate_string_algebra, window_index
 from .walks import Walk, direct, inverse, is_string, walk_vertices
 
 
@@ -132,16 +136,19 @@ class _StringHomology:
         """The maximal path u from vertex `at` with head.u outside the ideal;
         head is a nonzero path ending at `at` and u starts with `first` when
         given.  Unique continuation leaves at most one arrow per step, and
-        only the last max_generator_length() arrows can complete a
-        generator."""
-        q, index, keep = self.quiver, self.index, self.keep
+        only a generator ending at the new arrow can make the path zero: the
+        lookup is one suffix per generator length."""
+        q, index, keep = self.quiver, self.index.items(), self.keep
         tail = tuple(head[-keep:]) if keep > 0 else ()
         choices = (q.arrow[first],) if first is not None else q.out_arrows(at)
         u = []
         while True:
             for a in choices:
                 window = tail + (a.name,)
-                if not has_window(window, index):
+                for m, group in index:
+                    if window[-m:] in group:
+                        break
+                else:  # no generator ends at a
                     break
             else:
                 return tuple(u)

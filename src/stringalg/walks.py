@@ -152,12 +152,14 @@ def is_string(p, w):
 
 def _below_inverse(letters):
     """letters < the letters of the inverse walk, compared from both ends
-    without building it.  They are never equal for a nonempty reduced
+    without building it: the letter (a, x) against the inverse (b, not y)
+    of its mirror (b, y).  They are never equal for a nonempty reduced
     walk."""
-    for a, b in zip(letters, reversed(letters)):
-        b = b.inverted()
+    for (a, x), (b, y) in zip(letters, reversed(letters)):
         if a != b:
             return a < b
+        if x == y:  # x against not x: only a direct x is below
+            return not x
     return False
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from stringalg import fixtures
+from stringalg.automaton import automaton
 from stringalg.corpus import (
     _random_quiver,
     _random_zero_paths,
@@ -36,6 +37,22 @@ def contains_subpath(path, sub):
     if m > n:
         return False
     return any(path[i : i + m] == sub for i in range(n - m + 1))
+
+
+def linear_a3(zeros=()):
+    """1 -> 2 -> 3 with optional zero relations."""
+    return Presentation.build(
+        ["1", "2", "3"],
+        [("a", "1", "2"), ("b", "2", "3")],
+        zeros=[list(z) for z in zeros],
+    )
+
+
+def doze_length_bound(p):
+    """3N + 2m - 1, N the automaton states and m the longest generator of
+    a monomial p: if p has a DOZE witness, it has one of at most this many
+    letters at power 1 (see `find_doze_bruteforce`)."""
+    return 3 * len(automaton(p)) + 2 * p.max_generator_length() - 1
 
 
 def random_monomial_presentation(

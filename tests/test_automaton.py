@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+from conftest import linear_a3
 from stringalg import cli, fixtures, graph, stringhom, textio
 from stringalg.automaton import (
     StringAutomaton,
@@ -20,7 +21,6 @@ from stringalg.automaton import (
 from stringalg.corpus import special_biserial_corpus
 from stringalg.doze import classify
 from stringalg.errors import PreconditionError, SearchBudgetExceeded
-from stringalg.fixtures import linear_a3
 from stringalg.presentation import Presentation, monomial_form
 from stringalg.walks import (
     CyclicWalk,

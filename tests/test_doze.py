@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from conftest import doze_length_bound, linear_a3
 from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.doze import (
     FINITE_TYPE,
@@ -22,7 +23,6 @@ from stringalg.errors import (
     PreconditionError,
     SearchBudgetExceeded,
 )
-from stringalg.fixtures import linear_a3
 from stringalg.presentation import Presentation, Quiver, monomial_form
 from stringalg.walks import (
     canonical_band,
@@ -177,6 +177,21 @@ def test_every_corpus_witness_is_a_double_zero_past_the_third_power(corpora, ske
         ends = len(w.rho1) + len(w.w1) + len(w.w3) + len(w.rho2)
         for n in range(4, 9):
             assert len(w.double_zero(n)) == ends + n * len(w.band), (w.serialize(), n)
+        witnesses += 1
+    assert witnesses == 3097
+
+
+def test_every_witness_fits_the_oracle_bound(corpora, skew6, thirteen, commsquare):
+    """Every `find_doze` witness of the fixtures and corpora has fewer
+    than 3N + 2m - 1 letters at power 1, the bound at which
+    `find_doze_bruteforce` is complete: its proof counts at most
+    3N + 2m - 2 for the walk `find_doze` assembles."""
+    witnesses = 0
+    for p in corpora.largest() + [skew6, thirteen, commsquare]:
+        w = classify(p).evidence
+        if w is None:
+            continue
+        assert len(w.assembled(1).letters) < doze_length_bound(monomial_form(p)), w.serialize()
         witnesses += 1
     assert witnesses == 3097
 

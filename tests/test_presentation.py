@@ -64,6 +64,22 @@ def test_quiver_rejects_duplicate_vertex_ids():
         Quiver(["1", "1"], [])
 
 
+def test_opposite_quiver_matches_the_validated_build(corpora, skew6, thirteen, nine, commsquare):
+    """`Quiver.opposite` skips validation and sorting; field by field it is
+    the quiver built, validated and sorted, from the reversed arrows."""
+    quivers = [p.quiver for p in corpora.largest() + [skew6, thirteen, nine, commsquare]]
+    for q in quivers:
+        got = q.opposite()
+        want = Quiver(q.vertices, [(a.name, a.target, a.source) for a in q.arrows])
+        assert (got.vertices, got.arrows, got.arrow) == (want.vertices, want.arrows, want.arrow)
+        assert list(got.arrow) == list(want.arrow)
+        for v in q.vertices:
+            assert got.out_arrows(v) == want.out_arrows(v), v
+            assert got.in_arrows(v) == want.in_arrows(v), v
+        assert got == want and hash(got) == hash(want)
+    assert len(quivers) == 7495
+
+
 def test_path_needs_an_arrow():
     with pytest.raises(SemanticError, match="a path needs at least one arrow"):
         Quiver(["1"], []).path([])

@@ -4,16 +4,16 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_monomial_presentation
+from conftest import linear_a3, random_monomial_presentation
 from stringalg import exactla as la
 from stringalg import fixtures, rep, stringhom
 from stringalg.automaton import strings_of_length
 from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.doze import NOT_LAURA, classify, find_doze
 from stringalg.errors import CorruptPresentationError, DozedStringAnomaly, PreconditionError
-from stringalg.fixtures import linear_a3
 from stringalg.presentation import (
     Presentation,
+    has_window,
     monomial_form,
     quotient_by_J,
     validate_string_algebra,
@@ -571,6 +571,49 @@ def test_string_id_is_string_pd_over_the_opposite_algebra(corpora, skew6, thirte
             assert stringhom.string_id_at_least_2(p, w) == stringhom.string_pd_at_least_2(pop, flipped(w)), w
             compared += 1
     assert compared == 15604
+
+
+def whole_path_continuation(h, head, at, first=None):
+    """`_StringHomology.continuation` by its definition: the maximal path u
+    from `at`, starting with `first` when given, with head.u outside the
+    ideal, each step testing every window of the whole path head.u.a."""
+    q = h.quiver
+    path = tuple(head)
+    choices = (q.arrow[first],) if first is not None else q.out_arrows(at)
+    while True:
+        for a in choices:
+            if not has_window(path + (a.name,), h.index):
+                break
+        else:
+            return path[len(head) :]
+        path += (a.name,)
+        choices = q.out_arrows(a.target)
+
+
+def test_continuation_matches_the_whole_path_rule(corpus500, skew6, thirteen, commsquare):
+    """`continuation` looks up only the windows ending at each new arrow;
+    the whole-path rule agrees on every site of every string up to length
+    8 and every dim P(x) continuation, over A and over the dual, on the
+    fixtures and corpus500[:100]."""
+    compared = 0
+    for p in [skew6, thirteen, quotient_by_J(commsquare)] + corpus500[:100]:
+        strings = strings_of_length(p, range(9))
+        for dual in (False, True):
+            h = stringhom._string_homology(p, dual)
+            calls = [((), x, a.name) for x in h.quiver.vertices for a in h.quiver.out_arrows(x)]
+            for w in strings:
+                arrows, inv = stringhom._arrows_and_flags(w)
+                for site in h._sites(w.base, arrows, inv.translate(stringhom._FLIP) if dual else inv):
+                    if len(site) == 3:
+                        calls.append(site)
+                    else:
+                        (left, right), v = site
+                        calls += [(left, v, None), (right, v, None)]
+            for head, at, first in calls:
+                got = h.continuation(head, at, first)
+                assert got == whole_path_continuation(h, head, at, first), (dual, head, at, first)
+                compared += 1
+    assert compared == 78770
 
 
 def test_scan_builds_no_opposite_algebra(monkeypatch):

@@ -1,9 +1,13 @@
 import pytest
 
+from stringalg import fixtures
+from stringalg.automaton import _walk_tree
 from stringalg.errors import SemanticError
+from stringalg.presentation import monomial_form
 from stringalg.walks import (
     CyclicWalk,
     Walk,
+    _below_inverse,
     band_boundary,
     canonical_band,
     canonical_string,
@@ -202,3 +206,18 @@ def test_malformed_walks_and_bands_are_rejected(skew6):
         make_cyclic(q, open_walk)
     with pytest.raises(SemanticError, match="walk is not cyclic"):
         canonical_band(q, CyclicWalk(open_walk))
+
+
+def test_below_inverse_matches_the_inverse_walk(corpus500):
+    """`_below_inverse` compares the letters with those of the inverse walk
+    without building it; here the inverse walk is built and compared, on
+    every string up to length 8, both orientations, of the fixtures and
+    corpus500[:100]."""
+    instances = [monomial_form(build()) for build in fixtures.ALL.values()] + corpus500[:100]
+    compared = 0
+    for p in instances:
+        for base, letters in _walk_tree(p, range(1, 9)):
+            w = Walk(base, tuple(letters))
+            assert _below_inverse(w.letters) == (w.letters < inverse_walk(p.quiver, w).letters), w
+            compared += 1
+    assert compared == 15342
