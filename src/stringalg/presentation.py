@@ -10,9 +10,18 @@ oriented cycle; an acyclic quiver has none, and no search.
 Both validators read one cached scan of the vertex-degree and
 unique-continuation axioms.
 
-A relation is the `OrientedPath` that `Quiver.path` returns: a zero
-relation is one path, a commutativity relation a pair of parallel paths,
-and the constructor takes the two as separate sequences.
+`Quiver(vertices, arrows)` and `Presentation(quiver, zeros, comms)`
+check their input, then build through a private builder, `_fill`:
+`Quiver` checks ids, duplicates and arrow endpoints, and `Presentation`
+relation lengths and the commutativity rules (`_check_commutativity`).
+A relation is the `OrientedPath` that `Quiver.path` returns, which
+checks composability: a zero relation is one path, a commutativity
+relation a pair of parallel paths, and the constructor takes the two as
+separate sequences.  `textio.parse` makes the same checks as it reads,
+with line and column, and calls the same builders on arrow-id tuples.
+The one check in a builder is the presentation's finite dimension, which
+both routes need.  `Quiver.opposite` and `quotient_by_J` also build from
+parts already checked.
 
 Arrows are `collections.namedtuple` subclasses; paths and validation
 reports are frozen `_value.Value` classes, each with its own `__init__`.
@@ -21,6 +30,7 @@ start-up of every `stringalg` process.
 """
 
 from collections import namedtuple
+from itertools import groupby
 
 from ._value import Value
 from .errors import (
@@ -64,12 +74,11 @@ class Quiver:
         vertices = [str(v) for v in vertices]
         if len(set(vertices)) != len(vertices):
             raise SemanticError("duplicate vertex id")
-        self.vertices = tuple(sorted(vertices))
-        vset = set(self.vertices)
+        vset = set(vertices)
         seen = set()
         built = []
         for a in arrows:
-            a = Arrow(*a)
+            a = Arrow(*map(str, a))
             if a.name in seen:
                 raise SemanticError(f"duplicate arrow id {a.name!r}")
             seen.add(a.name)
@@ -78,16 +87,23 @@ class Quiver:
             if a.target not in vset:
                 raise SemanticError(f"arrow {a.name!r}: unknown vertex {a.target!r}")
             built.append(a)
-        self.arrows = tuple(built)
-        self.arrow = {a.name: a for a in self.arrows}
-        self._out = {v: [] for v in self.vertices}
-        self._in = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            self._out[a.source].append(a)
-            self._in[a.target].append(a)
-        for v in self.vertices:
-            self._out[v] = tuple(sorted(self._out[v]))
-            self._in[v] = tuple(sorted(self._in[v]))
+        self._fill(vertices, built)
+
+    def _fill(self, vertices, arrows):
+        """Build from checked parts: unique vertex ids, and `Arrow`s with
+        unique names between them.  The arrows are sorted once, by name
+        (unique, so the whole order), and dealt out to their ends in that
+        order: every vertex's arrows come out sorted."""
+        self.vertices = tuple(sorted(vertices))
+        self.arrows = tuple(arrows)
+        self.arrow = {a.name: a for a in arrows}
+        out = {v: [] for v in self.vertices}
+        into = {v: [] for v in self.vertices}
+        for a in sorted(arrows):
+            out[a.source].append(a)
+            into[a.target].append(a)
+        self._out = {v: tuple(arrs) for v, arrs in out.items()}
+        self._in = {v: tuple(arrs) for v, arrs in into.items()}
 
     def has_vertex(self, v):
         return v in self._out
@@ -103,18 +119,24 @@ class Quiver:
         names = tuple(names)
         if not names:
             raise SemanticError("a path needs at least one arrow")
-        arrs = []
         for n in names:
             if n not in self.arrow:
                 raise SemanticError(f"unknown arrow {n!r}")
-            arrs.append(self.arrow[n])
-        for a, b in zip(arrs, arrs[1:]):
-            if a.target != b.source:
+        return OrientedPath(names, *self._ends(names))
+
+    def _ends(self, names):
+        """(source, target) of a nonempty sequence of known arrow ids,
+        which must compose."""
+        first = prev = self.arrow[names[0]]
+        for n in names[1:]:
+            a = self.arrow[n]
+            if prev.target != a.source:
                 raise SemanticError(
-                    f"path not composable at {a.name!r}.{b.name!r}: "
-                    f"{a.name} ends at {a.target}, {b.name} starts at {b.source}"
+                    f"path not composable at {prev.name!r}.{a.name!r}: "
+                    f"{prev.name} ends at {prev.target}, {a.name} starts at {a.source}"
                 )
-        return OrientedPath(names, arrs[0].source, arrs[-1].target)
+            prev = a
+        return first.source, prev.target
 
     def opposite(self):
         """Quiver with every arrow reversed (same names).
@@ -206,16 +228,21 @@ def minimalize(paths):
     """Drop every path that contains another one as a contiguous subpath.
 
     Idempotent; the result is an antichain under contiguous containment.
-    Paths are taken shortest first, so every path a candidate can contain
-    has already been decided and, if kept, indexed.
+    Paths are taken shortest first, one length at a time, so every path a
+    candidate can contain has already been decided and, if kept, indexed.
+    Distinct paths of one length cannot contain each other, so a length's
+    candidates are tested against the shorter kept paths alone, and the
+    shortest are not tested at all.
     """
-    unique = sorted(set(tuple(p) for p in paths), key=lambda p: (len(p), p))
+    unique = sorted(set(map(tuple, paths)))
+    unique.sort(key=len)  # stable: by (length, arrows)
     kept = []
     index = {}
-    for p in unique:
-        if not has_window(p, index):
-            kept.append(p)
-            index.setdefault(len(p), set()).add(p)
+    for m, group in groupby(unique, len):
+        new = [p for p in group if not has_window(p, index)] if index else list(group)
+        if new:
+            kept += new
+            index[m] = set(new)
     return kept
 
 
@@ -232,10 +259,10 @@ def _assert_finite_dimensional(quiver, gens):
     unpruned one would.
     """
     # left[v]: v's arrows into the vertices not peeled yet
-    left = {v: len(quiver.out_arrows(v)) for v in quiver.vertices}
+    left = {v: len(outs) for v, outs in quiver._out.items()}
     peeled = [v for v, n in left.items() if not n]
     for v in peeled:
-        for a in quiver.in_arrows(v):
+        for a in quiver._in[v]:
             left[a.source] -= 1
             if not left[a.source]:
                 peeled.append(a.source)
@@ -260,6 +287,21 @@ def _assert_finite_dimensional(quiver, gens):
         )
 
 
+def _check_commutativity(left, right, left_ends, right_ends):
+    """Raise unless the arrow-id tuples left and right, paths with
+    (source, target) left_ends and right_ends, are the two sides of a
+    commutativity relation: each of length >= 2, parallel and distinct."""
+    if len(left) < 2 or len(right) < 2:
+        fault = "sides must have length >= 2"
+    elif left_ends != right_ends:
+        fault = "sides not parallel"
+    elif left == right:
+        fault = "sides not distinct"
+    else:
+        return
+    raise SemanticError(f"commutativity {'.'.join(left)} = {'.'.join(right)}: {fault}")
+
+
 class Presentation:
     """Immutable bound quiver (Q, I).
 
@@ -271,22 +313,21 @@ class Presentation:
     """
 
     def __init__(self, quiver, zeros=(), comms=()):
-        self.quiver = quiver
         for p in zeros:
             if len(p) < 2:
                 raise SemanticError(f"zero relation {p} has length < 2")
         for left, right in comms:
-            if len(left) < 2 or len(right) < 2:
-                raise SemanticError(
-                    f"commutativity {left} = {right}: sides must have length >= 2"
-                )
-            if (left.source, left.target) != (right.source, right.target):
-                raise SemanticError(f"commutativity {left} = {right}: sides not parallel")
-            if left.arrows == right.arrows:
-                raise SemanticError(f"commutativity {left} = {right}: sides not distinct")
+            _check_commutativity(
+                left.arrows, right.arrows, (left.source, left.target), (right.source, right.target)
+            )
+        self._fill(quiver, [p.arrows for p in zeros], [(l.arrows, r.arrows) for l, r in comms])
 
-        zero_paths = [p.arrows for p in zeros]
-        comm_pairs = [(l.arrows, r.arrows) for l, r in comms]
+    def _fill(self, quiver, zero_paths, comm_pairs):
+        """Build from checked relations: arrow-id tuples that are paths of
+        quiver, the zero ones of length >= 2 and the commutativity pairs
+        accepted by `_check_commutativity`."""
+        self.quiver = quiver
+        zero_paths = list(zero_paths)
         # Degenerate commutativities: if either side is monomially zero the
         # relation is equivalent to two zero relations.  Iterate to a fixpoint
         # since newly added zeros can degrade further commutativities.
@@ -435,19 +476,26 @@ def _scan_axioms(p):
     zero = p.zero_index().get(2, ())
     out = []
     for v in q.vertices:
-        ins = q.in_arrows(v)
-        outs = q.out_arrows(v)
+        ins = q._in[v]
+        outs = q._out[v]
         if len(ins) > 2:
             out.append(Violation(1, v, "in", tuple(a.name for a in ins)))
         if len(outs) > 2:
             out.append(Violation(1, v, "out", tuple(a.name for a in outs)))
+    # an arrow has two live successors only where its target has two
+    # out-arrows, and two live predecessors only where its source has two
+    # in-arrows
     for a in q.arrows:
-        succ = [b.name for b in q.out_arrows(a.target) if (a.name, b.name) not in zero]
-        if len(succ) > 1:
-            out.append(Violation(2, a.name, "successors", tuple(succ)))
-        pred = [b.name for b in q.in_arrows(a.source) if (b.name, a.name) not in zero]
-        if len(pred) > 1:
-            out.append(Violation(2, a.name, "predecessors", tuple(pred)))
+        outs = q._out[a.target]
+        if len(outs) > 1:
+            succ = [b.name for b in outs if (a.name, b.name) not in zero]
+            if len(succ) > 1:
+                out.append(Violation(2, a.name, "successors", tuple(succ)))
+        ins = q._in[a.source]
+        if len(ins) > 1:
+            pred = [b.name for b in ins if (b.name, a.name) not in zero]
+            if len(pred) > 1:
+                out.append(Violation(2, a.name, "predecessors", tuple(pred)))
     return tuple(out)
 
 

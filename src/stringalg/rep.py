@@ -1,16 +1,15 @@
 """Exact quiver representations over the rationals: the matrix route.
 
 Representations, module maps, indecomposable projectives and injectives,
-radical and socle series, kernels and cokernels, projective covers and
-injective envelopes, syzygies and the pd >= 2 / id >= 2 tests, and the
-pumped module family of a DOZE witness.  Everything works with 0/1
-integer matrices and exact rational elimination; nothing depends on a
-characteristic.  The projectives have the paths outside the ideal as
+radical and socle series, kernels, projective covers, syzygies and the
+pd >= 2 / id >= 2 tests, and the pumped module family of a DOZE witness.
+Everything works with 0/1 integer matrices and exact rational
+elimination; nothing depends on a characteristic.  The projectives have the paths outside the ideal as
 bases, which is right only for a monomial presentation, so any other is
 refused with PreconditionError (pass to the J-quotient first).
 
-Quotients, tops, cokernels and covers come from one echelon form per
-vertex (`exactla.complement`): a quotient's basis is the unit vectors
+Quotients, tops and covers come from one echelon form per vertex
+(`exactla.complement`): a quotient's basis is the unit vectors
 the subspace leaves free, and the projective cover is one projective per
 top basis vector, lifted into M as that unit vector (Assem-Simson-
 Skowronski I, I.5).  Sub-modules are read off the same echelon forms
@@ -19,8 +18,7 @@ known coordinates, so an arrow's matrix is its images' entries there.
 
 The injective side is built by duality: D = Hom(-, k) sends injective
 A-modules to projective A^op-modules (Assem-Simson-Skowronski I, I.5), so
-I(x) is D P_{A^op}(x), the injective envelope of M is the dual of the
-projective cover of D M over A^op, and id M >= 2 is pd D M >= 2.
+I(x) is D P_{A^op}(x), and id M >= 2 is pd D M >= 2.
 
 This is the general homology route.  Over a string algebra `stringhom`
 reads the same answers off the string with no matrix, and this route is
@@ -250,12 +248,6 @@ def kernel(f):
     return _sub_representation(M, spans)
 
 
-def cokernel(f):
-    """(coker f, projection) of a module map."""
-    vectors = {v: _transposed(b, f.source.dims[v]) for v, b in f.blocks.items()}
-    return _quotient_representation(f.target, vectors)
-
-
 def projective_cover(p, M):
     """(P, cover): one projective P(v) per top basis vector, which is the
     unit vector at a coordinate of M_v the radical leaves free; the cover
@@ -323,17 +315,6 @@ def dual(M, onto):
 def injective(p, x):
     """Indecomposable injective with socle S_x: D P_{A^op}(x)."""
     return dual(projective(_opposite(p), x), p)
-
-
-def injective_envelope(p, M):
-    """(I, embedding): the dual of the projective cover P -> D M over A^op.
-    D sends projective A^op-modules to injective A-modules and the
-    surjective cover to an injective embedding M = D D M -> D P."""
-    pop = _opposite(p)
-    P, cover = projective_cover(pop, dual(M, pop))
-    I = dual(P, p)
-    blocks = {v: _transposed(b, P.dims[v]) for v, b in cover.blocks.items()}
-    return I, ModuleMap(M, I, blocks)
 
 
 def syzygy(p, M):

@@ -11,12 +11,22 @@ One declaration per line; `#` starts a comment:
 Compositions read left to right.  Parse errors carry 1-based line and
 column; the canonical serializer round-trips through parse exactly.
 Lines are split, never scanned: only an error's token gets a column.
+
+Each declaration is checked once, here.  As a line is read: its shape,
+identifiers, duplicates, arrow endpoints and the arrows of a relation.
+After the last line: each relation's composability (`Quiver._ends`, with
+`Quiver.path`'s message, placed at the relation's first arrow), then the
+commutativity rules (`_check_commutativity`, the constructor's own).  The
+quiver and the presentation are then built by the private builders that
+`Quiver(...)` and `Presentation(...)` call after their own checks, so
+none of these is made twice.  The builder's finite-dimension test and
+the commutativity rules report no position.
 """
 
 import re
 
 from .errors import ParseError, SemanticError, StringAlgError
-from .presentation import Presentation, Quiver
+from .presentation import Arrow, Presentation, Quiver, _check_commutativity
 
 _ID = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -57,7 +67,27 @@ def parse(text):
         if not toks:
             continue
         head, *rest = toks
-        if head == "algebra":
+        # most lines declare arrows or zero relations: those heads are tried first
+        if head == "arrow":
+            if len(rest) != 5 or rest[1] != ":" or rest[3] != "->":
+                raise ParseError("expected 'arrow <id> : <src> -> <tgt>'", lineno, _column(line, 0))
+            aid, _, src, _, tgt = rest
+            if not _ID.match(aid):
+                raise ParseError(f"invalid identifier {aid!r}", lineno, _column(line, 1))
+            if aid in arrow_seen:
+                raise ParseError(f"duplicate arrow {aid!r}", lineno, _column(line, 1))
+            arrow_seen.add(aid)
+            for i in (3, 5):
+                if toks[i] not in vertex_seen:
+                    raise SemanticError(f"unknown vertex {toks[i]!r}", lineno, _column(line, i))
+            arrows.append(Arrow(aid, src, tgt))
+        elif head == "zero":
+            if len(rest) < 2:
+                raise ParseError("'zero' needs at least two arrows", lineno, _column(line, 0))
+            if not arrow_seen.issuperset(rest):
+                raise _first_unknown(toks, arrow_seen, lineno, line)
+            zero_decls.append((tuple(rest), lineno, line))
+        elif head == "algebra":
             if len(rest) != 1:
                 raise ParseError("expected 'algebra <name>'", lineno, _column(line, 0))
             if name is not None:
@@ -73,30 +103,11 @@ def parse(text):
                     raise ParseError(f"duplicate vertex {tok!r}", lineno, _column(line, i))
                 vertex_seen.add(tok)
             vertices += rest
-        elif head == "arrow":
-            if len(rest) != 5 or rest[1] != ":" or rest[3] != "->":
-                raise ParseError("expected 'arrow <id> : <src> -> <tgt>'", lineno, _column(line, 0))
-            aid, _, src, _, tgt = rest
-            if not _ID.match(aid):
-                raise ParseError(f"invalid identifier {aid!r}", lineno, _column(line, 1))
-            if aid in arrow_seen:
-                raise ParseError(f"duplicate arrow {aid!r}", lineno, _column(line, 1))
-            arrow_seen.add(aid)
-            for i in (3, 5):
-                if toks[i] not in vertex_seen:
-                    raise SemanticError(f"unknown vertex {toks[i]!r}", lineno, _column(line, i))
-            arrows.append((aid, src, tgt))
-        elif head == "zero":
-            if len(rest) < 2:
-                raise ParseError("'zero' needs at least two arrows", lineno, _column(line, 0))
-            if not arrow_seen.issuperset(rest):
-                raise _first_unknown(toks, arrow_seen, lineno, line)
-            zero_decls.append((rest, lineno, line))
         elif head == "comm":
             if "=" not in rest:
                 raise ParseError("'comm' needs an '=' between the two sides", lineno, _column(line, 0))
             cut = rest.index("=")
-            left, right = rest[:cut], rest[cut + 1 :]
+            left, right = tuple(rest[:cut]), tuple(rest[cut + 1 :])
             if not left or not right:
                 raise ParseError("'comm' sides must both be nonempty", lineno, _column(line, 0))
             known = arrow_seen | {"="}
@@ -107,21 +118,32 @@ def parse(text):
             raise ParseError(f"unknown declaration {head!r}", lineno, _column(line, 0))
     if name is None:
         raise ParseError("missing 'algebra <name>' line", 1, 1)
-    quiver = Quiver(vertices, arrows)
-    zeros = []
+    # every vertex, arrow and relation arrow is checked above, so the
+    # quiver and the presentation are built without checking them again
+    quiver = Quiver.__new__(Quiver)
+    quiver._fill(vertices, arrows)
     for names, lineno, line in zero_decls:
         try:
-            zeros.append(quiver.path(names))
+            quiver._ends(names)
         except SemanticError as e:
             raise SemanticError(str(e), lineno, _column(line, 1)) from None
     comms = []
     for left, right, lineno, line in comm_decls:
         try:
-            comms.append((quiver.path(left), quiver.path(right)))
+            left_ends = quiver._ends(left)
+            if "=" in right:
+                # the arrow check above let every '=' through, not only the first
+                raise SemanticError("unknown arrow '='")
+            comms.append((left, right, left_ends, quiver._ends(right)))
         except SemanticError as e:
             raise SemanticError(str(e), lineno, _column(line, 1)) from None
     try:
-        presentation = Presentation(quiver, zeros, comms)
+        for comm in comms:
+            _check_commutativity(*comm)
+        presentation = Presentation.__new__(Presentation)
+        presentation._fill(
+            quiver, [names for names, _, _ in zero_decls], [comm[:2] for comm in comms]
+        )
     except StringAlgError as e:
         raise SemanticError(str(e)) from None
     return name, presentation

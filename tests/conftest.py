@@ -1,6 +1,6 @@
 import pytest
 
-from stringalg import fixtures
+from stringalg import fixtures, rep
 from stringalg.automaton import automaton
 from stringalg.corpus import (
     _random_quiver,
@@ -73,6 +73,26 @@ def random_monomial_presentation(
         except (InfiniteDimensionalError, SemanticError):
             continue
     return None
+
+
+# Only tests take cokernels or injective envelopes, so these stay out of `rep`.
+
+
+def cokernel(f):
+    """(coker f, projection) of a module map."""
+    vectors = {v: rep._transposed(b, f.source.dims[v]) for v, b in f.blocks.items()}
+    return rep._quotient_representation(f.target, vectors)
+
+
+def injective_envelope(p, M):
+    """(I, embedding): the dual of the projective cover P -> D M over A^op.
+    D sends projective A^op-modules to injective A-modules and the
+    surjective cover to an injective embedding M = D D M -> D P."""
+    pop = rep._opposite(p)
+    P, cover = rep.projective_cover(pop, rep.dual(M, pop))
+    I = rep.dual(P, p)
+    blocks = {v: rep._transposed(b, P.dims[v]) for v, b in cover.blocks.items()}
+    return I, rep.ModuleMap(M, I, blocks)
 
 
 class CorpusDraws:

@@ -105,7 +105,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_monomial_presentation
+from conftest import cokernel, injective_envelope, random_monomial_presentation
 from stringalg import exactla as la
 from stringalg import fixtures, rep
 from stringalg.automaton import (
@@ -2178,7 +2178,7 @@ def naturality_id_at_least_2(p, M):
     I, embed = naturality_envelope(p, M)
     if I.total_dim == M.total_dim:
         return False
-    C, _ = rep.cokernel(embed)
+    C, _ = cokernel(embed)
     I2, _ = naturality_envelope(p, C)
     return I2.total_dim != C.total_dim
 
@@ -2186,10 +2186,10 @@ def naturality_id_at_least_2(p, M):
 def test_envelope_solution_independence(skew6):
     M = rep.string_module(skew6, parse_walk(skew6.quiver, "x2: beta1 gamma1"))
     I, embed, other = naturality_envelope(skew6, M, second_solution=True)
-    C1, _ = rep.cokernel(embed)
+    C1, _ = cokernel(embed)
     if other is not None:
         assert any(embed.blocks[v] != other.blocks[v] for v in skew6.quiver.vertices)
-        C2, _ = rep.cokernel(other)
+        C2, _ = cokernel(other)
         assert C1.dims == C2.dims
 
 
@@ -2198,10 +2198,10 @@ def test_duality_envelope_matches_the_naturality_solve(corpora, skew6, thirteen)
     for p in [skew6, thirteen] + corpora(string_corpus, 5, 10):
         for w in enumerate_strings(p, 4):
             M = rep.string_module(p, w)
-            I, embed = rep.injective_envelope(p, M)
+            I, embed = injective_envelope(p, M)
             J, oracle = naturality_envelope(p, M)
             assert I.dims == J.dims, w
             assert embed.is_injective(), w
-            assert rep.cokernel(embed)[0].dims == rep.cokernel(oracle)[0].dims, w
+            assert cokernel(embed)[0].dims == cokernel(oracle)[0].dims, w
             compared += 1
     assert compared == 315

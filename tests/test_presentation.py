@@ -1,4 +1,6 @@
 import importlib
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import contains_subpath
 from stringalg import fixtures
 from stringalg.cli import main
-from stringalg.corpus import special_biserial_corpus
+from stringalg.corpus import _random_quiver, special_biserial_corpus
 from stringalg.doze import classify
 from stringalg.errors import (
     InfiniteDimensionalError,
@@ -16,6 +18,7 @@ from stringalg.errors import (
     SemanticError,
 )
 from stringalg.presentation import (
+    Arrow,
     Presentation,
     Quiver,
     minimalize,
@@ -62,6 +65,16 @@ def test_quiver_rejects_an_unknown_source():
 def test_quiver_rejects_duplicate_vertex_ids():
     with pytest.raises(SemanticError, match="duplicate vertex id"):
         Quiver(["1", "1"], [])
+
+
+def test_quiver_converts_every_id_to_str():
+    got = Quiver([1, 2], [("a", 1, 2)])
+    want = Quiver(["1", "2"], [("a", "1", "2")])
+    assert (got.vertices, got.arrows, got.arrow) == (want.vertices, want.arrows, want.arrow)
+    for v in want.vertices:
+        assert (got.out_arrows(v), got.in_arrows(v)) == (want.out_arrows(v), want.in_arrows(v))
+    assert got == want
+    assert Quiver(["1", "2"], [(3, "1", "2")]).arrows == (Arrow("3", "1", "2"),)
 
 
 def test_opposite_quiver_matches_the_validated_build(corpora, skew6, thirteen, nine, commsquare):
@@ -236,6 +249,49 @@ def test_three_arrows_out_of_one_vertex_fails_condition_1():
     report = validate_special_biserial(p)
     assert not report.is_valid
     assert any(v.condition == 1 and v.site == "0" for v in report.violations)
+
+
+def _axioms_by_definition(p):
+    """The violations of conditions 1 and 2, each counted from the arrow
+    list: at most two arrows end, and two start, at a vertex; an arrow has
+    at most one successor, and one predecessor, that it composes with to a
+    path outside the ideal.  In the order the validators report them."""
+    arrows = sorted(p.quiver.arrows)
+    out = []
+    for v in p.quiver.vertices:
+        for kind, end in (("in", 2), ("out", 1)):
+            at = tuple(a.name for a in arrows if a[end] == v)
+            if len(at) > 2:
+                out.append((1, v, kind, at))
+    for a in p.quiver.arrows:
+        succ = [b for b in arrows if b.source == a.target]
+        succ = tuple(b.name for b in succ if not path_in_ideal(p, (a.name, b.name)))
+        pred = [b for b in arrows if b.target == a.source]
+        pred = tuple(b.name for b in pred if not path_in_ideal(p, (b.name, a.name)))
+        out += [(2, a.name, kind, live) for kind, live in
+                (("successors", succ), ("predecessors", pred)) if len(live) > 1]
+    return out
+
+
+def test_axiom_scan_matches_its_definition():
+    """Quivers drawn without the degree cap, with random two-arrow zero
+    relations, so that both conditions fail often."""
+    rng = random.Random(20261022)
+    found = Counter()
+    for _ in range(600):
+        q = _random_quiver(rng, 6, 10, cap_degrees=False)
+        pairs = [(a.name, b.name) for a in q.arrows for b in q.out_arrows(a.target)]
+        zeros = rng.sample(pairs, rng.randint(0, len(pairs)))
+        try:
+            p = Presentation(q, [q.path(z) for z in zeros])
+        except InfiniteDimensionalError:
+            continue
+        got = [(v.condition, v.site, v.kind, v.detail)
+               for v in validate_string_algebra(p).violations]
+        assert got == _axioms_by_definition(p)
+        found.update(kind for _, _, kind, _ in got)
+        found["presentations"] += 1
+    assert found["presentations"] > 200 and min(found.values()) > 40, found
 
 
 def test_string_algebra_implies_special_biserial(skew6, thirteen):

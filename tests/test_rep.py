@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import linear_a3, random_monomial_presentation
+from conftest import cokernel, injective_envelope, linear_a3, random_monomial_presentation
 from stringalg import exactla as la
 from stringalg import fixtures, rep, stringhom
 from stringalg.automaton import strings_of_length
@@ -42,8 +42,8 @@ def simple_module(p, x):
 
 def cosyzygy(p, M):
     """Cokernel of the injective envelope."""
-    _I, embed = rep.injective_envelope(p, M)
-    C, _ = rep.cokernel(embed)
+    _I, embed = injective_envelope(p, M)
+    C, _ = cokernel(embed)
     return C
 
 
@@ -241,9 +241,9 @@ def test_cover_of_simple_is_projective(skew6):
 
 def test_envelope_of_simple_is_injective_hull(skew6):
     S = simple_module(skew6, "x4")
-    I, embed = rep.injective_envelope(skew6, S)
+    I, embed = injective_envelope(skew6, S)
     assert I.dims == rep.injective(skew6, "x4").dims
-    C, _ = rep.cokernel(embed)
+    C, _ = cokernel(embed)
     assert C.total_dim == I.total_dim - S.total_dim
     assert {v: d for v, d in C.dims.items() if d} == {"x2": 1}
 
@@ -292,8 +292,8 @@ def test_matrix_route_outputs_are_pinned(make, count, digest):
         T, onto_top = rep.top(M)
         P, cover = rep.projective_cover(p, M)
         K, incl = rep.kernel(cover)
-        I, embed = rep.injective_envelope(p, M)
-        C, onto_coker = rep.cokernel(embed)
+        I, embed = injective_envelope(p, M)
+        C, onto_coker = cokernel(embed)
         for X, f in ((T, onto_top), (P, cover), (K, incl), (I, embed), (C, onto_coker)):
             lines.extend(_module_lines(X))
             lines.extend(_map_lines(f))

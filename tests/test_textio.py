@@ -1,10 +1,14 @@
+import collections
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from stringalg import fixtures
+from stringalg.corpus import special_biserial_corpus, string_corpus
 from stringalg.errors import ParseError, SemanticError
+from stringalg.presentation import Presentation, Quiver
 from stringalg.textio import parse, parse_file, serialize
 
 FIXTURE_FILES = {
@@ -292,3 +296,91 @@ def test_mutated_fixture_parses_are_pinned():
     assert len(kinds) >= 10
     digest = hashlib.sha256("\n".join(map(repr, outcomes)).encode()).hexdigest()
     assert digest == MUTATED_PARSES_SHA256
+
+
+# --- the parse route against the public constructors ------------------------
+
+
+def _declarations(text):
+    """(vertices, arrows, zeros, comms) of a text whose every line parses:
+    the declarations as written, unchecked."""
+    vertices, arrows, zeros, comms = [], [], [], []
+    for line in text.splitlines():
+        toks = list(itertools.takewhile(lambda tok: tok[0] != "#", line.split()))
+        head, *rest = toks or [None]
+        if head == "vertex":
+            vertices += rest
+        elif head == "arrow":
+            arrows.append((rest[0], rest[2], rest[4]))
+        elif head == "zero":
+            zeros.append(rest)
+        elif head == "comm":
+            cut = rest.index("=")
+            comms.append((rest[:cut], rest[cut + 1 :]))
+    return vertices, arrows, zeros, comms
+
+
+def _public_route(text):
+    """The text's declarations fed to `Quiver`, `Quiver.path` and
+    `Presentation`, each of which checks its input."""
+    vertices, arrows, zeros, comms = _declarations(text)
+    q = Quiver(vertices, arrows)
+    zeros = [q.path(z) for z in zeros]
+    return Presentation(q, zeros, [(q.path(l), q.path(r)) for l, r in comms])
+
+
+def _fields(p):
+    q = p.quiver
+    orders = [(v, q.out_arrows(v), q.in_arrows(v)) for v in q.vertices]
+    return (q.vertices, q.arrows, list(q.arrow.items()), orders,
+            p.zero_paths, p.comm_pairs, p.zero_index())
+
+
+def _read_every_line(text, error):
+    """Whether `parse` raised error after reading every line, in building
+    the presentation: an error with no position, a composability error,
+    or a second '=' on a comm line.  Before that, `parse` rejects lines
+    that the public route never sees."""
+    message = str(error)
+    if error.line is None or "path not composable" in message:
+        return True
+    return message.endswith("unknown arrow '='") and (
+        text.splitlines()[error.line - 1].split()[0] == "comm"
+    )
+
+
+def test_parse_route_matches_the_public_constructors(corpora):
+    """`parse` checks each declaration once and builds through the
+    constructors' builders; on every text that reaches the build it
+    agrees with the checked constructors, field by field, or on the
+    error's class and message."""
+    texts = [text for text, *_ in PARSE_ERRORS]
+    for name in sorted(FIXTURE_FILES):
+        with open(FIXTURE_FILES[name], encoding="utf-8") as fh:
+            texts.append(fh.read())
+    rng = random.Random(20261019)
+    texts += [_mutated(text, rng) for text in texts[-len(FIXTURE_FILES):] for _ in range(50)]
+    for generator, seed, size in [(string_corpus, 1, 2000), (string_corpus, 2, 500),
+                                  (special_biserial_corpus, 1, 200),
+                                  (special_biserial_corpus, 2, 200)]:
+        texts += [serialize(f"c{i}", p) for i, p in enumerate(corpora(generator, seed, size))]
+    compared = []
+    for text in texts:
+        try:
+            got = _fields(parse(text)[1])
+        except ParseError:
+            continue
+        except SemanticError as e:
+            if not _read_every_line(text, e):
+                continue
+            message = str(e) if e.line is None else str(e).split(": ", 1)[1]
+            with pytest.raises(SemanticError) as public:
+                _public_route(text)
+            assert str(public.value) == message, text
+            compared.append(message.split(" ")[0])
+            continue
+        assert _fields(_public_route(text)) == got, text
+        compared.append("ok")
+    kinds = collections.Counter(compared)
+    assert set(kinds) == {"ok", "path", "commutativity", "ideal-avoiding", "unknown"}, kinds
+    assert kinds["ok"] >= 2900 + len(FIXTURE_FILES)
